@@ -5,8 +5,7 @@ the small-jump integral is replaced inside one grid cell by its second-order
 Taylor proxy (a scaled discrete Laplacian with the exact radial coefficient),
 the remaining jump integral by log-spaced Gauss-Legendre quadrature with
 multilinear interpolation, the compensator by central differences, and the
-drift by upwind differences. Dense solves are restricted to d in {1, 2}; in
-higher dimension only the Monte Carlo resolvent route is available.
+drift by upwind differences. Dense solves are restricted to d in {1, 2}.
 """
 
 from __future__ import annotations
@@ -21,74 +20,26 @@ from scipy.integrate import quad
 from scipy.special import j0
 
 from .grid import TorusGrid
-from .quadrature import log_edges, panel_nodes, radial_fourier_integral
-from .spec_model import (IntegrabilityError, JumpSpec, full_drift,
+from .quadrature import radial_fourier_integral
+from .spec_model import (JumpSpec, full_drift, jump_nodes, tail_mass_bound,
                          truncated_drift)
 
 _TWO_PI = 2.0 * np.pi
 
 
-# ---------------------------------------------------------------------------
-# quadrature node sets for the jump measure
-# ---------------------------------------------------------------------------
-
-def _angular_nodes_isotropic(d, n_ang=16):
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        ang = (np.arange(n_ang) + 0.5) / n_ang * _TWO_PI
-        thetas = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return thetas, np.full(n_ang, _TWO_PI / n_ang)
-    raise ValueError("isotropic angular nodes implemented for d <= 2")
-
-
 def operator_radius(spec: JumpSpec, tol=1e-8, cap=1e12):
-    """Radial cutoff R with spherical tail mass * kmax below ``tol``."""
-    mass = spec.rho0.total_mass * spec.kernel.kmax
+    """Radial cutoff R with tail mass bound * kmax below ``tol``."""
+    kmax = spec.kernel.kmax
     lo, hi = 1.0, cap
-    if mass * spec.phi.radial_tail_mass(hi, np.inf) > tol:
+    if kmax * tail_mass_bound(spec, hi) > tol:
         return cap
     for _ in range(80):
         mid = math.sqrt(lo * hi)
-        if mass * spec.phi.radial_tail_mass(mid, np.inf) > tol:
+        if kmax * tail_mass_bound(spec, mid) > tol:
             lo = mid
         else:
             hi = mid
     return hi
-
-
-def jump_nodes(spec: JumpSpec, r_small_lo, r_large_hi=None, n_ang=16,
-               per_decade=6, order=8):
-    """Quadrature node set (z, w, compensated) for int ... k(x,z) Pi(dz).
-
-    Nodes with |z| <= 1 are flagged as compensated. The small-jump part starts
-    at ``r_small_lo`` (callers treat the inner ball separately).
-    """
-    d = spec.d
-    zs, ws, comp = [], [], []
-    if spec.small.kind == "stable" and r_small_lo < 1.0:
-        thetas, tw = _angular_nodes_isotropic(d, n_ang)
-        edges = log_edges(r_small_lo, 1.0, per_decade=8, min_panels=6)
-        r, rw = panel_nodes(edges, order)
-        rad_w = rw * r ** (-1.0 - spec.small.alpha0)
-        z = r[:, None, None] * thetas[None, :, :]
-        w = rad_w[:, None] * tw[None, :]
-        zs.append(z.reshape(-1, d))
-        ws.append(w.ravel())
-        comp.append(np.ones(w.size, dtype=bool))
-    hi = r_large_hi if r_large_hi is not None else operator_radius(spec)
-    edges = log_edges(1.0, hi, per_decade=per_decade, min_panels=6)
-    r, rw = panel_nodes(edges, order)
-    for measure, weight_fn in spec.angular_terms():
-        rad = rw / (r * spec.phi(r))
-        if weight_fn is not None:
-            rad = rad * np.asarray(weight_fn(r), dtype=float)
-        z = r[:, None, None] * measure.thetas[None, :, :]
-        w = rad[:, None] * measure.weights[None, :]
-        zs.append(z.reshape(-1, d))
-        ws.append(w.ravel())
-        comp.append(np.zeros(w.size, dtype=bool))
-    return np.concatenate(zs), np.concatenate(ws), np.concatenate(comp)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +83,16 @@ def assemble_operator(spec: JumpSpec, n) -> AssembledOperator:
         if n > 64:
             raise ValueError("grid resolution capped at 64 in d=2")
     else:
-        raise ValueError("grid assembly supports d in {1, 2}; use the "
-                         "Monte Carlo resolvent route in higher dimension")
+        raise ValueError("grid assembly supports d in {1, 2}")
     grid = TorusGrid(spec.d, int(n))
     N, d, h = grid.size, spec.d, grid.h
     centers = grid.centers
     L = np.zeros((N, N))
 
-    zs, ws, comp = jump_nodes(spec, r_small_lo=h)
+    # the compensated ball and the tail use different panel densities
+    zs, ws, comp = (np.concatenate(p) for p in zip(
+        jump_nodes(spec, h, 1.0, 8, 6, 8),
+        jump_nodes(spec, 1.0, operator_radius(spec), 6, 6, 8)))
     targets_rel = zs                       # (Q, d)
     rows_idx = np.arange(N)
 
@@ -310,7 +263,7 @@ def _zero_field(op: AssembledOperator, mu_w, method):
 
 def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
                   operator: Optional[AssembledOperator] = None,
-                  mean_tol=1e-8, mc_config=None) -> CorrectorField:
+                  mean_tol=1e-8) -> CorrectorField:
     """Zero-mean periodic solution of (generator) psi = f.
 
     ``f`` is a callable of grid centers or an array of grid values. The
@@ -355,9 +308,6 @@ def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
 
     if method == "fourier":
         return _solve_fourier(spec, f, n, mu_weights)
-
-    if method == "feynman_kac":
-        return _solve_feynman_kac(spec, f, n, mu_weights, mc_config or {})
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -421,37 +371,6 @@ def fourier_multiplier_drift_free(spec: JumpSpec, m):
     spec_nodrift = JumpSpec(spec.d, spec.small, spec.rho0, spec.phi,
                             spec.kappa, spec.kernel, DriftField.zero(spec.d))
     return fourier_multiplier(spec_nodrift, mode)
-
-
-def _solve_feynman_kac(spec: JumpSpec, f, n, mu_weights, mc):
-    """psi(x) = -E_x int_0^{T*} f(X_s) ds, truncated by the mixing estimate."""
-    from .pathsim import SimConfig, simulate_quotient_time_integrals
-
-    grid = TorusGrid(spec.d, int(n))
-    fv_fn = f if callable(f) else None
-    if fv_fn is None:
-        values = np.asarray(f, dtype=float).reshape(grid.size)
-        fv_fn = lambda pts: values[grid.cell_of(pts)]
-    lam = mc.get("lambda1", 1.0)
-    horizon = mc.get("horizon", 8.0 / lam)
-    paths = mc.get("paths", 256)
-    seed = mc.get("seed", 0)
-    dt = mc.get("dt", 0.01)
-    psi = np.zeros(grid.size)
-    err = np.zeros(grid.size)
-    for i, x0 in enumerate(grid.centers):
-        cfg = SimConfig(paths=paths, horizon=horizon, dt=dt, seed=seed + i)
-        ints = simulate_quotient_time_integrals(spec, cfg, fv_fn, x0=x0)
-        psi[i] = -float(np.mean(ints))
-        err[i] = float(np.std(ints) / np.sqrt(paths))
-    mu_w = (np.asarray(mu_weights).reshape(grid.size) if mu_weights is not None
-            else np.full(grid.size, 1.0 / grid.size))
-    psi = psi - float(mu_w @ psi)
-    grad = _central_gradient(grid, psi)
-    fld = CorrectorField(grid, psi, grad, mu_w, float("nan"), "feynman_kac",
-                         meta={"mc_standard_error": float(err.max()),
-                               "horizon": horizon})
-    return fld
 
 
 # ---------------------------------------------------------------------------
@@ -533,39 +452,6 @@ class AtomJumpMeasure:
         return float(self.w @ np.sum(self.z ** 2, axis=1))
 
 
-def _covariance_nodes(spec: JumpSpec, tol=1e-9):
-    """Quadrature nodes for int (...) k Pi(dz) under a finite second moment."""
-    zs, ws = [], []
-    d = spec.d
-    if spec.small.kind == "stable":
-        thetas, tw = _angular_nodes_isotropic(d)
-        edges = log_edges(1e-7, 1.0, per_decade=6, min_panels=8)
-        r, rw = panel_nodes(edges, 8)
-        rad = rw * r ** (-1.0 - spec.small.alpha0)
-        z = r[:, None, None] * thetas[None, :, :]
-        w = rad[:, None] * tw[None, :]
-        zs.append(z.reshape(-1, d))
-        ws.append(w.ravel())
-    # spherical tail: cutoff where the residual second moment is below tol
-    al = spec.phi.index
-    if al <= 2.0:
-        raise IntegrabilityError("jump measure lacks a second moment")
-    mass = spec.rho0.total_mass * spec.kernel.kmax
-    hi = max((tol * (al - 2.0) / max(mass, 1e-300)) ** (1.0 / (2.0 - al)), 10.0)
-    hi = min(hi, 1e9)
-    edges = log_edges(1.0, hi, per_decade=6, min_panels=8)
-    r, rw = panel_nodes(edges, 8)
-    for measure, weight_fn in spec.angular_terms():
-        rad = rw / (r * spec.phi(r))
-        if weight_fn is not None:
-            rad = rad * np.asarray(weight_fn(r), dtype=float)
-        z = r[:, None, None] * measure.thetas[None, :, :]
-        w = rad[:, None] * measure.weights[None, :]
-        zs.append(z.reshape(-1, d))
-        ws.append(w.ravel())
-    return np.concatenate(zs), np.concatenate(ws)
-
-
 class VectorCorrector:
     """Componentwise corrector field psi: T^d -> R^d."""
 
@@ -615,21 +501,28 @@ def covariance_matrix(spec_or_atoms, mu, psi: Optional[VectorCorrector] = None
     """
     if isinstance(spec_or_atoms, AtomJumpMeasure):
         zq, wq = spec_or_atoms.nodes()
-        d = spec_or_atoms.d
         kern = None
     else:
         spec = spec_or_atoms
         spec.second_moment_total()      # raises when the tail is too heavy
-        zq, wq = _covariance_nodes(spec)
-        d = spec.d
+        # tail cutoff where the residual second moment is below 1e-9
+        al = spec.phi.index
+        mass = spec.rho0.total_mass * spec.kernel.kmax
+        hi = max((1e-9 * (al - 2.0) / max(mass, 1e-300)) ** (1.0 / (2.0 - al)),
+                 10.0)
+        zq, wq, _ = jump_nodes(spec, 1e-7, min(hi, 1e9), 6, 8, 8)
         kern = spec.kernel
 
     if isinstance(psi, CorrectorField):
         psi = VectorCorrector([psi])
+    A = _second_moment(zq, wq, kern, mu, psi)
+    return CovarianceMatrix(A, meta={"with_corrector": psi is not None})
 
-    centers = mu.centers
-    A = np.zeros((d, d))
-    for xc, mw in zip(centers, mu.weights):
+
+def _second_moment(zq, wq, kern, mu, psi=None):
+    """int int (z + dpsi)(z + dpsi)^T k(x,z) w(dz) mu(dx) on nodes (zq, wq)."""
+    A = np.zeros((zq.shape[1], zq.shape[1]))
+    for xc, mw in zip(mu.centers, mu.weights):
         if mw == 0.0:
             continue
         if psi is not None:
@@ -639,42 +532,12 @@ def covariance_matrix(spec_or_atoms, mu, psi: Optional[VectorCorrector] = None
         kv = kern(np.broadcast_to(xc, zq.shape), zq) if kern is not None else 1.0
         wk = wq * kv * mw
         A += np.einsum("q,qi,qj->ij", wk, disp, disp)
-    return CovarianceMatrix(A, meta={"with_corrector": psi is not None})
+    return A
 
 
 # ---------------------------------------------------------------------------
 # critical (logarithmic) covariance
 # ---------------------------------------------------------------------------
-
-def _second_moment_matrix_upto(spec: JumpSpec, mu, R):
-    """int int_{|z|<=R} z (x) z k(x,z) Pi(dz) mu(dx) by quadrature."""
-    d = spec.d
-    zs, ws = [], []
-    if spec.small.kind == "stable":
-        thetas, tw = _angular_nodes_isotropic(d)
-        edges = log_edges(1e-7, 1.0, per_decade=6, min_panels=8)
-        r, rw = panel_nodes(edges, 8)
-        rad = rw * r ** (-1.0 - spec.small.alpha0)
-        zs.append((r[:, None, None] * thetas[None, :, :]).reshape(-1, d))
-        ws.append((rad[:, None] * tw[None, :]).ravel())
-    edges = log_edges(1.0, R, per_decade=6, min_panels=8)
-    r, rw = panel_nodes(edges, 8)
-    for measure, weight_fn in spec.angular_terms():
-        rad = rw / (r * spec.phi(r))
-        if weight_fn is not None:
-            rad = rad * np.asarray(weight_fn(r), dtype=float)
-        zs.append((r[:, None, None] * measure.thetas[None, :, :]).reshape(-1, d))
-        ws.append((rad[:, None] * measure.weights[None, :]).ravel())
-    zq = np.concatenate(zs)
-    wq = np.concatenate(ws)
-    A = np.zeros((d, d))
-    for xc, mw in zip(mu.centers, mu.weights):
-        if mw == 0.0:
-            continue
-        kv = spec.kernel(np.broadcast_to(xc, zq.shape), zq)
-        A += np.einsum("q,qi,qj->ij", wq * kv * mw, zq, zq)
-    return A
-
 
 def critical_covariance(spec: JumpSpec, mu, eps_ladder=None, log_factor=None
                         ) -> CovarianceMatrix:
@@ -691,7 +554,8 @@ def critical_covariance(spec: JumpSpec, mu, eps_ladder=None, log_factor=None
     d = spec.d
     vals = []
     for eps in eps_ladder:
-        A_eps = _second_moment_matrix_upto(spec, mu, 1.0 / eps) / phi_c(eps)
+        zq, wq, _ = jump_nodes(spec, 1e-7, 1.0 / eps, 6, 8, 8)
+        A_eps = _second_moment(zq, wq, spec.kernel, mu) / phi_c(eps)
         vals.append(A_eps)
     vals = np.array(vals)                       # (m, d, d)
     L = np.array([phi_c(e) for e in eps_ladder])

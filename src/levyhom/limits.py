@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,8 @@ from scipy.integrate import quad
 from .corrector import (covariance_matrix, critical_covariance,
                         solve_recentering_corrector)
 from .pathsim import (EndpointBatch, JumpDriver, SimConfig, _Component,
-                      _uniform_sphere_angular, run_paths)
+                      run_paths)
+from .quadrature import power_law_radii
 from .regimes import (CAUCHY_CENTER, CRITICAL_LOG, DIFFUSIVE, STABLE_CENTER,
                       STABLE_NO_CENTER, Regime)
 from .spec_model import JumpSpec, SphericalMeasure
@@ -171,12 +173,9 @@ def _stable_driver(law: LimitLaw, cfg: SimConfig, horizon):
     rmax = cfg.rmax if cfg.rmax is not None else \
         (limit * a / law.rho0.total_mass) ** (-1.0 / a)
     ca, cb = delta ** -a, rmax ** -a
-
-    def radial(u):
-        return (ca - np.asarray(u) * (ca - cb)) ** (-1.0 / a)
-
-    comp = _Component(law.rho0.total_mass * (ca - cb) / a, radial,
-                      lambda u1, u2: law.rho0.sample_from_uniforms(u1, u2))
+    comp = _Component(law.rho0.total_mass * (ca - cb) / a,
+                      partial(power_law_radii, lo=delta, hi=rmax, a=a),
+                      law.rho0.sample_from_uniforms)
 
     kernel_varies = float(law.kbar0.min()) < kmax * (1 - 1e-12)
     kernel_fn = (lambda x, z: law.kbar_at(

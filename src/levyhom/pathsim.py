@@ -3,9 +3,15 @@
 The scheme is compound Poisson thinning for jumps above a cutoff delta plus a
 Gaussian substitution for the sub-delta activity:
 
-* candidate jumps |z| > delta arrive with the constant dominating rate
-  Lambda = kmax * Pi({delta < |z| <= Rmax}) and are accepted with probability
-  k(x, z)/kmax evaluated at the state at the start of the covering step;
+* candidate jumps |z| > delta arrive with a constant dominating rate and
+  are accepted with probability k(x, z)/kmax evaluated at the state at the
+  start of the covering step (Lewis-Shedler thinning);
+* candidate radii are drawn exactly by power-law inverse CDFs: on the
+  annulus delta < |z| <= 1 from the small-jump density, on 1 < |z| <= Rmax
+  from the envelope (1 + sup g) rho0(dtheta) dr / (c r^{1+b}) of the tail,
+  where phi(r) >= c r^b. A tail candidate is accepted with the further
+  factor (1 + g(r)) / (1 + sup g) * c r^b / phi(r) in (0, 1], which is
+  identically one, and never evaluated, for a power phi without kappa;
 * jumps below delta are replaced by a Brownian increment whose covariance is
   the truncated second moment of the jump measure, frozen per Euler step;
 * the drift combines b(x) with the compensator correction that reconciles the
@@ -24,14 +30,16 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .grid import TorusGrid
-from .quadrature import log_edges, panel_nodes
+from .quadrature import power_law_radii
 from .regimes import EffectiveDrifts, Regime
-from .spec_model import JumpSpec, SphericalMeasure
+from .spec_model import (JumpSpec, jump_nodes, surface_measure,
+                         tail_mass_bound)
 
 _BLOCK = 2048
 
@@ -139,38 +147,15 @@ class JumpDriver:
         return None
 
 
-def _uniform_sphere_angular(d):
-    def draw(u1, u2):
-        u1 = np.asarray(u1)
-        if d == 1:
-            return np.where(u1 < 0.5, -1.0, 1.0)[:, None]
-        if d == 2:
-            ang = 2 * np.pi * u1
-            return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        zc = 2.0 * u1 - 1.0
-        az = 2 * np.pi * np.asarray(u2)
-        s = np.sqrt(np.maximum(1 - zc ** 2, 0.0))
-        return np.stack([s * np.cos(az), s * np.sin(az), zc], axis=-1)
-    return draw
-
-
 def choose_rmax(spec: JumpSpec, horizon, budget, kmax):
     """Smallest cap with Pi({|z| > R}) * horizon * kmax below the budget."""
-    def tail(R):
-        t = spec.rho0.total_mass * spec.phi.radial_tail_mass(R, np.inf)
-        if not spec.kappa.is_none:
-            r = np.geomspace(R, R * 1e4, 32)
-            gsup = float(np.max(np.abs(spec.kappa.g(r))))
-            t += gsup * spec.kappa.base.total_mass * \
-                spec.phi.radial_tail_mass(R, np.inf)
-        return t
     limit = budget / max(horizon * kmax, 1e-300)
     lo, hi = 1.0, 1e18
-    if tail(hi) > limit:
+    if tail_mass_bound(spec, hi) > limit:
         raise ConfigError("truncation budget unreachable even at R=1e18")
     for _ in range(120):
         mid = math.sqrt(lo * hi)
-        if tail(mid) > limit:
+        if tail_mass_bound(spec, mid) > limit:
             lo = mid
         else:
             hi = mid
@@ -186,7 +171,7 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
     kmax = spec.kernel.kmax
     rmax = cfg.rmax if cfg.rmax is not None else \
         choose_rmax(spec, horizon, cfg.truncation_budget, kmax)
-    tail_mass = spec.rho0.total_mass * spec.phi.radial_tail_mass(rmax, np.inf)
+    tail_mass = tail_mass_bound(spec, rmax)
     if tail_mass * horizon * kmax > cfg.truncation_budget * (1 + 1e-9):
         raise ConfigError(
             f"radial cap {rmax} violates the truncation budget "
@@ -195,56 +180,37 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
     components = []
     # small-jump annulus delta < |z| <= 1
     if spec.small.kind == "stable" and delta < 1.0:
-        a0 = spec.small.alpha0
-        mass_a = spec.small.annulus_mass(d, delta, 1.0)
-        ca, cb = delta ** -a0, 1.0
-
-        def radial_annulus(u, ca=ca, cb=cb, a0=a0):
-            return (ca - u * (ca - cb)) ** (-1.0 / a0)
-
-        components.append(_Component(mass_a, radial_annulus,
-                                     _uniform_sphere_angular(d)))
-
-    # spherical tail 1 < r <= rmax, possibly with the separable perturbation
-    if spec.kappa.is_none:
-        mass_s, radial_s = spec.phi.radial_sampler(1.0, rmax)
         components.append(_Component(
-            mass_s * spec.rho0.total_mass, radial_s,
-            lambda u1, u2: spec.rho0.sample_from_uniforms(u1, u2)))
-    elif spec.kappa.base is spec.rho0:
-        from .quadrature import tabulated_inverse_cdf
-        g = spec.kappa.g
+            spec.small.annulus_mass(d, delta, 1.0),
+            partial(power_law_radii, lo=delta, hi=1.0, a=spec.small.alpha0),
+            surface_measure(d).sample_from_uniforms))
+
+    # spherical tail 1 < r <= rmax: exact draws from the envelope
+    # (1 + ghat) rho0(dtheta) dr / (c r^{1+b}), thinned down to
+    # (1 + g(r)) rho0(dtheta) dr / (r phi(r)) in accept_fraction
+    c, b = spec.phi.envelope()
+    ghat = 0.0
+    if not spec.kappa.is_none:
+        if spec.kappa.base is not spec.rho0:
+            raise ConfigError("perturbations with a base measure other than "
+                              "rho0 cannot be simulated")
         r_chk = np.geomspace(1.0, rmax, 256)
-        if np.any(1.0 + np.asarray(g(r_chk)) < 0):
+        if np.any(1.0 + np.asarray(spec.kappa.g(r_chk)) < 0):
             raise ConfigError("perturbed radial density goes negative; "
                               "cannot simulate this perturbation")
-        mass_s, radial_s = tabulated_inverse_cdf(
-            lambda r: (1.0 + g(r)) / (r * spec.phi(r)), 1.0, rmax, n=4096)
-        components.append(_Component(
-            mass_s * spec.rho0.total_mass, radial_s,
-            lambda u1, u2: spec.rho0.sample_from_uniforms(u1, u2)))
-    else:
-        from .quadrature import tabulated_inverse_cdf
-        g = spec.kappa.g
-        r_chk = np.geomspace(1.0, rmax, 256)
-        if np.any(np.asarray(g(r_chk)) < 0):
-            raise ConfigError("signed perturbations with a separate base "
-                              "measure cannot be simulated by thinning")
-        mass_s, radial_s = spec.phi.radial_sampler(1.0, rmax)
-        components.append(_Component(
-            mass_s * spec.rho0.total_mass, radial_s,
-            lambda u1, u2: spec.rho0.sample_from_uniforms(u1, u2)))
-        mass_k, radial_k = tabulated_inverse_cdf(
-            lambda r: g(r) / (r * spec.phi(r)), 1.0, rmax, n=4096)
-        components.append(_Component(
-            mass_k * spec.kappa.base.total_mass, radial_k,
-            lambda u1, u2: spec.kappa.base.sample_from_uniforms(u1, u2)))
+        ghat = spec.kappa.sup_abs(1.0)
+    components.append(_Component(
+        (1.0 - rmax ** (-b)) / (c * b) * spec.rho0.total_mass * (1.0 + ghat),
+        partial(power_law_radii, lo=1.0, hi=rmax, a=b),
+        spec.rho0.sample_from_uniforms))
 
     if not spec.kernel.depends_on_x() and not spec.kernel.depends_on_z():
         kconst = float(spec.kernel(np.zeros((1, d)), np.zeros((1, d)))[0])
         kernel_fn = None if abs(kconst - kmax) <= 1e-14 * kmax else spec.kernel
     else:
         kernel_fn = spec.kernel
+    if spec.phi.kind != "power" or not spec.kappa.is_none:
+        kernel_fn = _envelope_thinned(spec, kernel_fn, kmax, c, b, ghat)
 
     # Gaussian substitution of the sub-delta activity
     gauss_coef = None
@@ -255,7 +221,7 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
             def gauss_coef(X, c=ball_m2 / d):
                 return spec.kernel(X, np.zeros_like(X)) * c
         else:
-            zq, wq = _small_ball_nodes(spec, delta)
+            zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
             trace_w = wq * np.sum(zq * zq, axis=1) / d
 
             def gauss_coef(X, zq=zq, tw=trace_w):
@@ -267,7 +233,7 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
     comp_nodes = None
     if (spec.small.kind == "stable" and delta < 1.0 and
             spec.kernel.depends_on_z()):
-        comp_nodes = _annulus_nodes(spec, delta)
+        comp_nodes = jump_nodes(spec, delta, 1.0, 6, 4, 6)[:2]
 
     drift_fn = None
     constant_drift = None
@@ -292,35 +258,23 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
                       meta={"rmax": rmax, "delta": delta})
 
 
-def _small_ball_nodes(spec, delta):
-    thetas, tw = _iso_nodes(spec.d)
-    edges = log_edges(delta * 1e-4, delta, per_decade=4, min_panels=4)
-    r, rw = panel_nodes(edges, 6)
-    rad = rw * r ** (-1.0 - spec.small.alpha0)
-    z = (r[:, None, None] * thetas[None, :, :]).reshape(-1, spec.d)
-    w = (rad[:, None] * tw[None, :]).ravel()
-    return z, w
+def _envelope_thinned(spec, kernel_fn, kmax, c, b, ghat):
+    """Kernel times the acceptance of a tail candidate drawn from the envelope.
 
+    The factor (1 + g(r)) / (1 + ghat) * c r^b / phi(r) lies in (0, 1]; jumps
+    with |z| <= 1 come from the exact annulus sampler and keep factor one.
+    """
+    g = spec.kappa.g
 
-def _annulus_nodes(spec, delta):
-    thetas, tw = _iso_nodes(spec.d)
-    edges = log_edges(delta, 1.0, per_decade=6, min_panels=4)
-    r, rw = panel_nodes(edges, 6)
-    rad = rw * r ** (-1.0 - spec.small.alpha0)
-    z = (r[:, None, None] * thetas[None, :, :]).reshape(-1, spec.d)
-    w = (rad[:, None] * tw[None, :]).ravel()
-    return z, w
+    def thinned(x, z):
+        r = np.linalg.norm(z, axis=-1)
+        factor = c * r ** b / spec.phi(r)
+        if g is not None:
+            factor = factor * ((1.0 + np.asarray(g(r))) / (1.0 + ghat))
+        k = kmax if kernel_fn is None else kernel_fn(x, z)
+        return k * np.where(r > 1.0, factor, 1.0)
 
-
-def _iso_nodes(d, n_ang=16):
-    if d == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 2:
-        ang = (np.arange(n_ang) + 0.5) / n_ang * 2 * np.pi
-        return (np.stack([np.cos(ang), np.sin(ang)], axis=1),
-                np.full(n_ang, 2 * np.pi / n_ang))
-    m = SphericalMeasure.uniform(3, total_mass=4 * np.pi)
-    return m.thetas, m.weights
+    return thinned
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,6 @@ def integrate_vec(f, a, b, rtol=1e-10, atol=1e-14, order=16, max_panels=4096,
     def _eval(es):
         nodes, weights = panel_nodes(es, order)
         vals = np.asarray(f(nodes))
-        if vals.ndim == 1:
-            return weights @ vals
         return weights @ vals
 
     prev = _eval(edges)
@@ -109,30 +107,10 @@ def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None,
     return complex(re, im)
 
 
-def tabulated_inverse_cdf(density_fn, lo, hi, n=2048, log_spaced=True):
-    """Inverse CDF of an unnormalized density on [lo, hi] as an interpolation table.
+def power_law_radii(u, lo, hi, a):
+    """Exact inverse CDF of the density r^{-1-a} on (lo, hi] at uniforms u.
 
-    Returns (total_mass, sampler) where sampler maps uniforms in [0,1) to
-    abscissae. Trapezoid accumulation on a fixed grid keeps it deterministic.
+    ``hi`` may be ``np.inf``.
     """
-    if log_spaced and lo > 0:
-        grid = np.geomspace(lo, hi, n)
-    else:
-        grid = np.linspace(lo, hi, n)
-    dens = np.maximum(np.asarray(density_fn(grid), dtype=float), 0.0)
-    seg = 0.5 * (dens[1:] + dens[:-1]) * np.diff(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cdf[-1]
-    if total <= 0:
-        raise ValueError("density has zero mass on the requested range")
-    cdf_n = cdf / total
-
-    def sampler(u):
-        u = np.asarray(u, dtype=float)
-        idx = np.clip(np.searchsorted(cdf_n, u, side="right") - 1, 0, n - 2)
-        c0 = cdf_n[idx]
-        c1 = cdf_n[idx + 1]
-        frac = np.where(c1 > c0, (u - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0)
-        return grid[idx] + frac * (grid[idx + 1] - grid[idx])
-
-    return total, sampler
+    ca, cb = lo ** (-a), hi ** (-a)
+    return (ca - np.asarray(u, dtype=float) * (ca - cb)) ** (-1.0 / a)

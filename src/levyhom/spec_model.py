@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .quadrature import (integrate_vec, log_edges, panel_nodes,
-                         radial_fourier_integral, tabulated_inverse_cdf)
+                         power_law_radii, radial_fourier_integral)
 from .trigpoly import TrigPoly
 
 
@@ -126,10 +126,6 @@ class SphericalMeasure:
             return self.total_mass
         mask = np.asarray([bool(predicate(t)) for t in self.thetas])
         return float(self.weights[mask].sum())
-
-    def mean_direction_weighted(self):
-        """First angular moment int theta rho(dtheta)."""
-        return self.weights @ self.thetas
 
     def sample_from_uniforms(self, u1, u2=None):
         """Map uniforms in [0,1) to directions; fixed draw budget of two."""
@@ -237,19 +233,14 @@ class ScalingFunction:
                       epsabs=1e-14, epsrel=1e-12, limit=400)
         return val
 
-    def radial_sampler(self, a, b):
-        """Inverse-CDF sampler of the density 1/(r phi(r)) restricted to (a, b]."""
+    def envelope(self):
+        """(c, b) with phi(r) >= c r^b on r >= 1: the leading power term."""
         if self.kind == "power":
-            al = self.index
-            ca, cb = a ** (-al), b ** (-al)
-
-            def sampler(u):
-                u = np.asarray(u, dtype=float)
-                return (ca - u * (ca - cb)) ** (-1.0 / al)
-
-            return self.radial_tail_mass(a, b), sampler
-        return tabulated_inverse_cdf(lambda r: 1.0 / (r * self(r)), a, b,
-                                     n=4096)
+            return 1.0, self.index
+        if self.kind == "mixed":
+            b, w = self.params["nu"][-1]
+            return w, b
+        return math.log(2.0), self.index
 
     def monotone_on_sample(self, r_lo=1.0, r_hi=1e6, n=512):
         r = np.geomspace(max(r_lo, 1.0 + 1e-9), r_hi, n)
@@ -336,6 +327,11 @@ class RadialPerturbation:
         vals = np.abs(np.asarray(self.g(r), dtype=float)) * self.base.total_mass
         return float(vals.max()), float(vals[-1])
 
+    def sup_abs(self, r_lo):
+        """sup |g| on r >= r_lo, sampled at 64 log-spaced radii to 1e6 r_lo."""
+        r = np.geomspace(r_lo, r_lo * 1e6, 64)
+        return float(np.max(np.abs(self.g(r))))
+
 
 # ---------------------------------------------------------------------------
 # small-jump part
@@ -382,8 +378,11 @@ class SmallJumpPart:
         a0 = self.alpha0
         return sphere_area(d) * (a ** (-a0) - b ** (-a0)) / a0
 
-    def radial_density_exponent(self):
-        return None if self.kind == "zero" else -1.0 - self.alpha0
+
+def surface_measure(d):
+    """Surface measure of the unit sphere, the angular law of small jumps."""
+    return SphericalMeasure.uniform(d, sphere_area(d),
+                                    n_nodes=16 if d == 2 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -572,15 +571,6 @@ class JumpSpec:
             terms.append((self.kappa.base, self.kappa.g))
         return terms
 
-    def large_jump_mass(self, a, b):
-        """Pi({a < |z| <= b}) of the spherical part, a >= 1."""
-        total = self.rho0.total_mass * self.phi.radial_tail_mass(a, b)
-        if not self.kappa.is_none:
-            val, _ = quad(lambda r: self.kappa.g(r) / (r * self.phi(r)), a, b,
-                          epsabs=1e-14, epsrel=1e-11, limit=400)
-            total += self.kappa.base.total_mass * val
-        return total
-
     def second_moment_total(self):
         """int |z|^2 Pi(dz); raises if the tail diverges."""
         if self.phi.index <= 2.0:
@@ -603,6 +593,52 @@ class JumpSpec:
             self._radial_cache[key] = radial_fourier_integral(
                 self.phi, s, 1.0, R, weight_fn=wfn)
         return self._radial_cache[key]
+
+
+def jump_nodes(spec: JumpSpec, lo, hi, per_decade, min_panels, order):
+    """Quadrature nodes (z, w, compensated) of Pi on the shell lo < |z| <= hi.
+
+    Radii are Gauss-Legendre nodes of ``order`` on log-spaced panels, split
+    at |z| = 1. Below it the isotropic density r^{-1-alpha0} weights the
+    surface measure; above it each angular term of rho0 + kappa carries the
+    radial weight g(r) / (r phi(r)). Nodes with |z| <= 1 are compensated.
+    """
+    d = spec.d
+    parts = []                      # (radii, radial weights, measure, comp)
+    if spec.small.kind == "stable" and lo < 1.0:
+        edges = log_edges(lo, min(hi, 1.0), per_decade=per_decade,
+                          min_panels=min_panels)
+        r, rw = panel_nodes(edges, order)
+        parts.append((r, rw * r ** (-1.0 - spec.small.alpha0),
+                      surface_measure(d), True))
+    if hi > 1.0:
+        edges = log_edges(max(lo, 1.0), hi, per_decade=per_decade,
+                          min_panels=min_panels)
+        r, rw = panel_nodes(edges, order)
+        for measure, weight_fn in spec.angular_terms():
+            rad = rw / (r * spec.phi(r))
+            if weight_fn is not None:
+                rad = rad * np.asarray(weight_fn(r), dtype=float)
+            parts.append((r, rad, measure, False))
+    zs, ws, comp = [np.empty((0, d))], [np.empty(0)], [np.empty(0, bool)]
+    for r, rad, measure, compensated in parts:
+        zs.append((r[:, None, None] * measure.thetas[None]).reshape(-1, d))
+        ws.append((rad[:, None] * measure.weights[None, :]).ravel())
+        comp.append(np.full(ws[-1].size, compensated))
+    return np.concatenate(zs), np.concatenate(ws), np.concatenate(comp)
+
+
+def tail_mass_bound(spec: JumpSpec, R):
+    """Closed-form upper bound on Pi({|z| > R}) for R >= 1.
+
+    (|rho0| + |base| sup_{r>=R} |g|) int_R^inf dr / (c r^{1+b}) with the
+    envelope phi >= c r^b; exact for power phi without kappa.
+    """
+    c, b = spec.phi.envelope()
+    mass = spec.rho0.total_mass
+    if not spec.kappa.is_none:
+        mass = mass + spec.kappa.base.total_mass * spec.kappa.sup_abs(R)
+    return mass * (R ** (-b) / (c * b))
 
 
 def _drift_trig(spec: JumpSpec, x, R):
@@ -682,9 +718,7 @@ def drift_tail_bound(spec: JumpSpec, R):
     """Upper bound on |b_R - b_inf| per component: kmax |rho0+kappa| int_R^inf dr/phi."""
     mass = spec.rho0.total_mass
     if not spec.kappa.is_none:
-        r = np.geomspace(R, R * 1e6, 64)
-        mass += spec.kappa.base.total_mass * float(
-            np.max(np.abs(spec.kappa.g(r))))
+        mass += spec.kappa.base.total_mass * spec.kappa.sup_abs(R)
     return spec.kernel.kmax * mass * spec.phi.inv_integral(R, np.inf)
 
 
@@ -715,11 +749,7 @@ class SelfSimilarJumpMeasure:
 
     def sample(self, rng, n, r_min=1.0, r_max=np.inf):
         """Draw (radius, direction) pairs from the normalized restriction."""
-        a = self.alpha
-        u = rng.random(n)
-        ca = r_min ** (-a)
-        cb = 0.0 if np.isinf(r_max) else r_max ** (-a)
-        r = (ca - u * (ca - cb)) ** (-1.0 / a)
+        r = power_law_radii(rng.random(n), r_min, r_max, self.alpha)
         th = self.rho0.sample_from_uniforms(rng.random(n), rng.random(n))
         return r, th
 

@@ -153,9 +153,6 @@ class TrigPoly:
         z0 = ((0,) * self.dim_x, (0,) * self.dim_z)
         return float(np.real(self.coeffs.get(z0, 0.0)))
 
-    def z_modes(self):
-        return sorted({mz for (_, mz) in self.coeffs})
-
     def max_mode_order(self):
         orders = [max([abs(v) for v in mx + mz] or [0])
                   for (mx, mz) in self.coeffs]
@@ -175,18 +172,6 @@ class TrigPoly:
                 key = (mx, ())
                 out[key] = out.get(key, 0.0) + c
         return TrigPoly(self.dim_x, 0, out)
-
-    def z_average(self):
-        """Average over the z torus, leaving a trig poly in x."""
-        return self.collect_z_modes(lambda mz: all(v == 0 for v in mz))
-
-    def x_average(self):
-        """Average over the x torus, leaving a trig poly in z."""
-        out = {}
-        for (mx, mz), c in self.coeffs.items():
-            if all(v == 0 for v in mx):
-                out[((), mz)] = out.get(((), mz), 0.0) + c
-        return TrigPoly(0, self.dim_z, out)
 
     def mollify_z(self, width):
         """Gaussian mollification in z: damp mode mz by exp(-2 pi^2 w^2 |mz|^2)."""

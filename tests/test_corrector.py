@@ -163,12 +163,14 @@ def test_rhs_propagates_integrability_error():
 # --------------------------------------------------------------------------
 
 def test_covariance_without_corrector_closed_form():
-    # d=1, k=1, alpha0=1, power-3 tail, angular mass 1:
-    #   int z^2 Pi(dz) = 2/(2-1) + 1 * int_1^inf r^{-2} dr = 2 + 1
-    spec = make_spec(alpha=3.0, alpha0=1.0)
-    mu = GridMeasure(1, 16)
-    cov = covariance_matrix(spec, mu, psi=None)
-    assert cov.A[0, 0] == pytest.approx(3.0, rel=1e-6)
+    # k=1, alpha0=1, power-3 tail, uniform angular mass 1, per axis:
+    #   int z_1^2 Pi(dz) = (|S^{d-1}|/(2-1) + 1 * int_1^inf r^{-2} dr) / d,
+    # which is 2 + 1 in d=1 and (4 pi + 1)/3 in d=3
+    for d, n, want in [(1, 16, 3.0), (3, 2, (4 * np.pi + 1.0) / 3.0)]:
+        spec = make_spec(d=d, alpha=3.0, alpha0=1.0)
+        mu = GridMeasure(d, n)
+        cov = covariance_matrix(spec, mu, psi=None)
+        assert cov.A[0, 0] == pytest.approx(want, rel=1e-6)
 
 
 def test_covariance_single_atom_degenerate():

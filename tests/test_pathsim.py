@@ -1,18 +1,24 @@
 """Path engine: thinning identities, characteristic-function calibration,
 refinement stability, and the bit-reproducibility contract."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from levyhom.config import fixture_config, load_config
 from levyhom.pathsim import (ConfigError, EndpointBatch, SimConfig,
                              choose_rmax, driver_from_spec, occupation_counts,
                              quotient_path, sample_path, scaled_endpoint_batch,
                              simulate_endpoints)
+from levyhom.quadrature import panel_nodes
 from levyhom.regimes import EffectiveDrifts
-from levyhom.spec_model import (DriftField, PeriodicKernel, ScalingFunction,
+from levyhom.spec_model import (DriftField, PeriodicKernel,
+                                RadialPerturbation, ScalingFunction,
                                 SmallJumpPart, SphericalMeasure)
 from levyhom.trigpoly import TrigPoly
+from levyhom.verify import ks_statistic
 
 from conftest import make_spec
 
@@ -141,6 +147,66 @@ def test_choose_rmax_meets_budget(sym_spec):
                     kmax=sym_spec.kernel.kmax)
     tail = sym_spec.rho0.total_mass * sym_spec.phi.radial_tail_mass(r, np.inf)
     assert tail * 10.0 * sym_spec.kernel.kmax <= 1e-6 * 1.01
+
+
+def test_truncation_budget_counts_kappa():
+    # kappa adds ~5% to the rho0 tail beyond this cap, which breaks the budget
+    rho0 = SphericalMeasure.uniform(1, 1.0)
+    kappa = RadialPerturbation.power_ratio(0.4, 0.5, base=rho0)
+    spec = make_spec(alpha=0.5, rho0=rho0, kappa=kappa)
+    cfg = SimConfig(paths=1, horizon=1.0, rmax=4.0e12, truncation_budget=1e-6)
+    with pytest.raises(ConfigError):
+        driver_from_spec(spec, cfg, 1.0)
+    assert choose_rmax(spec, 1.0, 1e-6, spec.kernel.kmax) > 4.0e12
+
+
+def _kappa_spec():
+    rho0 = SphericalMeasure.uniform(1, 1.0)
+    return make_spec(alpha=1.5, alpha0=0, rho0=rho0,
+                     kappa=RadialPerturbation.power_ratio(0.5, 1.5, base=rho0))
+
+
+@pytest.mark.parametrize("spec", [
+    make_spec(alpha0=0, phi=ScalingFunction.mixed([(0.5, 1.0), (1.5, 2.0)])),
+    make_spec(alpha0=0, phi=ScalingFunction.power_log(1.2)),
+    _kappa_spec()], ids=["mixed", "power_log", "kappa"])
+def test_envelope_thinning_radial_law(spec):
+    # accepted tail candidates (k = 1, so only the envelope factor thins)
+    # against exact draws from (1 + g(r)) / (r phi(r)) on (1, rmax]
+    driver = driver_from_spec(spec, SimConfig(), 1.0)
+    rmax = driver.meta["rmax"]
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(31)))
+    pk = gen.random((40_000, 5))
+    z = driver.z_from_packets(pk)
+    ok = pk[:, 4] < driver.accept_fraction(np.zeros_like(z), z)
+    radii = np.abs(z[ok, 0])
+    assert len(radii) >= 20_000
+    # reference: inverse of the CDF tabulated by Gauss-Legendre panels
+    edges = np.geomspace(1.0, rmax, 4001)
+    r, w = panel_nodes(edges, 8)
+    g = 0.0 if spec.kappa.is_none else spec.kappa.g(r)
+    dens = w * (1.0 + g) / (r * spec.phi(r))
+    cdf = np.concatenate([[0.0], np.cumsum(dens.reshape(-1, 8).sum(axis=1))])
+    ref = np.interp(gen.random(20_000) * cdf[-1], cdf, edges)
+    # two-sample KS critical value at level 1e-3
+    n, m = len(radii), len(ref)
+    assert ks_statistic(radii, ref) <= 1.95 * np.sqrt((n + m) / (n * m))
+    # the accepted rate is the tail mass, within 4 binomial standard errors
+    p = cdf[-1] * spec.rho0.total_mass / driver.rate
+    assert abs(ok.mean() - p) <= 4.0 * np.sqrt(p * (1.0 - p) / len(ok))
+    # the acceptance factor is a probability on a dense radial grid
+    rs = np.geomspace(1.0, rmax, 100_001)[1:, None]
+    frac = driver.accept_fraction(np.zeros_like(rs), rs)
+    assert np.all(frac > 0.0) and np.all(frac <= 1.0)
+
+
+def test_driver_mixed_fixture_raises_no_integration_warning():
+    # the unscaled horizon phi(1/eps) at eps = 1/32, where the cap is large
+    settings = load_config(fixture_config("ex4_3_mixed"))
+    horizon = float(settings.spec.phi(32.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        driver_from_spec(settings.spec, settings.sim, horizon)
 
 
 # --------------------------------------------------------------------------

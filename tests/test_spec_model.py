@@ -9,8 +9,8 @@ from scipy.integrate import quad
 from levyhom.spec_model import (IntegrabilityError, PeriodicKernel,
                                 RadialPerturbation, ScalingFunction,
                                 SmallJumpPart, SphericalMeasure, full_drift,
-                                limit_jump_measure, scaling_index_probe,
-                                truncated_drift, validate)
+                                jump_nodes, limit_jump_measure,
+                                scaling_index_probe, truncated_drift, validate)
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
@@ -77,17 +77,27 @@ def test_phi_monotone_and_inverse_integrals():
         (1 - 2 ** -1.5) / 1.5, rel=1e-12)
 
 
-def test_phi_radial_sampler_matches_cdf():
-    phi = ScalingFunction.mixed([(0.5, 1.0), (1.5, 2.0)])
-    mass, sampler = phi.radial_sampler(1.0, 100.0)
-    direct, _ = quad(lambda r: 1.0 / (r * phi(r)), 1.0, 100.0)
-    assert mass == pytest.approx(direct, rel=1e-5)
-    u = np.linspace(0.01, 0.99, 25)
-    r = sampler(u)
-    # CDF of the sampled points reproduces u
-    for ui, ri in zip(u, r):
-        got, _ = quad(lambda s: 1.0 / (s * phi(s)), 1.0, ri)
-        assert got / mass == pytest.approx(ui, abs=2e-3)
+# --------------------------------------------------------------------------
+# quadrature nodes of the jump measure
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_jump_nodes_moments_and_compensation(d):
+    spec = make_spec(d=d, alpha=1.5, alpha0=0.5)
+    # small ball delta * 1e-4 < |z| <= delta: the second moment in closed form
+    delta = 0.25
+    z, w, comp = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
+    assert comp.all()
+    want = (spec.small.ball_second_moment(d, delta)
+            - spec.small.ball_second_moment(d, delta * 1e-4))
+    assert w @ np.sum(z * z, axis=1) == pytest.approx(want, rel=1e-9)
+    # a shell straddling |z| = 1: the tail weights carry rho0 times the
+    # radial mass, and exactly the nodes with |z| <= 1 are compensated
+    R = 1e3
+    z, w, comp = jump_nodes(spec, 0.01, R, 6, 4, 6)
+    assert np.array_equal(comp, np.linalg.norm(z, axis=1) <= 1.0)
+    assert w[~comp].sum() == pytest.approx(
+        spec.rho0.total_mass * spec.phi.radial_tail_mass(1.0, R), rel=1e-9)
 
 
 # --------------------------------------------------------------------------
