@@ -56,18 +56,20 @@ class TorusGrid:
         nonnegative and sum to one per point.
         """
         pts = np.asarray(points, dtype=float) * self.n
-        base = np.floor(pts).astype(np.int64)
-        frac = pts - base
-        m = pts.shape[0]
-        ncorn = 1 << self.d
-        idx = np.empty((m, ncorn), dtype=np.int64)
-        wts = np.empty((m, ncorn))
-        for corner in range(ncorn):
-            offs = [(corner >> a) & 1 for a in range(self.d)]
-            multi = base + np.asarray(offs)[None, :]
-            idx[:, corner] = self.flat_index(multi)
-            w = np.ones(m)
+        lo = np.floor(pts)
+        frac = pts - lo
+        lo = lo.astype(np.int64)
+        lo %= self.n
+        hi = lo + 1
+        hi[hi == self.n] = 0
+        idx = np.empty((pts.shape[0], 1 << self.d), dtype=np.int64)
+        wts = np.empty(idx.shape)
+        for corner in range(idx.shape[1]):
+            i, w = 0, 1.0
             for a in range(self.d):
-                w = w * (frac[:, a] if offs[a] else 1.0 - frac[:, a])
+                up = (corner >> a) & 1
+                i = i * self.n + (hi[:, a] if up else lo[:, a])
+                w = w * (frac[:, a] if up else 1.0 - frac[:, a])
+            idx[:, corner] = i
             wts[:, corner] = w
         return idx, wts

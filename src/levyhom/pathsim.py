@@ -17,6 +17,12 @@ Gaussian substitution for the sub-delta activity:
 * the drift combines b(x) with the compensator correction that reconciles the
   generator's unit-ball compensation with uncompensated jump simulation.
 
+The Gaussian coefficient and the compensator are functionals sum_q w_q f_q
+k(x, z_q) over fixed nodes (PeriodicKernel.z_functional). For a trig kernel
+they are x-only trig polys built once per driver from F(mz) = sum_q w_q f_q
+e^{2 pi i mz.z_q}, and a drift without x-modes folds into constant_drift; for
+a callback kernel they are node sums evaluated at every step.
+
 Reproducibility contract: every random number consumed by path i comes from a
 counter-based stream keyed by (seed, i) in a fixed order, so results are
 bit-identical for any worker partition of the path range. Occupation
@@ -38,7 +44,7 @@ import numpy as np
 from .grid import TorusGrid
 from .quadrature import power_law_radii
 from .regimes import EffectiveDrifts, Regime
-from .spec_model import (JumpSpec, jump_nodes, surface_measure,
+from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
                          tail_mass_bound)
 
 _BLOCK = 2048
@@ -139,6 +145,12 @@ class JumpDriver:
             return np.ones(len(z))
         return np.asarray(self.kernel_fn(x, z)) / self.kmax
 
+    @property
+    def branch(self):
+        """Branch of run_paths without observers: "thinning" or "stepped"."""
+        return ("thinning" if self.has_jumps and self.drift_fn is None
+                and not self.has_gauss else "stepped")
+
     def drift(self, X):
         if self.drift_fn is not None:
             return self.drift_fn(X)
@@ -212,50 +224,53 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
     if spec.phi.kind != "power" or not spec.kappa.is_none:
         kernel_fn = _envelope_thinned(spec, kernel_fn, kmax, c, b, ghat)
 
-    # Gaussian substitution of the sub-delta activity
+    # the Gaussian coefficient of the sub-delta activity and the compensator
+    # drift of the (delta, 1] annulus are x-functions sum_q w_q k(x, z_q) f_q
+    meta = {"rmax": rmax, "delta": delta}
     gauss_coef = None
-    if spec.small.kind == "stable":
+    drift = spec.drift
+    if spec.small.kind == "stable" and not spec.kernel.depends_on_z():
         ball_m2 = spec.small.ball_second_moment(d, delta)
-        if not spec.kernel.depends_on_z():
+        def gauss_coef(X, c=ball_m2 / d):
+            return spec.kernel(X, np.zeros_like(X)) * c
+        meta["gauss_coef"] = _route_meta(spec.kernel.poly, 0, "closed_form")
+    elif spec.small.kind == "stable":
+        zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
+        gauss_coef = spec.kernel.z_functional(
+            zq, wq * np.sum(zq * zq, axis=1) / d)
+        meta["gauss_coef"] = _route_meta(gauss_coef, len(wq))
+        if delta < 1.0:
+            zq, wq, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
+            comp = spec.kernel.z_functional(zq, wq, zq)
+            meta["compensator"] = _route_meta(comp, len(wq))
+            if drift.is_trig and isinstance(comp, DriftField):
+                drift = DriftField.trig([p - q for p, q in zip(
+                    drift.components, comp.components)])
+            else:
+                drift = DriftField(d, fn=lambda X: spec.drift(X).reshape(
+                    X.shape) - comp(X))
 
-            def gauss_coef(X, c=ball_m2 / d):
-                return spec.kernel(X, np.zeros_like(X)) * c
-        else:
-            zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
-            trace_w = wq * np.sum(zq * zq, axis=1) / d
-
-            def gauss_coef(X, zq=zq, tw=trace_w):
-                kv = spec.kernel(X[:, None, :],
-                                 np.broadcast_to(zq, (X.shape[0],) + zq.shape))
-                return kv @ tw
-
-    # drift: b(x) plus the compensator correction for the (delta, 1] annulus
-    comp_nodes = None
-    if (spec.small.kind == "stable" and delta < 1.0 and
-            spec.kernel.depends_on_z()):
-        comp_nodes = jump_nodes(spec, delta, 1.0, 6, 4, 6)[:2]
-
-    drift_fn = None
-    constant_drift = None
-    drift_is_zero = spec.drift.is_trig and spec.drift.is_zero()
-    drift_is_const = spec.drift.is_trig and all(
-        c.max_mode_order() == 0 for c in spec.drift.components)
-    if drift_is_const and comp_nodes is None:
-        if not drift_is_zero:
-            constant_drift = spec.drift(np.zeros((1, d))).reshape(d)
-    elif not (drift_is_zero and comp_nodes is None):
+    drift_fn = constant_drift = None
+    if drift.is_trig and all(c.max_mode_order() == 0
+                             for c in drift.components):
+        if not drift.is_zero():
+            constant_drift = drift(np.zeros((1, d))).reshape(d)
+    else:
         def drift_fn(X):
-            out = spec.drift(X).reshape(X.shape)
-            if comp_nodes is not None:
-                zq, wq = comp_nodes
-                kv = spec.kernel(X[:, None, :],
-                                 np.broadcast_to(zq, (X.shape[0],) + zq.shape))
-                out = out - np.einsum("pq,q,qd->pd", kv, wq, zq)
-            return out
+            return drift(X).reshape(X.shape)
 
     return JumpDriver(d, components, kmax, kernel_fn, gauss_coef=gauss_coef,
                       drift_fn=drift_fn, constant_drift=constant_drift,
-                      meta={"rmax": rmax, "delta": delta})
+                      meta=meta)
+
+
+def _route_meta(f, nodes, route="modes"):
+    """Route, node count and number of x-modes (0: constant) of a functional."""
+    polys = f.components if isinstance(f, DriftField) else [f]
+    if not hasattr(polys[0], "coeffs"):
+        return {"route": "nodes", "nodes": nodes, "x_modes": None}
+    return {"route": route, "nodes": nodes, "x_modes": len(
+        {mx for p in polys for mx, _ in p.coeffs if any(mx)})}
 
 
 def _envelope_thinned(spec, kernel_fn, kmax, c, b, ghat):
@@ -417,11 +432,8 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
             if hasattr(col, "reset_chunk"):
                 col.reset_chunk()
 
-        # piecewise-deterministic dynamics (constant or no drift, no Gaussian
-        # part) with no observers need no time grid: thinning against the
-        # exact pre-jump state, candidate by candidate, is exact and fast
-        if (driver.has_jumps and driver.drift_fn is None
-                and not driver.has_gauss and not collectors
+        # no time grid: thinning against the exact pre-jump state is exact
+        if (driver.branch == "thinning" and not collectors
                 and jump_hook is None):
             bconst = driver.constant_drift
             max_c = int(counts.max()) if len(counts) else 0
@@ -548,46 +560,33 @@ def quotient_path(spec: JumpSpec, cfg: SimConfig, x0=None, stride=1
 
 def simulate_endpoints(spec: JumpSpec, cfg: SimConfig, x0=None):
     """Raw unscaled endpoints X_T for cfg.paths paths at T = cfg.horizon."""
-    T = float(cfg.horizon)
-    dt = cfg.resolved_dt(spec.small.alpha0)
-    driver = driver_from_spec(spec, cfg, T)
-    return run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0,
-                     workers=cfg.workers)
+    return simulate_endpoints_with_horizon(spec, cfg, float(cfg.horizon), x0)
 
 
 def simulate_quotient_time_integrals(spec: JumpSpec, cfg: SimConfig, f,
                                      x0=None, window=None):
     """Per-path integrals int f(X_t mod 1) dt over [0, T] or a window."""
-    T = float(cfg.horizon)
-    dt = cfg.resolved_dt(spec.small.alpha0)
-    driver = driver_from_spec(spec, cfg, T)
     col = TimeIntegralCollector(lambda pts: np.asarray(f(pts)), cfg.paths,
                                 window=window)
-    run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0, collectors=[col],
-              workers=cfg.workers)
+    simulate_endpoints_with_horizon(spec, cfg, float(cfg.horizon), x0,
+                                    collectors=[col])
     return col.acc
 
 
 def simulate_snapshots(spec: JumpSpec, cfg: SimConfig, times, x0=None):
     """States at the given unscaled times, shape (paths, len(times), d)."""
-    T = float(max(times))
-    dt = cfg.resolved_dt(spec.small.alpha0)
-    driver = driver_from_spec(spec, cfg, T)
     col = SnapshotCollector(times, cfg.paths, spec.d)
-    run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0, collectors=[col],
-              workers=cfg.workers)
+    simulate_endpoints_with_horizon(spec, cfg, float(max(times)), x0,
+                                    collectors=[col])
     return col.states
 
 
 def occupation_counts(spec: JumpSpec, cfg: SimConfig, grid_n, burn_in=0.0,
                       x0=None):
     """Integer occupation counts of the quotient process on a torus grid."""
-    T = float(cfg.horizon)
-    dt = cfg.resolved_dt(spec.small.alpha0)
-    driver = driver_from_spec(spec, cfg, T)
     col = OccupationCollector(TorusGrid(spec.d, grid_n), burn_in=burn_in)
-    run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0, collectors=[col],
-              workers=cfg.workers)
+    simulate_endpoints_with_horizon(spec, cfg, float(cfg.horizon), x0,
+                                    collectors=[col])
     return col.counts
 
 
@@ -682,21 +681,27 @@ def scaled_endpoint_batch(spec: JumpSpec, cfg: SimConfig,
         sampler = measure_start_sampler(start_measure)
 
     t_start = _time.monotonic()
-    ends = simulate_endpoints_with_horizon(spec, cfg, T,
-                                           start_sampler=sampler)
+    dt = cfg.resolved_dt(spec.small.alpha0)
+    driver = driver_from_spec(spec, cfg, T)
+    ends = run_paths(driver, T, cfg.paths, cfg.seed, dt, workers=cfg.workers,
+                     start_sampler=sampler)
     wall = _time.monotonic() - t_start
     samples = eps * (ends - T * avg[None, :])
     return EndpointBatch(samples=samples, regime=cfg.regime, eps=eps,
                          seed=cfg.seed, t=float(cfg.horizon),
-                         meta={"unscaled_horizon": T, "wall_seconds": wall,
+                         meta={**driver.meta, "dt": dt, "branch": driver.branch,
+                               "unscaled_horizon": T, "wall_seconds": wall,
                                "centering_average": avg.tolist(),
                                "paths": cfg.paths,
                                "stationary_start": bool(cfg.stationary_start)})
 
 
 def simulate_endpoints_with_horizon(spec: JumpSpec, cfg: SimConfig, T,
-                                    x0=None, start_sampler=None):
+                                    x0=None, start_sampler=None,
+                                    collectors=()):
+    """Endpoints at unscaled time T; ``collectors`` observe every step."""
     dt = cfg.resolved_dt(spec.small.alpha0)
     driver = driver_from_spec(spec, cfg, T)
     return run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0,
-                     workers=cfg.workers, start_sampler=start_sampler)
+                     collectors=collectors, workers=cfg.workers,
+                     start_sampler=start_sampler)

@@ -442,6 +442,26 @@ class PeriodicKernel:
             return self.poly(x, z)
         return self.fn(x, z)
 
+    def z_functional(self, z, w, f=None):
+        """x -> sum_q w_q f_q k(x, z_q) over nodes z (Q, d), ``f`` None or
+        (Q, m). A trig kernel gives the x-only TrigPoly (m of them in a
+        DriftField with ``f``) of coefficients sum_mz c_(mx,mz) F(mz), where
+        F(mz) = sum_q w_q f_q e^{2 pi i mz.z_q}; a callback, the node sum."""
+        if not self.is_trig:
+            def node_sum(x):
+                kv = self(x[:, None, :],
+                          np.broadcast_to(z, (len(x),) + z.shape))
+                return kv @ w if f is None else \
+                    np.einsum("pq,q,qd->pd", kv, w, f)
+            return node_sum
+        wf = w[:, None] if f is None else w[:, None] * f
+        mz = sorted({m for _, m in self.poly.coeffs})
+        phase = np.asarray(mz, dtype=float).reshape(-1, self.d) @ z.T
+        F = dict(zip(mz, np.exp(2j * np.pi * phase) @ wf))
+        polys = [self.poly.collect_z_modes(lambda m, j=j: F[m][j])
+                 for j in range(wf.shape[1])]
+        return polys[0] if f is None else DriftField.trig(polys)
+
     def refine_bounds(self, n=64, seed=0):
         """Measured kmin/kmax from a sample grid; exact modes for trig polys."""
         if self.is_trig and self.poly.max_mode_order() == 0:

@@ -31,12 +31,12 @@ class TrigPoly:
             mx = _as_mode(mx, self.dim_x)
             mz = _as_mode(mz, self.dim_z)
             sym[(mx, mz)] = sym.get((mx, mz), 0.0) + complex(c)
-        # enforce Hermitian symmetry so the poly is real-valued
+        # store both Hermitian halves: real values, and exact rebuilds
         full = {}
         for (mx, mz), c in sym.items():
             neg = (tuple(-v for v in mx), tuple(-v for v in mz))
-            cc = sym.get(neg, 0.0)
-            full[(mx, mz)] = 0.5 * (c + np.conj(cc))
+            full[(mx, mz)] = full.get((mx, mz), 0.0) + 0.5 * c
+            full[neg] = full.get(neg, 0.0) + 0.5 * np.conj(c)
         self.coeffs = {m: c for m, c in full.items() if abs(c) > tol}
         self._compile()
 
@@ -164,13 +164,11 @@ class TrigPoly:
     def depends_on_x(self):
         return any(any(v != 0 for v in mx) for (mx, _) in self.coeffs)
 
-    def collect_z_modes(self, keep):
-        """Sum coefficients over z-modes selected by ``keep(mz)``; x-poly result."""
+    def collect_z_modes(self, weight):
+        """x-poly of coefficients sum_mz c_(mx,mz) weight(mz) (bool: select)."""
         out = {}
         for (mx, mz), c in self.coeffs.items():
-            if keep(mz):
-                key = (mx, ())
-                out[key] = out.get(key, 0.0) + c
+            out[(mx, ())] = out.get((mx, ()), 0.0) + c * weight(mz)
         return TrigPoly(self.dim_x, 0, out)
 
     def mollify_z(self, width):

@@ -1,6 +1,7 @@
 """Path engine: thinning identities, characteristic-function calibration,
 refinement stability, and the bit-reproducibility contract."""
 
+import json
 import warnings
 
 import numpy as np
@@ -279,3 +280,79 @@ def test_xdep_kernel_thinning_changes_rate(xdep_spec_1d):
     frac = rec.jump_accepted.mean()
     # k/kmax averages roughly mean(k)/1.5 = 2/3 under near-uniform occupation
     assert 0.5 < frac < 0.8
+
+
+# --------------------------------------------------------------------------
+# kernel functionals of the stepped engine, and what a run records
+# --------------------------------------------------------------------------
+
+def test_axes_functionals_fold_to_constants():
+    settings = load_config(fixture_config("ex4_0_axes"))
+    drv = driver_from_spec(settings.spec, settings.sim, 1.0)
+    # the compensator vanishes by the z -> -z symmetry of the nodes and of k,
+    # so the folded drift is zero and the engine has no drift at all
+    assert drv.drift_fn is None and drv.constant_drift is None
+    assert isinstance(drv.gauss_coef, TrigPoly)
+    x = np.random.default_rng(3).random((50, 2)) * 4.0 - 2.0
+    coef = drv.gauss_coef(x)
+    assert coef.shape == (50,) and np.all(coef == coef[0]) and coef[0] > 0
+    assert drv.meta["gauss_coef"] == {"route": "modes", "nodes": 1536,
+                                      "x_modes": 0}
+    assert drv.meta["compensator"] == {"route": "modes", "nodes": 576,
+                                       "x_modes": 0}
+
+
+def test_mixed_gauss_coef_keeps_x_modes():
+    settings = load_config(fixture_config("ex4_3_mixed"))
+    drv = driver_from_spec(settings.spec, settings.sim, 1.0)
+    assert drv.meta["gauss_coef"]["x_modes"] == 2
+    assert drv.drift_fn is None and drv.branch == "stepped"
+
+
+def _callback_spec():
+    def fn(x, z):
+        return 1.0 + 0.4 * np.cos(2 * np.pi * (x[..., 0] - 2 * z[..., 1])) \
+            * np.sin(2 * np.pi * z[..., 0]) ** 2
+
+    drift = DriftField.trig([TrigPoly.cos_x(2, 0, (1, 0), 0.3),
+                             TrigPoly.const(2, 0, 0.1)])
+    return make_spec(d=2, alpha=0.8, alpha0=1.1, drift=drift,
+                     kernel=PeriodicKernel.callback(2, fn, 0.6, 1.4),
+                     rho0=SphericalMeasure.uniform(2, 1.0))
+
+
+def test_callback_functionals_bit_identical_to_node_closures():
+    from levyhom.spec_model import jump_nodes
+    spec, delta = _callback_spec(), 0.25
+    drv = driver_from_spec(spec, SimConfig(delta=delta), 1.0)
+    # reference: the node sums written out, as the node route must compute
+    zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
+    tw = wq * np.sum(zq * zq, axis=1) / 2
+    zc, wc, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
+    assert drv.meta["gauss_coef"] == {"route": "nodes", "nodes": len(wq),
+                                      "x_modes": None}
+    assert drv.meta["compensator"] == {"route": "nodes", "nodes": len(wc),
+                                       "x_modes": None}
+
+    def kv(X, z):
+        return spec.kernel(X[:, None, :],
+                           np.broadcast_to(z, (X.shape[0],) + z.shape))
+
+    X = np.random.default_rng(8).random((64, 2)) * 3.0 - 1.0
+    assert np.array_equal(drv.gauss_coef(X), kv(X, zq) @ tw)
+    assert np.array_equal(drv.drift_fn(X), spec.drift(X).reshape(X.shape)
+                          - np.einsum("pq,q,qd->pd", kv(X, zc), wc, zc))
+
+
+def test_batch_meta_records_numerics(sym_spec):
+    cfg = SimConfig(paths=16, horizon=1.0, delta=0.25, seed=1, eps=0.25,
+                    regime="stable_no_center")
+    meta = scaled_endpoint_batch(sym_spec, cfg).meta
+    assert 1.0 <= meta["rmax"] < np.inf and meta["delta"] == 0.25
+    assert 0 < meta["dt"] <= 0.01 and meta["branch"] == "stepped"
+    assert meta["gauss_coef"] == {"route": "closed_form", "nodes": 0,
+                                  "x_modes": 0}
+    no_small = make_spec(alpha=0.5, alpha0=None)
+    meta = scaled_endpoint_batch(no_small, cfg).meta
+    assert meta["branch"] == "thinning" and "gauss_coef" not in meta
+    json.dumps(meta)

@@ -181,6 +181,67 @@ def test_drift_callback_kernel_matches_trig():
 
 
 # --------------------------------------------------------------------------
+# kernel functionals in mode space
+# --------------------------------------------------------------------------
+
+def _kernel_3d_sine_joint():
+    poly = (TrigPoly.const(3, 3, 1.0) + TrigPoly.sin_x(3, 3, (1, 0, 2), 0.3)
+            + TrigPoly(3, 3, {((1, 0, 0), (0, 1, -1)): 0.2 + 0.1j}))
+    return PeriodicKernel.trig(poly)
+
+
+def _fixture_kernel(name):
+    from levyhom.config import fixture_config, load_config
+    return load_config(fixture_config(name)).spec.kernel
+
+
+@pytest.mark.parametrize("make_kernel", [
+    lambda: _fixture_kernel("ex4_0_axes"),
+    lambda: _fixture_kernel("ex4_3_mixed"),
+    _kernel_3d_sine_joint,
+], ids=["ex4_0_axes", "ex4_3_mixed", "d3_sine_joint"])
+def test_z_functional_modes_match_node_sum(make_kernel):
+    kern = make_kernel()
+    d = kern.d
+    rng = np.random.default_rng(41)
+    z = rng.uniform(-1.5, 1.5, (97, d))
+    w = rng.uniform(-1.0, 2.0, 97)
+    x = rng.random((500, d)) * 3.0 - 1.0
+    kv = kern(x[:, None, :], np.broadcast_to(z, (500,) + z.shape))
+    scale = 1e-12 * np.abs(w).sum() * sum(abs(c)
+                                          for c in kern.poly.coeffs.values())
+    scalar = kern.z_functional(z, w)
+    assert isinstance(scalar, TrigPoly) and scalar.dim_z == 0
+    assert np.max(np.abs(scalar(x) - kv @ w)) <= scale
+    # vector weights w_q z_q, one x-poly per axis
+    vec = kern.z_functional(z, w, z)
+    assert np.max(np.abs(vec(x) - np.einsum("pq,q,qd->pd", kv, w, z))) \
+        <= scale * np.abs(z).max()
+
+
+def test_trigpoly_rebuild_keeps_one_sided_modes():
+    # a one-sided coefficient keeps its value through a rebuild
+    p = TrigPoly(1, 1, {((1,), (1,)): 1.0 + 0.5j})
+    x, z = np.array([[0.1], [0.7]]), np.array([[0.2], [-0.4]])
+    assert np.allclose((p + 0.0)(x, z), p(x, z), rtol=0, atol=1e-15)
+    assert np.allclose(p(x, z), np.real((1.0 + 0.5j) * np.exp(
+        2j * np.pi * (x + z)))[:, 0], rtol=0, atol=1e-15)
+
+
+def test_z_functional_callback_is_node_sum():
+    def fn(x, z):
+        return 1.0 + 0.5 * np.cos(2 * np.pi * (x[..., 0] + z[..., 0] ** 2))
+
+    kern = PeriodicKernel.callback(1, fn, kmin=0.5, kmax=1.5)
+    rng = np.random.default_rng(2)
+    z, w, x = rng.normal(size=(30, 1)), rng.random(30), rng.random((40, 1))
+    kv = fn(x[:, None, :], np.broadcast_to(z, (40,) + z.shape))
+    assert np.array_equal(kern.z_functional(z, w)(x), kv @ w)
+    assert np.array_equal(kern.z_functional(z, w, z)(x),
+                          np.einsum("pq,q,qd->pd", kv, w, z))
+
+
+# --------------------------------------------------------------------------
 # self-similar limit measure
 # --------------------------------------------------------------------------
 
