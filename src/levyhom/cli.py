@@ -23,7 +23,8 @@ from .config import (ConfigSchemaError, FIXTURES, dump_config, fixture_config,
 from .corrector import covariance_matrix, solve_recentering_corrector
 from .ergodic import (effective_drifts, kernel_tail_constant, mixing_rate,
                       stationary_measure)
-from .pathsim import ConfigError, SimConfig, scaled_endpoint_batch
+from .pathsim import (ConfigError, SimConfig, check_workers,
+                      scaled_endpoint_batch)
 from .regimes import RegimeError
 from .spec_model import IntegrabilityError, validate
 from .verify import theorem_check
@@ -67,6 +68,11 @@ def _apply_overrides(sim: SimConfig, args):
         if val is not None:
             overrides[name] = val
             setattr(sim, name, val)
+    try:
+        check_workers(sim.workers)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
     return overrides
 
 

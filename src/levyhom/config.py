@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pathsim import SimConfig
+from .pathsim import ConfigError, SimConfig
 from .regimes import ALL_REGIMES
 from .spec_model import (DriftField, JumpSpec, PeriodicKernel,
                          RadialPerturbation, ScalingFunction, SmallJumpPart,
@@ -164,7 +164,10 @@ def _parse_sim(obj, path="sim"):
     bad = set(obj) - known
     if bad:
         raise ConfigSchemaError(f"{path}: unknown keys {sorted(bad)}")
-    return SimConfig(**obj)
+    try:
+        return SimConfig(**obj)
+    except ConfigError as exc:
+        raise ConfigSchemaError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

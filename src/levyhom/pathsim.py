@@ -23,17 +23,24 @@ they are x-only trig polys built once per driver from F(mz) = sum_q w_q f_q
 e^{2 pi i mz.z_q}, and a drift without x-modes folds into constant_drift; for
 a callback kernel they are node sums evaluated at every step.
 
+The engine cuts the path range into chunks and draws each chunk's candidates
+once into a compact tape: jump vector, accept uniform and time per candidate.
+Without observers, the thinning branch reads the tape round by round with
+the chunk's paths ordered by candidate count, and ``workers > 1`` runs the
+chunks in a pool of forked processes.
+
 Reproducibility contract: every random number consumed by path i comes from a
 counter-based stream keyed by (seed, i) in a fixed order, so results are
-bit-identical for any worker partition of the path range. Occupation
-histograms accumulate integer step counts, which keeps the reduction exactly
-associative.
+bit-identical for any chunk partition of the path range and any number of
+processes. Occupation histograms accumulate integer step counts, which keeps
+the reduction exactly associative.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import time as _time
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,6 +55,8 @@ from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
                          tail_mass_bound)
 
 _BLOCK = 2048
+_TAPE_BYTES = 96e6         # candidate-tape bytes per chunk
+_PACKET_BLOCK = 1 << 16    # candidates per z_from_packets call
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +77,9 @@ class SimConfig:
     x0: Optional[Sequence[float]] = None
     stationary_start: bool = False
     truncation_budget: float = 1e-6
+
+    def __post_init__(self):
+        check_workers(self.workers)
 
     def resolved_dt(self, alpha0=None):
         if self.dt is not None:
@@ -127,6 +139,10 @@ class JumpDriver:
 
     def z_from_packets(self, pk):
         """Map packets (m, 5) of uniforms to candidate jump vectors (m, d)."""
+        if len(self.components) == 1:
+            comp = self.components[0]
+            return comp.radial(pk[:, 1])[:, None] * comp.angular(pk[:, 2],
+                                                                 pk[:, 3])
         m = pk.shape[0]
         z = np.empty((m, self.dim))
         comp_idx = np.searchsorted(self._cum, pk[:, 0], side="right")
@@ -378,136 +394,254 @@ def _path_generators(seed, indices):
                      dtype=np.uint64))) for i in indices]
 
 
+def check_workers(workers):
+    """Raise ConfigError for a worker count below one."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+
+
 def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
-              collectors=(), workers=1, jump_hook=None, start_sampler=None):
+              collectors=(), workers=1, jump_hook=None, start_sampler=None,
+              stats=None):
     """Advance ``n_paths`` paths to time T; returns endpoints (n_paths, d).
 
-    ``workers`` only controls the chunking of the path range; outputs are
-    bit-identical for every value because each path consumes exclusively its
-    own counter-based stream. ``start_sampler``, when given, maps per-path
-    uniforms (P, 2) to start points (P, d); those uniforms are the first
-    draws of each path's stream.
+    The path range is cut into chunks whose candidate tapes fit
+    ``_TAPE_BYTES``. Without collectors and ``jump_hook``, ``workers > 1``
+    runs the chunks in a pool of at most ``min(workers, os.cpu_count())``
+    forked processes; otherwise they run here, one after another. Outputs
+    are bit-identical for every ``workers`` value because each path consumes
+    exclusively its own counter-based stream. ``start_sampler``, when given,
+    maps per-path uniforms (P, 2) to start points (P, d); those uniforms are
+    the first draws of each path's stream. ``stats``, when given, receives
+    the counters ``candidates`` (tape length), ``accepted``, ``chunk_paths``
+    and ``pool_processes`` (0: the chunks ran in this process).
     """
+    check_workers(workers)
     d = driver.dim
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
-    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    procs = 1
+    if workers > 1 and not collectors and jump_hook is None:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            procs = min(workers, os.cpu_count() or 1)
+    # the cap bounds a chunk's tape; whole rounds of chunks keep the pool busy
+    tape_bytes = 8 * (d + 2) * max(1.0, driver.rate * T)
+    cap = min(4096, max(16, int(_TAPE_BYTES / tape_bytes)))
+    n_chunks = -(-max(1, -(-n_paths // cap)) // procs) * procs
+    chunk_paths = max(1, -(-n_paths // n_chunks))
+    ranges = [(c0, min(c0 + chunk_paths, n_paths))
+              for c0 in range(0, n_paths, chunk_paths)]
+    procs = min(procs, len(ranges))
+
+    chunk = partial(_run_chunk, driver, T, seed, dt, x0, start_sampler,
+                    tuple(collectors), jump_hook)
+    if procs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        # fork: the driver holds closures, which cannot be pickled; only
+        # the ranges and the endpoint arrays cross the pipe
+        with ProcessPoolExecutor(procs, mp_context=get_context("fork"),
+                                 initializer=_adopt_chunk,
+                                 initargs=(chunk,)) as pool:
+            results = list(pool.map(_pool_chunk, *zip(*ranges)))
+    else:
+        results = [chunk(c0, c1) for c0, c1 in ranges]
+
     endpoints = np.empty((n_paths, d))
-    # chunking caps the candidate-tape and normal-block memory; the results
-    # do not depend on it because streams are per path
-    mem_cap = max(16, int(2e6 / max(1.0, driver.rate * T)))
-    chunk_size = max(1, int(math.ceil(n_paths / max(1, workers))))
-    chunk_size = min(chunk_size, mem_cap, 4096)
-
-    for c0 in range(0, n_paths, chunk_size):
-        c1 = min(c0 + chunk_size, n_paths)
-        rows = np.arange(c0, c1)
-        gens = _path_generators(seed, rows)
-        P = len(gens)
-        if start_sampler is not None:
-            u = np.stack([g.random(2) for g in gens])
-            X = np.asarray(start_sampler(u), dtype=float).reshape(P, d).copy()
-        else:
-            X = np.broadcast_to(x0, (P, d)).copy()
-
-        if driver.has_jumps:
-            rate = driver.rate
-            counts = np.array([g.poisson(rate * T) for g in gens],
-                              dtype=np.int64)
-            times_l, packets_l = [], []
-            for g, c in zip(gens, counts):
-                t = np.sort(g.random(c) * T)
-                times_l.append(np.concatenate([t, [np.inf]]))
-                packets_l.append(g.random((c, 5)))
-            offsets = np.concatenate([[0], np.cumsum(counts + 1)])[:-1]
-            times_flat = np.concatenate(times_l)
-            packets_flat = (np.concatenate(packets_l) if counts.sum()
-                            else np.zeros((0, 5)))
-            pk_offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
-            ptr = np.zeros(P, dtype=np.int64)
-            next_t = times_flat[offsets]
-        else:
-            next_t = np.full(P, np.inf)
-
-        for col in collectors:
-            if hasattr(col, "reset_chunk"):
-                col.reset_chunk()
-
-        # no time grid: thinning against the exact pre-jump state is exact
-        if (driver.branch == "thinning" and not collectors
-                and jump_hook is None):
-            bconst = driver.constant_drift
-            max_c = int(counts.max()) if len(counts) else 0
-            for j in range(max_c):
-                live = np.nonzero(counts > j)[0]
-                pk = packets_flat[pk_offsets[live] + j]
-                z = driver.z_from_packets(pk)
-                if bconst is None:
-                    frac = driver.accept_fraction(X[live], z)
-                else:
-                    t_cand = times_flat[offsets[live] + j]
-                    frac = driver.accept_fraction(
-                        X[live] + t_cand[:, None] * bconst[None, :], z)
-                ok = pk[:, 4] < frac
-                X[live[ok]] += z[ok]
-            if bconst is not None:
-                X = X + T * bconst[None, :]
-            endpoints[c0:c1] = X
-            continue
-
-        need_start = bool(collectors) or (driver.has_gauss and
-                                          driver.gauss_chol is None)
-        step = 0
-        while step < n_steps:
-            blk = min(_BLOCK, n_steps - step)
-            normals = None
-            if driver.has_gauss:
-                normals = np.stack([g.standard_normal((blk, d))
-                                    for g in gens])
-            for j in range(blk):
-                t0 = (step + j) * dt
-                dt_j = min(dt, T - t0)
-                if dt_j <= 0:
-                    break
-                X_start = X.copy() if need_start else X
-                # drift, Heun for a second-order ODE step between jumps
-                if driver.has_drift:
-                    b0 = driver.drift(X)
-                    Xp = X + b0 * dt_j
-                    b1 = driver.drift(Xp)
-                    X = X + 0.5 * dt_j * (b0 + b1)
-                # Gaussian substitution, coefficient frozen at the left state
-                if driver.has_gauss:
-                    xi = normals[:, j, :]
-                    if driver.gauss_chol is not None:
-                        X = X + math.sqrt(dt_j) * xi @ driver.gauss_chol.T
-                    else:
-                        coef = np.asarray(driver.gauss_coef(X_start))
-                        X = X + np.sqrt(np.maximum(coef, 0.0) * dt_j
-                                        )[:, None] * xi
-                # candidate jumps in (t0, t0 + dt_j]; thinning evaluates the
-                # kernel at the state just before each jump
-                if driver.has_jumps:
-                    t_end = t0 + dt_j
-                    while True:
-                        m = next_t <= t_end
-                        if not m.any():
-                            break
-                        hit = np.nonzero(m)[0]
-                        pk = packets_flat[pk_offsets[hit] + ptr[hit]]
-                        z = driver.z_from_packets(pk)
-                        frac = driver.accept_fraction(X[hit], z)
-                        ok = pk[:, 4] < frac
-                        acc_rows = hit[ok]
-                        X[acc_rows] += z[ok]
-                        if jump_hook is not None:
-                            jump_hook(rows[hit], next_t[hit], z, ok)
-                        ptr[hit] += 1
-                        next_t[hit] = times_flat[offsets[hit] + ptr[hit]]
-                for col in collectors:
-                    col.on_step(t0, dt_j, dt_j == dt, X_start, X, rows)
-            step += blk
+    for (c0, c1), (X, _, _) in zip(ranges, results):
         endpoints[c0:c1] = X
+    if stats is not None:
+        stats.update(candidates=sum(r[1] for r in results),
+                     accepted=sum(r[2] for r in results),
+                     chunk_paths=chunk_paths,
+                     pool_processes=procs if procs > 1 else 0)
     return endpoints
+
+
+_pool_chunk_fn = None
+
+
+def _adopt_chunk(chunk):
+    """Pool initializer: the forked worker keeps the chunk function."""
+    global _pool_chunk_fn
+    _pool_chunk_fn = chunk
+
+
+def _pool_chunk(c0, c1):
+    return _pool_chunk_fn(c0, c1)
+
+
+def _run_chunk(driver, T, seed, dt, x0, start_sampler, collectors, jump_hook,
+               c0, c1):
+    """Endpoints of paths c0..c1-1, their candidate count and accepted count."""
+    d = driver.dim
+    rows = np.arange(c0, c1)
+    gens = _path_generators(seed, rows)
+    P = len(gens)
+    if start_sampler is not None:
+        u = np.stack([g.random(2) for g in gens])
+        X = np.asarray(start_sampler(u), dtype=float).reshape(P, d).copy()
+    else:
+        X = np.broadcast_to(x0, (P, d)).copy()
+    counts = np.zeros(P, dtype=np.int64)
+    if driver.has_jumps:
+        rate = driver.rate
+        counts = np.array([g.poisson(rate * T) for g in gens], dtype=np.int64)
+    for col in collectors:
+        if hasattr(col, "reset_chunk"):
+            col.reset_chunk()
+
+    # no time grid: thinning against the exact pre-jump state is exact
+    if driver.branch == "thinning" and not collectors and jump_hook is None:
+        X, accepted = _thin(driver, gens, counts, X, T)
+    else:
+        X, accepted = _step(driver, gens, counts, X, T, dt, rows, collectors,
+                            jump_hook)
+    return X, int(counts.sum()), accepted
+
+
+def _candidate_tape(driver, gens, counts, T, first, step, size, need_t):
+    """Every candidate of a chunk as a compact tape ``(z, u, t)``.
+
+    Each path's stream yields its c times, then c packets of five uniforms
+    (component, radius, two angles, acceptance). Candidate j of path i lands
+    at ``first[i] + step[j]``. Paths are drawn in blocks of similar counts,
+    largest first; a block's packets map to jump vectors in one
+    ``z_from_packets`` call and land round by round. The times are drawn
+    either way, but scaled, sorted and kept only with ``need_t`` (else ``t``
+    is None).
+    """
+    z = np.empty((size, driver.dim))
+    u = np.empty(size)
+    t = np.empty(size) if need_t else None
+    order = np.argsort(-counts, kind="stable")
+    cap = max(_PACKET_BLOCK, int(counts.max(initial=0)))
+    pk = np.empty((cap, 5))
+    tb = np.empty(cap)
+    k0 = 0
+    while k0 < len(order):
+        # the block's (round, path) grid has at most cap cells
+        blk = order[k0:k0 + max(1, cap // max(1, int(counts[order[k0]])))]
+        c = counts[blk]
+        lo = np.concatenate([[0], np.cumsum(c)])
+        for i, a, b in zip(blk.tolist(), lo[:-1].tolist(), lo[1:].tolist()):
+            gens[i].random(out=tb[a:b])
+            if need_t:
+                tb[a:b] *= T
+                tb[a:b].sort()
+            gens[i].random(out=pk[a:b])
+        j = np.arange(c[0])[:, None]
+        live = j < c[None, :]
+        src = (lo[None, :-1] + j)[live]
+        dst = (first[blk][None, :] + step[:c[0], None])[live]
+        z[dst] = driver.z_from_packets(pk[:lo[-1]])[src]
+        u[dst] = pk[src, 4]
+        if need_t:
+            t[dst] = tb[src]
+        k0 += len(blk)
+    return z, u, t
+
+
+def _thin(driver, gens, counts, X, T):
+    """Round-major thinning of one chunk; returns endpoints and accepted count.
+
+    Paths are ordered by candidate count, descending, so round j's live paths
+    are the prefix of length live[j] and their candidates one tape slice.
+    """
+    P = len(counts)
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty(P, dtype=np.int64)
+    rank[order] = np.arange(P)
+    live = P - np.cumsum(np.bincount(counts, minlength=1))[:-1]
+    start = np.concatenate([[0], np.cumsum(live)])
+    bconst = driver.constant_drift
+    z, u, t = _candidate_tape(driver, gens, counts, T, rank, start[:-1],
+                              int(start[-1]), bconst is not None)
+    Xs = X[order]
+    accepted = 0
+    for lo, n in zip(start[:-1].tolist(), live.tolist()):
+        hi = lo + n
+        x, zj = Xs[:n], z[lo:hi]
+        if bconst is None:
+            frac = driver.accept_fraction(x, zj)
+        else:
+            frac = driver.accept_fraction(
+                x + t[lo:hi, None] * bconst[None, :], zj)
+        ok = u[lo:hi] < frac
+        x[ok] += zj[ok]
+        accepted += int(np.count_nonzero(ok))
+    X[order] = Xs
+    if bconst is not None:
+        X = X + T * bconst[None, :]
+    return X, accepted
+
+
+def _step(driver, gens, counts, X, T, dt, rows, collectors, jump_hook):
+    """Euler-Heun steps of one chunk with thinned jumps inside each step."""
+    d = driver.dim
+    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    accepted = 0
+    if driver.has_jumps:
+        # path-major tape, one slot per path past its last candidate
+        first = np.concatenate([[0], np.cumsum(counts + 1)])
+        z, u, t = _candidate_tape(driver, gens, counts, T, first[:-1],
+                                  np.arange(counts.max(initial=0)),
+                                  int(first[-1]), True)
+        t[first[1:] - 1] = np.inf
+        ptr = first[:-1].copy()
+        next_t = t[ptr]
+
+    need_start = bool(collectors) or (driver.has_gauss and
+                                      driver.gauss_chol is None)
+    step = 0
+    while step < n_steps:
+        blk = min(_BLOCK, n_steps - step)
+        normals = None
+        if driver.has_gauss:
+            normals = np.stack([g.standard_normal((blk, d)) for g in gens])
+        for j in range(blk):
+            t0 = (step + j) * dt
+            dt_j = min(dt, T - t0)
+            if dt_j <= 0:
+                break
+            X_start = X.copy() if need_start else X
+            # drift, Heun for a second-order ODE step between jumps
+            if driver.has_drift:
+                b0 = driver.drift(X)
+                Xp = X + b0 * dt_j
+                b1 = driver.drift(Xp)
+                X = X + 0.5 * dt_j * (b0 + b1)
+            # Gaussian substitution, coefficient frozen at the left state
+            if driver.has_gauss:
+                xi = normals[:, j, :]
+                if driver.gauss_chol is not None:
+                    X = X + math.sqrt(dt_j) * xi @ driver.gauss_chol.T
+                else:
+                    coef = np.asarray(driver.gauss_coef(X_start))
+                    X = X + np.sqrt(np.maximum(coef, 0.0) * dt_j
+                                    )[:, None] * xi
+            # candidate jumps in (t0, t0 + dt_j]; thinning evaluates the
+            # kernel at the state just before each jump
+            if driver.has_jumps:
+                t_end = t0 + dt_j
+                while True:
+                    m = next_t <= t_end
+                    if not m.any():
+                        break
+                    hit = np.nonzero(m)[0]
+                    k = ptr[hit]
+                    zh = z[k]
+                    ok = u[k] < driver.accept_fraction(X[hit], zh)
+                    X[hit[ok]] += zh[ok]
+                    accepted += int(np.count_nonzero(ok))
+                    if jump_hook is not None:
+                        jump_hook(rows[hit], next_t[hit], zh, ok)
+                    ptr[hit] += 1
+                    next_t[hit] = t[ptr[hit]]
+            for col in collectors:
+                col.on_step(t0, dt_j, dt_j == dt, X_start, X, rows)
+        step += blk
+    return X, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -683,13 +817,15 @@ def scaled_endpoint_batch(spec: JumpSpec, cfg: SimConfig,
     t_start = _time.monotonic()
     dt = cfg.resolved_dt(spec.small.alpha0)
     driver = driver_from_spec(spec, cfg, T)
+    stats = {}
     ends = run_paths(driver, T, cfg.paths, cfg.seed, dt, workers=cfg.workers,
-                     start_sampler=sampler)
+                     start_sampler=sampler, stats=stats)
     wall = _time.monotonic() - t_start
     samples = eps * (ends - T * avg[None, :])
     return EndpointBatch(samples=samples, regime=cfg.regime, eps=eps,
                          seed=cfg.seed, t=float(cfg.horizon),
-                         meta={**driver.meta, "dt": dt, "branch": driver.branch,
+                         meta={**driver.meta, **stats, "dt": dt,
+                               "branch": driver.branch,
                                "unscaled_horizon": T, "wall_seconds": wall,
                                "centering_average": avg.tolist(),
                                "paths": cfg.paths,

@@ -356,3 +356,236 @@ def test_batch_meta_records_numerics(sym_spec):
     meta = scaled_endpoint_batch(no_small, cfg).meta
     assert meta["branch"] == "thinning" and "gauss_coef" not in meta
     json.dumps(meta)
+
+
+# --------------------------------------------------------------------------
+# the engine against its per-round reference loops
+# --------------------------------------------------------------------------
+
+def _z_from_packets_reference(driver, pk):
+    """Packets to jump vectors through the component search, for any count."""
+    z = np.empty((pk.shape[0], driver.dim))
+    comp_idx = np.searchsorted(driver._cum, pk[:, 0], side="right")
+    comp_idx = np.minimum(comp_idx, len(driver.components) - 1)
+    for ci, comp in enumerate(driver.components):
+        sel = comp_idx == ci
+        if sel.any():
+            z[sel] = comp.radial(pk[sel, 1])[:, None] * comp.angular(
+                pk[sel, 2], pk[sel, 3])
+    return z
+
+
+def _run_paths_reference(driver, T, n_paths, seed, dt, start_sampler=None,
+                         chunk_size=64):
+    """Reference engine: per-path packet lists, packets mapped per round."""
+    d = driver.dim
+    n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
+    endpoints = np.empty((n_paths, d))
+    for c0 in range(0, n_paths, chunk_size):
+        c1 = min(c0 + chunk_size, n_paths)
+        gens = [np.random.Generator(np.random.Philox(
+            key=np.array([np.uint64(seed), np.uint64(i)], dtype=np.uint64)))
+            for i in range(c0, c1)]
+        P = len(gens)
+        if start_sampler is not None:
+            u = np.stack([g.random(2) for g in gens])
+            X = np.asarray(start_sampler(u), dtype=float).reshape(P, d).copy()
+        else:
+            X = np.zeros((P, d))
+        counts = np.array([g.poisson(driver.rate * T) for g in gens],
+                          dtype=np.int64)
+        times_l, packets_l = [], []
+        for g, c in zip(gens, counts):
+            times_l.append(np.concatenate([np.sort(g.random(c) * T),
+                                           [np.inf]]))
+            packets_l.append(g.random((c, 5)))
+        offsets = np.concatenate([[0], np.cumsum(counts + 1)])[:-1]
+        times_flat = np.concatenate(times_l)
+        packets_flat = np.concatenate(packets_l)
+        pk_offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
+
+        if driver.branch == "thinning":
+            bconst = driver.constant_drift
+            for j in range(int(counts.max())):
+                live = np.nonzero(counts > j)[0]
+                pk = packets_flat[pk_offsets[live] + j]
+                z = _z_from_packets_reference(driver, pk)
+                if bconst is None:
+                    frac = driver.accept_fraction(X[live], z)
+                else:
+                    t_cand = times_flat[offsets[live] + j]
+                    frac = driver.accept_fraction(
+                        X[live] + t_cand[:, None] * bconst[None, :], z)
+                ok = pk[:, 4] < frac
+                X[live[ok]] += z[ok]
+            if bconst is not None:
+                X = X + T * bconst[None, :]
+            endpoints[c0:c1] = X
+            continue
+
+        ptr = np.zeros(P, dtype=np.int64)
+        next_t = times_flat[offsets]
+        normals = None
+        for step in range(n_steps):
+            if step % 2048 == 0 and driver.has_gauss:
+                blk = min(2048, n_steps - step)
+                normals = np.stack([g.standard_normal((blk, d))
+                                    for g in gens])
+            t0 = step * dt
+            dt_j = min(dt, T - t0)
+            if dt_j <= 0:
+                break
+            X_start = X.copy()
+            if driver.has_drift:
+                b0 = driver.drift(X)
+                b1 = driver.drift(X + b0 * dt_j)
+                X = X + 0.5 * dt_j * (b0 + b1)
+            if driver.has_gauss:
+                xi = normals[:, step % 2048, :]
+                coef = np.asarray(driver.gauss_coef(X_start))
+                X = X + np.sqrt(np.maximum(coef, 0.0) * dt_j)[:, None] * xi
+            while True:
+                hit = np.nonzero(next_t <= t0 + dt_j)[0]
+                if not len(hit):
+                    break
+                pk = packets_flat[pk_offsets[hit] + ptr[hit]]
+                z = _z_from_packets_reference(driver, pk)
+                ok = pk[:, 4] < driver.accept_fraction(X[hit], z)
+                X[hit[ok]] += z[ok]
+                ptr[hit] += 1
+                next_t[hit] = times_flat[offsets[hit] + ptr[hit]]
+        endpoints[c0:c1] = X
+    return endpoints
+
+
+def _diffusive_case():
+    from levyhom.ergodic import stationary_measure
+    from levyhom.pathsim import measure_start_sampler
+    spec = load_config(fixture_config("ex4_1_diffusive")).spec
+    sampler = measure_start_sampler(stationary_measure(spec))
+    return spec, SimConfig(delta=1.0), 256.0, 300, sampler
+
+
+def _constant_case():
+    # one component, the d = 2 uniform sphere, k = 1 and no drift
+    return (make_spec(d=2, alpha=1.5, alpha0=None), SimConfig(), 32.0, 200,
+            None)
+
+
+def _axes_case():
+    spec = load_config(fixture_config("ex4_0_axes")).spec
+    return spec, SimConfig(delta=0.1), 1.0, 50, None
+
+
+def _mixed_case():
+    # an x-dependent Gaussian coefficient and envelope-thinned tail radii
+    spec = load_config(fixture_config("ex4_3_mixed")).spec
+    return spec, SimConfig(delta=0.25), 0.5, 30, None
+
+
+@pytest.mark.parametrize("case,branch", [
+    (_diffusive_case, "thinning"), (_constant_case, "thinning"),
+    (_axes_case, "stepped"), (_mixed_case, "stepped")],
+    ids=["ex4_1_diffusive", "constant", "ex4_0_axes", "ex4_3_mixed"])
+def test_engine_matches_reference_loops(case, branch):
+    from levyhom.pathsim import run_paths
+    spec, cfg, T, n, sampler = case()
+    driver = driver_from_spec(spec, cfg, T)
+    assert driver.branch == branch
+    dt = cfg.resolved_dt(spec.small.alpha0)
+    ref = _run_paths_reference(driver, T, n, 41, dt, start_sampler=sampler)
+    for workers in (1, 2, 3):
+        ends = run_paths(driver, T, n, 41, dt, workers=workers,
+                         start_sampler=sampler)
+        assert np.array_equal(ends, ref), workers
+
+
+def test_single_component_packets_match_component_search():
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(5)))
+    pk = gen.random((5000, 5))
+    for spec in (load_config(fixture_config("ex4_1_diffusive")).spec,
+                 make_spec(d=2, alpha=1.5, alpha0=None),
+                 make_spec(d=3, alpha=1.5, alpha0=None)):
+        driver = driver_from_spec(spec, SimConfig(delta=1.0), 8.0)
+        assert len(driver.components) == 1
+        assert np.array_equal(driver.z_from_packets(pk),
+                              _z_from_packets_reference(driver, pk))
+
+
+# --------------------------------------------------------------------------
+# workers: counters, pool size, validation and fork safety
+# --------------------------------------------------------------------------
+
+def test_batch_counters_identical_across_workers():
+    import os
+    spec = load_config(fixture_config("ex4_1_diffusive")).spec
+    metas = []
+    for workers in (1, 2, 3, 7):
+        cfg = SimConfig(paths=120, horizon=1.0, delta=1.0, seed=3, eps=0.25,
+                        regime="diffusive", workers=workers)
+        batch = scaled_endpoint_batch(spec, cfg, EffectiveDrifts(
+            b_bar=np.zeros(1), b_inf_bar=np.zeros(1)))
+        metas.append(batch.meta)
+        meta = batch.meta
+        assert 0 <= meta["accepted"] <= meta["candidates"]
+        assert 1 <= meta["chunk_paths"] <= 120
+        json.dumps(meta)
+    assert metas[0]["candidates"] > 0 and metas[0]["pool_processes"] == 0
+    for meta in metas[1:]:
+        assert (meta["candidates"], meta["accepted"]) == \
+            (metas[0]["candidates"], metas[0]["accepted"])
+    # the pool never outgrows the machine, whatever workers asks for
+    assert metas[3]["pool_processes"] == min(7, os.cpu_count())
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_workers_below_one_rejected(workers, sym_spec, tmp_path):
+    from levyhom.cli import main
+    from levyhom.config import ConfigSchemaError, dump_config
+    from levyhom.pathsim import run_paths
+    with pytest.raises(ConfigError, match="workers"):
+        SimConfig(workers=workers)
+    driver = driver_from_spec(sym_spec, SimConfig(), 1.0)
+    with pytest.raises(ConfigError, match="workers"):
+        run_paths(driver, 1.0, 4, 0, 0.01, workers=workers)
+    raw = fixture_config("ex4_1_stable")
+    raw["sim"]["workers"] = workers
+    with pytest.raises(ConfigSchemaError, match="workers"):
+        load_config(raw)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(fixture_config("ex4_1_stable")))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(cfg), "--out", str(tmp_path / "v"),
+              "--workers", str(workers)])
+    assert exc.value.code == 4
+
+
+_FORK_SCRIPT = """
+import numpy as np
+from levyhom.config import fixture_config, load_config
+from levyhom.pathsim import SimConfig, driver_from_spec, run_paths
+
+# a BLAS call large enough to start the BLAS thread pool before the fork
+a = np.random.default_rng(0).random((400, 400))
+np.linalg.solve(a @ a.T + np.eye(400), np.ones(400))
+spec = load_config(fixture_config("ex4_0_axes")).spec
+driver = driver_from_spec(spec, SimConfig(delta=0.1), 1.0)
+ends = [run_paths(driver, 1.0, 40, 9, 0.01, workers=w) for w in (2, 1)]
+print("equal" if np.array_equal(*ends) else "differ")
+"""
+
+
+def test_pool_forks_safely_under_default_blas_threads():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _FORK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["equal"]
