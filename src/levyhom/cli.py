@@ -53,12 +53,17 @@ def _manifest(settings, out_dir, command, artifacts, overrides):
 def _load(path):
     try:
         return load_config(path)
-    except ConfigSchemaError as exc:
+    except (ConfigSchemaError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
+
+
+def _load_with_out(args):
+    """(settings, spec, output directory) of a command, the directory made."""
+    settings = _load(args.config)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return settings, settings.spec, out
 
 
 def _apply_overrides(sim: SimConfig, args):
@@ -94,10 +99,7 @@ def cmd_validate(args):
 
 
 def cmd_effective(args):
-    settings = _load(args.config)
-    spec = settings.spec
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    settings, spec, out = _load_with_out(args)
     mu = stationary_measure(spec, args.grid)
     drifts = effective_drifts(spec, mu)
     kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
@@ -119,7 +121,7 @@ def cmd_effective(args):
         "effective_kernel_table": kbar0.tolist(),
         "kernel_tail_constant": {"value": k0, "cauchy": k0_cauchy,
                                  "table": k0_table},
-        "invariant_measure": {"grid_n": mu.grid.n,
+        "invariant_measure": {**mu.meta, "grid_n": mu.grid.n,
                               "min_weight": float(mu.weights.min()),
                               "max_weight": float(mu.weights.max())},
         "mixing": mix.to_json(),
@@ -135,10 +137,7 @@ def cmd_effective(args):
 
 
 def cmd_corrector(args):
-    settings = _load(args.config)
-    spec = settings.spec
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    settings, spec, out = _load_with_out(args)
     mu = stationary_measure(spec, args.grid)
     mode = "truncated" if settings.regime == "cauchy_center" else "full"
     R = None
@@ -172,10 +171,7 @@ def cmd_corrector(args):
 
 
 def cmd_simulate(args):
-    settings = _load(args.config)
-    spec = settings.spec
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    settings, spec, out = _load_with_out(args)
     overrides = _apply_overrides(settings.sim, args)
     sim = settings.sim
     if sim.regime is None:
@@ -201,10 +197,7 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    settings = _load(args.config)
-    spec = settings.spec
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    settings, spec, out = _load_with_out(args)
     overrides = _apply_overrides(settings.sim, args)
     regime = settings.regime or settings.sim.regime
     if regime is None:

@@ -1,11 +1,16 @@
 """Nonlocal Poisson solves on the torus and the diffusive covariance matrix.
 
-The generator is discretized on a regular periodic grid: the singular part of
-the small-jump integral is replaced inside one grid cell by its second-order
-Taylor proxy (a scaled discrete Laplacian with the exact radial coefficient),
-the remaining jump integral by log-spaced Gauss-Legendre quadrature with
-multilinear interpolation, the compensator by central differences, and the
-drift by upwind differences. Dense solves are restricted to d in {1, 2}.
+The generator has two discretizations. For trig-poly kernels and drifts it
+acts on Fourier modes through exact multipliers (``mode_operator``, a
+Fourier-Galerkin truncation in any d <= 3); this is the route of the
+invariant measure and of ``solve_poisson(method="fourier")``. The grid route
+(``assemble_operator``, dense, d in {1, 2}) replaces the singular part of the
+small-jump integral inside one grid cell by its second-order Taylor proxy (a
+scaled discrete Laplacian with the exact radial coefficient), the remaining
+jump integral by log-spaced Gauss-Legendre quadrature with multilinear
+interpolation, the compensator by central differences, and the drift by
+upwind differences. It serves callback kernels, the default corrector
+solves, and as the oracle of the mode route.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import j0
+from scipy import sparse
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import splu
+from scipy.special import gamma, jv, roots_jacobi
 
 from .grid import TorusGrid
 from .quadrature import radial_fourier_integral
@@ -51,6 +58,7 @@ class AssembledOperator:
     grid: TorusGrid
     matrix: np.ndarray
     spec: JumpSpec
+    meta: dict = field(default_factory=dict)
 
     def apply(self, values):
         return self.matrix @ values
@@ -58,20 +66,28 @@ class AssembledOperator:
     def stationary_weights(self):
         """Left null vector of the generator matrix, normalized to mass one.
 
-        This is the invariant measure of the discretized dynamics; tiny
-        negative entries from the compensator stencil are clipped.
+        This is the invariant measure of the discretized dynamics. Negative
+        entries from the compensator stencil are clipped; ``meta`` records
+        the mass they carried and the solve residual max |L^T w| over
+        max |L| max |w|.
         """
         N = self.grid.size
-        aug = np.zeros((N + 1, N + 1))
-        aug[:N, :N] = self.matrix.T
-        aug[:N, N] = 1.0
-        aug[N, :N] = 1.0
-        rhs = np.zeros(N + 1)
-        rhs[N] = 1.0
-        sol = np.linalg.solve(aug, rhs)
-        w = sol[:N]
-        w = np.maximum(w, 0.0)
-        return w / w.sum()
+        w = _bordered_solve(self.matrix.T, 1.0, np.zeros(N), 1.0)[:N]
+        resid = float(np.abs(self.matrix.T @ w).max()
+                      / (np.abs(self.matrix).max() * np.abs(w).max()))
+        w, clipped = density_weights(w)
+        self.meta.update(residual=resid, clipped_mass=clipped)
+        return w
+
+
+def _bordered_solve(A, row, rhs, last):
+    """Solve [[A, 1], [row, 0]] (x, s) = (rhs, last)."""
+    N = len(rhs)
+    aug = np.zeros((N + 1, N + 1))
+    aug[:N, :N] = A
+    aug[:N, N] = 1.0
+    aug[N, :N] = row
+    return np.linalg.solve(aug, np.append(rhs, last))
 
 
 def assemble_operator(spec: JumpSpec, n) -> AssembledOperator:
@@ -150,56 +166,177 @@ def assemble_operator(spec: JumpSpec, n) -> AssembledOperator:
 
 
 # ---------------------------------------------------------------------------
-# Fourier multiplier oracle (x-independent, z-independent kernels)
+# mode space (Fourier-Galerkin) generator for trig-poly coefficients
 # ---------------------------------------------------------------------------
 
-def fourier_multiplier(spec: JumpSpec, mode):
-    """Multiplier m(n) of the generator on exp(2 pi i n.x), by direct quadrature.
+MODE_BOX = {1: 40, 2: 16, 3: 8}     # default box |l|_inf <= MODE_BOX[d]
+_DENSE_MODES = 600                  # larger mode systems use a sparse LU
 
-    Requires coefficients independent of x and a kernel independent of z, so
-    the generator acts diagonally on Fourier modes. Serves as an independent
-    oracle for the grid discretization.
+
+def _bessel_pair(nu, rho):
+    """A = rho^-nu J_nu(rho) and B = (A(rho) - A(0)) / rho^2, both entire;
+    by power series below rho = 2, where A(rho) - A(0) cancels."""
+    k = np.arange(1, 21)
+    a0 = 2.0 ** -nu / gamma(nu + 1.0)
+    B = np.polynomial.polynomial.polyval(rho ** 2, (-1.0) ** k / (
+        2.0 ** (2 * k + nu) * gamma(k + 1.0) * gamma(k + nu + 1.0)))
+    A = a0 + rho ** 2 * B
+    big = rho >= 2.0
+    A[big] = rho[big] ** -nu * jv(nu, rho[big])
+    B[big] = (A[big] - a0) / rho[big] ** 2
+    return A, B
+
+
+def generator_multipliers(spec: JumpSpec, modes, mz):
+    """m_mz(n) = int e^{2 pi i mz.z}(e^{2 pi i n.z} - 1 - 2 pi i n.z
+    1_{|z|<=1}) Pi(dz) for each row n of ``modes``.
+
+    Small part: r^{-1-alpha0} dr against surface measure, whose Fourier
+    transform is (2 pi)^{d/2} A_{d/2-1}(|xi|) with first moment
+    i (2 pi)^{d/2} A_{d/2}(|xi|) xi (``_bessel_pair``). With p = |n + mz|
+    and q = |mz| it gives (2 pi)^{d/2+2} int_0^1 r^{1-alpha0}
+    [p^2 B(2 pi r p) - q^2 B(2 pi r q) + n.mz A_{d/2}(2 pi r q)] dr, entire
+    in r apart from the weight: one Gauss-Jacobi rule. Tail: the angular
+    nodes of rho0 + kappa weigh F((n+mz).theta) - F(mz.theta), F(s) the
+    radial Fourier integral of g(r) / (r phi(r)) on r > 1, cached on the
+    spec by |s| since F(-s) = conj F(s).
     """
+    mz = np.asarray(mz, dtype=float)
+    shifted = np.atleast_2d(np.asarray(modes, dtype=float)) + mz
+    total = np.zeros(len(shifted), dtype=complex)
+    if spec.small.kind == "stable":
+        d, beta = spec.d, 1.0 - spec.small.alpha0
+        keys = np.stack([np.linalg.norm(shifted, axis=1),
+                         np.full(len(shifted), np.linalg.norm(mz)),
+                         (shifted - mz) @ mz], axis=1)
+        keys, inv = np.unique(np.round(keys, 12), axis=0, return_inverse=True)
+        p, q, nq = keys.T
+        x, w = roots_jacobi(int(2 * p.max()) + 40, 0.0, beta)
+        rho = _TWO_PI * 0.5 * (1.0 + x)
+        Bp = _bessel_pair(d / 2 - 1, np.outer(p, rho))[1]
+        Bq = _bessel_pair(d / 2 - 1, np.outer(q, rho))[1]
+        Aq = _bessel_pair(d / 2, np.outer(q, rho))[0]
+        f = (p ** 2)[:, None] * Bp - (q ** 2)[:, None] * Bq + nq[:, None] * Aq
+        total += (_TWO_PI ** (d / 2 + 2) * 2.0 ** (-beta - 1) * (f @ w))[
+            np.ravel(inv)]
+    for measure, g in spec.angular_terms():
+        s = np.vstack([shifted, mz[None]]) @ measure.thetas.T
+        F = np.array([spec.radial_integral(abs(v), np.inf, g is not None,
+                                            per_r=True)
+                      for v in s.ravel()]).reshape(s.shape)
+        F = np.where(s >= 0, F, np.conj(F))
+        total += (F[:-1] - F[-1]) @ measure.weights
+    return total
+
+
+def fourier_multiplier(spec: JumpSpec, mode):
+    """Multiplier m(n) of the generator on exp(2 pi i n.x) when it is
+    diagonal (kernel constant in x and z, constant drift): an oracle for
+    the grid discretization."""
     if spec.kernel.depends_on_x() or spec.kernel.depends_on_z():
         raise ValueError("multiplier defined for constant-in-(x,z) kernels only")
     if spec.drift.is_trig and any(c.depends_on_x()
                                   for c in spec.drift.components):
         raise ValueError("multiplier requires a constant drift")
-    mode = np.asarray(mode, dtype=float)
-    d = spec.d
+    mode, d = np.asarray(mode, dtype=float), spec.d
     kval = spec.kernel(np.zeros((1, d)), np.zeros((1, d)))[0]
-    total = 0.0 + 0.0j
-
-    if spec.small.kind == "stable":
-        a0 = spec.small.alpha0
-        nn = float(np.linalg.norm(mode))
-        if nn > 0:
-            if d == 1:
-                f = lambda r: 2.0 * (np.cos(_TWO_PI * nn * r) - 1.0) * r ** (-1 - a0)
-            elif d == 2:
-                f = lambda r: _TWO_PI * (j0(_TWO_PI * nn * r) - 1.0) * r ** (-1 - a0)
-            else:
-                raise ValueError("small-jump multiplier implemented for d <= 2")
-            val, _ = quad(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400)
-            total += val
-
-    for measure, weight_fn in spec.angular_terms():
-        svals = measure.thetas @ mode
-        for s, w in zip(svals, measure.weights):
-            osc = radial_fourier_integral(
-                spec.phi, float(s), 1.0, np.inf,
-                weight_fn=(lambda r, g=weight_fn: g(r) / r) if weight_fn
-                else (lambda r: 1.0 / r))
-            flat = radial_fourier_integral(
-                spec.phi, 0.0, 1.0, np.inf,
-                weight_fn=(lambda r, g=weight_fn: g(r) / r) if weight_fn
-                else (lambda r: 1.0 / r))
-            total += w * (osc - flat)
-
-    total *= kval
+    m = generator_multipliers(spec, mode[None], (0,) * d)[0]
     bvec = spec.drift(np.zeros((1, d))).reshape(d)
-    total += 1j * _TWO_PI * float(mode @ bvec)
-    return complex(total)
+    return complex(kval * m + 1j * _TWO_PI * float(mode @ bvec))
+
+
+def mode_set(spec: JumpSpec, box, full=False):
+    """Modes of the box |l|_inf <= box reached from 0 by steps along the
+    x-modes of the kernel and drift ({0} when they have none), or the
+    whole box with ``full``; mode 0 first."""
+    d = spec.d
+    if full:
+        modes = np.indices((2 * box + 1,) * d).reshape(d, -1).T - box
+        return modes[np.argsort(np.abs(modes).max(axis=1), kind="stable")]
+    steps = {mx for c in [spec.kernel.poly] + spec.drift.components
+             for mx, _ in c.coeffs} - {(0,) * d}
+    found = [(0,) * d]
+    seen = set(found)
+    for m in found:                 # grows while it is walked: breadth first
+        for s in sorted(steps):
+            nb = tuple(a + b for a, b in zip(m, s))
+            if max(map(abs, nb)) <= box and nb not in seen:
+                seen.add(nb)
+                found.append(nb)
+    return np.array(found, dtype=np.int64).reshape(-1, d)
+
+
+def mode_operator(spec: JumpSpec, modes):
+    """Sparse matrix of the generator on e_l = e^{2 pi i l.x}, l in the rows
+    of ``modes``: column j holds L e_{modes[j]} on the same modes, the rest
+    dropped (Galerkin truncation).
+
+    For k = sum c_(mx,mz) e^{2 pi i (mx.x + mz.z)} and b = sum b_j e_j,
+    L e_l = sum c_(mx,mz) m_mz(l) e_{l+mx} + 2 pi i sum_j <b_j, l> e_{l+j}
+    (``generator_multipliers``); L e_0 = 0 needs no multiplier.
+    """
+    if not (spec.kernel.is_trig and spec.drift.is_trig):
+        raise ValueError("the mode operator needs a trig kernel and drift")
+    K, box = len(modes), int(np.abs(modes).max())
+    lookup = np.full((2 * box + 1,) * spec.d, -1)
+    lookup[tuple((modes + box).T)] = np.arange(K)
+    live = modes[1:]
+    entries = [(np.empty(0, int), np.empty(0, int), np.empty(0, complex))]
+
+    def put(shift, coef):
+        tgt = live + np.asarray(shift)
+        col = np.nonzero(np.all(np.abs(tgt) <= box, axis=1))[0]
+        row = lookup[tuple((tgt[col] + box).T)]
+        entries.append((row[row >= 0], 1 + col[row >= 0],
+                        coef[col[row >= 0]]))
+
+    by_mz = {}
+    for (mx, mz), c in spec.kernel.poly.coeffs.items():
+        by_mz.setdefault(mz, []).append((mx, c))
+    for mz, terms in (by_mz.items() if len(live) else ()):
+        m = generator_multipliers(spec, live, mz)
+        for mx, c in terms:
+            put(mx, m * c)
+    for a, comp in enumerate(spec.drift.components):
+        for (mx, _), c in comp.coeffs.items():
+            put(mx, 2j * np.pi * live[:, a] * c)
+    rows, cols, vals = map(np.concatenate, zip(*entries))
+    return sparse.csc_matrix((vals, (rows, cols)), shape=(K, K))
+
+
+def mode_solvers(M):
+    """``solve(b, adjoint)`` on the modes other than 0, and the left null
+    vector v of M with v_0 = 1: v_p = int e^{2 pi i p.x} mu(dx) for the
+    invariant measure mu, since L* mu = 0 reads v^T M = 0."""
+    A = M[1:, 1:]
+    solve = None
+    if 0 < A.shape[0] <= _DENSE_MODES:
+        lu = lu_factor(A.toarray())
+        solve = lambda b, adjoint: lu_solve(lu, b, trans=int(adjoint))
+    elif A.shape[0]:
+        slu = splu(A.tocsc())
+        solve = lambda b, adjoint: slu.solve(np.asarray(b, dtype=complex),
+                                             trans="T" if adjoint else "N")
+    v = np.ones(M.shape[0], dtype=complex)
+    if solve is not None:
+        v[1:] = solve(-M[0, 1:].toarray().ravel(), True)
+    return solve, v
+
+
+def modes_on_grid(modes, coef, grid: TorusGrid):
+    """Values of sum_j coef_j e^{2 pi i modes_j.x} at the grid centers
+    (modes past the Nyquist range alias exactly at the nodes)."""
+    U = np.zeros((grid.n,) * grid.d, dtype=complex)
+    np.add.at(U, tuple((np.asarray(modes) % grid.n).T), coef)
+    return np.fft.ifftn(U).real.ravel() * grid.size
+
+
+def density_weights(w):
+    """Nonnegative part of w at mass one, and the mass it drops over the
+    total."""
+    clipped = float(np.maximum(-w, 0.0).sum() / w.sum())
+    w = np.maximum(w, 0.0)
+    return w / w.sum(), clipped
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +412,9 @@ def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
         grid = op.grid
         fv = np.asarray(f(grid.centers) if callable(f) else f,
                         dtype=float).reshape(grid.size)
+        w_op = op.stationary_weights()
         mu_w = (np.asarray(mu_weights).reshape(grid.size)
-                if mu_weights is not None else op.stationary_weights())
+                if mu_weights is not None else w_op)
         fnorm = float(np.max(np.abs(fv)))
         if fnorm == 0.0:
             return _zero_field(op, mu_w, "grid")
@@ -288,16 +426,10 @@ def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
         # project onto the range of the discrete operator using its own
         # invariant weights; the projection size records how far the caller's
         # measure and the discretized dynamics disagree
-        w_op = op.stationary_weights()
         range_defect = float(w_op @ fv)
         fv_proj = fv - range_defect
         N = grid.size
-        aug = np.zeros((N + 1, N + 1))
-        aug[:N, :N] = op.matrix
-        aug[:N, N] = 1.0
-        aug[N, :N] = w_op
-        rhs = np.concatenate([fv_proj, [0.0]])
-        sol = np.linalg.solve(aug, rhs)
+        sol = _bordered_solve(op.matrix, w_op, fv_proj, 0.0)
         psi = sol[:N]
         psi = psi - float(mu_w @ psi)
         resid = float(np.max(np.abs(op.matrix @ psi - fv_proj))) / fnorm
@@ -307,70 +439,32 @@ def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
                                     "range_projection": range_defect})
 
     if method == "fourier":
-        return _solve_fourier(spec, f, n, mu_weights)
+        return _solve_modes(spec, f, n, mu_weights)
 
     raise ValueError(f"unknown method {method!r}")
 
 
-def _solve_fourier(spec: JumpSpec, f, n, mu_weights):
-    """Mode-space solve; kernel must be constant in x and z.
-
-    The drift may be a trig poly: its convolution matrix in mode space stays
-    bounded because only finitely many modes interact.
-    """
-    if spec.kernel.depends_on_x() or spec.kernel.depends_on_z():
-        raise ValueError("fourier solve requires a constant-in-(x,z) kernel")
-    if spec.d != 1:
-        raise ValueError("fourier solve implemented in d=1")
-    grid = TorusGrid(1, int(n))
+def _solve_modes(spec: JumpSpec, f, n, mu_weights):
+    """Right-hand solve on the mode operator of the box |l|_inf <=
+    min(n/2 - 1, MODE_BOX) with psi's mode 0 at zero; the default weights
+    are the invariant density of the same operator. The residual is
+    sum |M psi - f| over the box, relative to max |f|."""
+    grid = TorusGrid(spec.d, int(n))
     fv = np.asarray(f(grid.centers) if callable(f) else f,
-                    dtype=float).reshape(grid.size)
-    fhat = np.fft.fft(fv) / grid.size
-    N2 = grid.size // 2
-    modes = np.fft.fftfreq(grid.size, d=1.0 / grid.size).astype(int)
-    keep = np.abs(modes) <= min(N2 - 1, 42)
-    kept = np.nonzero(keep)[0]
-    mlist = modes[kept]
-    diag = np.array([fourier_multiplier_drift_free(spec, m) for m in mlist])
-    M = np.diag(diag)
-    # drift convolution: (b f')^(n) = sum_m bhat(m) 2 pi i (n - m) fhat(n-m)
-    if spec.drift.is_trig:
-        bcoef = spec.drift.components[0].coeffs
-        pos = {m: i for i, m in enumerate(mlist)}
-        for (mx, _), c in bcoef.items():
-            mb = mx[0]
-            for i, mrow in enumerate(mlist):
-                src = mrow - mb
-                j = pos.get(src)
-                if j is not None:
-                    M[i, j] += c * 1j * _TWO_PI * src
-    else:
-        raise ValueError("fourier solve needs a trig-poly drift")
-    sel = mlist != 0
-    A = M[:, sel]
-    rhs = fhat[kept]
-    coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    psihat = np.zeros(grid.size, dtype=complex)
-    psihat[kept[sel]] = coef
-    psi = np.real(np.fft.ifft(psihat * grid.size))
+                    dtype=float).reshape((grid.n,) * grid.d)
+    modes = mode_set(spec, min(grid.n // 2 - 1, MODE_BOX[spec.d]), full=True)
+    M = mode_operator(spec, modes)
+    fhat = np.fft.fftn(fv)[tuple((modes % grid.n).T)] / grid.size
+    solve, v = mode_solvers(M)
+    psihat = np.concatenate([[0.0], solve(fhat[1:], False) if solve else []])
     mu_w = (np.asarray(mu_weights).reshape(grid.size) if mu_weights is not None
-            else np.full(grid.size, 1.0 / grid.size))
+            else density_weights(modes_on_grid(-modes, v, grid))[0])
+    psi = modes_on_grid(modes, psihat, grid)
     psi = psi - float(mu_w @ psi)
-    grad = _central_gradient(grid, psi)
-    # residual measured against the same mode-space operator
-    res_hat = M @ psihat[kept] - fhat[kept]
-    resid = float(np.sum(np.abs(res_hat))) / max(float(np.max(np.abs(fv))), 1e-300)
-    return CorrectorField(grid, psi, grad, mu_w, resid, "fourier")
-
-
-def fourier_multiplier_drift_free(spec: JumpSpec, m):
-    """Multiplier of the drift-free part of the generator (see fourier_multiplier)."""
-    from .spec_model import DriftField
-    mode = np.zeros(spec.d)
-    mode[0] = m if np.isscalar(m) else m[0]
-    spec_nodrift = JumpSpec(spec.d, spec.small, spec.rho0, spec.phi,
-                            spec.kappa, spec.kernel, DriftField.zero(spec.d))
-    return fourier_multiplier(spec_nodrift, mode)
+    resid = float(np.sum(np.abs(M @ psihat - fhat)) / max(np.abs(fv).max(),
+                                                            1e-300))
+    return CorrectorField(grid, psi, _central_gradient(grid, psi), mu_w,
+                          resid, "fourier")
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +542,6 @@ class AtomJumpMeasure:
     def small_support_directions(self, directions):
         return [False for _ in directions]
 
-    def second_moment_total(self):
-        return float(self.w @ np.sum(self.z ** 2, axis=1))
-
 
 class VectorCorrector:
     """Componentwise corrector field psi: T^d -> R^d."""
@@ -520,15 +611,27 @@ def covariance_matrix(spec_or_atoms, mu, psi: Optional[VectorCorrector] = None
 
 
 def _second_moment(zq, wq, kern, mu, psi=None):
-    """int int (z + dpsi)(z + dpsi)^T k(x,z) w(dz) mu(dx) on nodes (zq, wq)."""
+    """int int (z + dpsi)(z + dpsi)^T k(x,z) w(dz) mu(dx) on nodes (zq, wq).
+
+    Without a corrector mu is contracted first, kbar_q = sum_x mu(x)
+    k(x, z_q) over blocks of nodes, and one sum over the nodes follows.
+    """
+    if psi is None:
+        kbar = np.full(len(wq), float(mu.weights.sum()))
+        X = mu.centers
+        step = max(1, int(2e6 / len(X)))
+        for q0 in range(0, len(wq), step) if kern is not None else ():
+            zb = zq[q0:q0 + step]
+            shape = (len(X),) + zb.shape
+            kbar[q0:q0 + step] = mu.weights @ kern(
+                np.broadcast_to(X[:, None, :], shape),
+                np.broadcast_to(zb, shape))
+        return np.einsum("q,qi,qj->ij", wq * kbar, zq, zq)
     A = np.zeros((zq.shape[1], zq.shape[1]))
     for xc, mw in zip(mu.centers, mu.weights):
         if mw == 0.0:
             continue
-        if psi is not None:
-            disp = zq + psi(xc[None, :] + zq) - psi(xc[None, :])
-        else:
-            disp = zq
+        disp = zq + psi(xc[None, :] + zq) - psi(xc[None, :])
         kv = kern(np.broadcast_to(xc, zq.shape), zq) if kern is not None else 1.0
         wk = wq * kv * mw
         A += np.einsum("q,qi,qj->ij", wk, disp, disp)
@@ -595,17 +698,12 @@ def nondegeneracy_check(spec_or_atoms, directions=None, irreducible=True
     isotropic stable small part supplies them for every direction; a purely
     atomic measure never does.
     """
+    dirs = (np.eye(spec_or_atoms.d) if directions is None
+            else np.atleast_2d(np.asarray(directions, dtype=float)))
     if isinstance(spec_or_atoms, AtomJumpMeasure):
-        d = spec_or_atoms.d
-        dirs = (np.eye(d) if directions is None
-                else np.atleast_2d(np.asarray(directions, dtype=float)))
         flags = spec_or_atoms.small_support_directions(dirs)
     else:
-        spec = spec_or_atoms
-        d = spec.d
-        dirs = (np.eye(d) if directions is None
-                else np.atleast_2d(np.asarray(directions, dtype=float)))
-        flags = [spec.small.kind == "stable" for _ in dirs]
+        flags = [spec_or_atoms.small.kind == "stable" for _ in dirs]
     ok = bool(irreducible and all(flags))
     note = "" if ok else \
         "no small-jump support along some probe direction; degeneracy possible"

@@ -1,10 +1,11 @@
 """Invariant measure of the quotient process and ergodic averages.
 
-Two estimators are provided: the Monte Carlo occupation histogram (time
-average of simulated quotient paths) and, for d <= 2, the deterministic left
-null vector of the assembled generator matrix. The latter is orders of
-magnitude more accurate and is what the prediction pipeline uses; the Monte
-Carlo route exists to validate it and to reach d = 3.
+Three estimators are provided. ``stationary_measure``, which the prediction
+pipeline uses, solves L* mu = 0 in mode space (Fourier-Galerkin) whenever
+the kernel and the drift are trig polys, in any d <= 3. The left null vector
+of the assembled grid generator (d <= 2) is the route for callback kernels
+and the oracle of the mode route. The Monte Carlo occupation histogram (time
+average of simulated quotient paths) validates both.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .corrector import assemble_operator, fourier_multiplier
+from .corrector import (MODE_BOX, assemble_operator, density_weights,
+                        mode_operator, mode_set, mode_solvers, modes_on_grid)
 from .grid import TorusGrid
 from .pathsim import (SimConfig, occupation_counts, simulate_endpoints,
                       simulate_quotient_time_integrals, simulate_snapshots)
@@ -77,6 +79,14 @@ def default_grid_n(d):
     return 64 if d <= 2 else 32
 
 
+def _sub_config(cfg: SimConfig, **changes):
+    """The engine settings of ``cfg`` (paths, horizon, dt, delta, rmax, seed,
+    workers), with ``changes``."""
+    return SimConfig(**{"paths": cfg.paths, "horizon": cfg.horizon,
+                        "dt": cfg.dt, "delta": cfg.delta, "rmax": cfg.rmax,
+                        "seed": cfg.seed, "workers": cfg.workers, **changes})
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -92,12 +102,9 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None,
     n = grid_n or default_grid_n(spec.d)
     burn = burn_in if burn_in is not None else 0.2 * cfg.horizon
     half = max(1, cfg.paths // 2)
-    cfg_a = SimConfig(paths=half, horizon=cfg.horizon, dt=cfg.dt,
-                      delta=cfg.delta, rmax=cfg.rmax, seed=cfg.seed,
-                      workers=cfg.workers)
-    cfg_b = SimConfig(paths=cfg.paths - half, horizon=cfg.horizon, dt=cfg.dt,
-                      delta=cfg.delta, rmax=cfg.rmax,
-                      seed=cfg.seed ^ 0x9E3779B97F4A7C15, workers=cfg.workers)
+    cfg_a = _sub_config(cfg, paths=half)
+    cfg_b = _sub_config(cfg, paths=cfg.paths - half,
+                        seed=cfg.seed ^ 0x9E3779B97F4A7C15)
     x_a = np.zeros(spec.d)
     x_b = np.full(spec.d, 0.5)
     counts_a = occupation_counts(spec, cfg_a, n, burn_in=burn, x0=x_a)
@@ -113,75 +120,47 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None,
 
 
 def stationary_measure_grid(spec: JumpSpec, n=None) -> TorusMeasure:
-    """Invariant measure of the discretized generator (deterministic, d <= 2)."""
+    """Invariant measure of the discretized generator (deterministic, d <= 2).
+
+    The oracle for the mode route, and the route for callback kernels or
+    drifts.
+    """
     n = n or default_grid_n(spec.d)
     op = assemble_operator(spec, n)
     w = op.stationary_weights()
-    return TorusMeasure(op.grid, w, {"estimator": "grid_adjoint"})
+    return TorusMeasure(op.grid, w, {"route": "grid_adjoint", "grid_n": n,
+                                     **op.meta})
 
 
-def stationary_measure_fourier(spec: JumpSpec, grid_n=None, modes=40
-                               ) -> TorusMeasure:
-    """Spectral invariant measure for d=1 trig kernels independent of z.
+def stationary_measure_modes(spec: JumpSpec, n=None, box=None
+                             ) -> TorusMeasure:
+    """Invariant measure of a trig-poly spec from its mode operator
+    (Fourier-Galerkin) on the modes of |l|_inf <= box coupled to 0.
 
-    For generators of the form k(x) M + b(x) d/dx, with M a constant
-    coefficient jump operator, the stationarity condition closes on finitely
-    coupled Fourier modes of the density and solves to near machine
-    precision. Weights are point values of the density on the grid, which
-    integrates trig polynomials exactly against it.
+    Weights are point values of the density on the grid (n = 128 in d = 1),
+    which integrates trig polynomials exactly against it. With no x-mode
+    in the kernel and drift the only mode is 0: mu is exactly uniform. The
+    residual is max |v^T M| over max |M| max |v|.
     """
-    if spec.d != 1:
-        raise ValueError("spectral stationary solve implemented for d=1")
-    if not spec.kernel.is_trig or spec.kernel.depends_on_z():
-        raise ValueError("needs a trig kernel independent of z")
-    if not spec.drift.is_trig:
-        raise ValueError("needs a trig-poly drift")
-    from .spec_model import DriftField, PeriodicKernel
-    unit = JumpSpec(1, spec.small, spec.rho0, spec.phi, spec.kappa,
-                    PeriodicKernel.constant(1, 1.0), DriftField.zero(1))
-    m0 = {0: 0.0 + 0.0j}
-    for n in range(1, modes + 1):
-        m0[n] = fourier_multiplier(unit, [float(n)])
-        m0[-n] = np.conj(m0[n])
-    khat = {mx[0]: complex(c) for (mx, _), c in spec.kernel.poly.coeffs.items()}
-    bhat = {mx[0]: complex(c)
-            for (mx, _), c in spec.drift.components[0].coeffs.items()}
-    N = modes
-    cols = [l for l in range(-N, N + 1) if l != 0]
-    pos = {l: i for i, l in enumerate(cols)}
-    A = np.zeros((2 * N, 2 * N), dtype=complex)
-    rhs = np.zeros(2 * N, dtype=complex)
-    for row, n in enumerate(cols):
-        for q, kq in khat.items():
-            coef = m0[n] * kq
-            l = -n - q
-            if l == 0:
-                rhs[row] -= coef
-            elif abs(l) <= N:
-                A[row, pos[l]] += coef
-        for j, bj in bhat.items():
-            coef = 2j * np.pi * n * bj
-            l = -n - j
-            if l == 0:
-                rhs[row] -= coef
-            elif abs(l) <= N:
-                A[row, pos[l]] += coef
-    u, res, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    grid = TorusGrid(1, grid_n or 128)
-    x = grid.centers[:, 0]
-    dens = np.ones(grid.size)
-    for l, i in pos.items():
-        dens = dens + np.real(u[i] * np.exp(2j * np.pi * l * x))
-    dens = np.maximum(dens, 0.0)
-    w = dens / dens.sum()
-    return TorusMeasure(grid, w, {"estimator": "fourier_modes", "modes": N})
+    grid = TorusGrid(spec.d, n or (128 if spec.d == 1
+                                   else default_grid_n(spec.d)))
+    box = int(box or MODE_BOX[spec.d])
+    modes = mode_set(spec, box)
+    M = mode_operator(spec, modes)
+    v = mode_solvers(M)[1]
+    scale = abs(M).max() * np.abs(v).max()
+    w, clipped = density_weights(modes_on_grid(-modes, v, grid))
+    return TorusMeasure(grid, w, {
+        "route": "fourier_galerkin", "grid_n": grid.n, "mode_box": box,
+        "unknowns": len(modes) - 1, "clipped_mass": clipped,
+        "residual": float(np.abs(M.T @ v).max() / scale) if scale else 0.0})
 
 
 def stationary_measure(spec: JumpSpec, n=None) -> TorusMeasure:
-    """Best available deterministic invariant-measure estimate."""
-    if (spec.d == 1 and spec.kernel.is_trig
-            and not spec.kernel.depends_on_z() and spec.drift.is_trig):
-        return stationary_measure_fourier(spec, grid_n=n or 128)
+    """Deterministic invariant measure: the mode route for trig kernels and
+    drifts, the grid adjoint otherwise."""
+    if spec.kernel.is_trig and spec.drift.is_trig:
+        return stationary_measure_modes(spec, n)
     return stationary_measure_grid(spec, n)
 
 
@@ -263,22 +242,17 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
     Test functions must be mean-free under the supplied measure; identically
     zero functions are skipped. Fit failure is reported, not raised.
     """
-    mu = mu if mu is not None else stationary_measure_grid(spec)
+    mu = mu if mu is not None else stationary_measure(spec)
     time_grid = np.asarray(sorted(time_grid), dtype=float)
     fs = [f for f in test_functions
           if np.max(np.abs(np.asarray(f(mu.centers)))) > 0]
     if not fs:
         return MixingEstimate(float("nan"), float("nan"), float("nan"), [],
                               False)
-    g = np.arange(starts) / starts
-    start_pts = (np.stack(np.meshgrid(*([g] * spec.d), indexing="ij"),
-                          axis=-1).reshape(-1, spec.d)
-                 if spec.d > 1 else g[:, None])
     sup_curve = np.zeros(len(time_grid))
-    for si, x0 in enumerate(start_pts):
-        sub = SimConfig(paths=cfg.paths, horizon=float(time_grid[-1]),
-                        dt=cfg.dt, delta=cfg.delta, rmax=cfg.rmax,
-                        seed=cfg.seed + 7919 * si, workers=cfg.workers)
+    for si, x0 in enumerate(TorusGrid(spec.d, starts).centers):
+        sub = _sub_config(cfg, horizon=float(time_grid[-1]),
+                          seed=cfg.seed + 7919 * si)
         snaps = simulate_snapshots(spec, sub, time_grid, x0=x0)
         snaps_mod = snaps - np.floor(snaps)
         for f in fs:
@@ -316,7 +290,7 @@ def ergodic_average_decay(spec: JumpSpec, f, eps_ladder, cfg: SimConfig,
     moment(eps) and the compensated value moment * phi(1/eps), which stays
     bounded when the averaging decay holds.
     """
-    mu = mu if mu is not None else stationary_measure_grid(spec)
+    mu = mu if mu is not None else stationary_measure(spec)
     fbar = float(mu_average(mu, f))
     if abs(fbar) > 1e-6 and abs(fbar) > 1e-3 * float(
             np.max(np.abs(np.asarray(f(mu.centers))))):
@@ -325,9 +299,7 @@ def ergodic_average_decay(spec: JumpSpec, f, eps_ladder, cfg: SimConfig,
     rows = []
     for eps in eps_ladder:
         rho = float(spec.phi(1.0 / eps))
-        sub = SimConfig(paths=cfg.paths, horizon=rho * t, dt=cfg.dt,
-                        delta=cfg.delta, rmax=cfg.rmax, seed=cfg.seed,
-                        workers=cfg.workers)
+        sub = _sub_config(cfg, horizon=rho * t)
         acc = simulate_quotient_time_integrals(
             spec, sub, f, window=(rho * s, rho * t))
         scaled = acc / rho

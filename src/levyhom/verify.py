@@ -50,11 +50,14 @@ def ks_projection(batch_a, batch_b, direction):
     """KS statistic of the two batches projected on a direction."""
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    sa = np.asarray(batch_a.samples if isinstance(batch_a, EndpointBatch)
-                    else batch_a)
-    sb = np.asarray(batch_b.samples if isinstance(batch_b, EndpointBatch)
-                    else batch_b)
-    return ks_statistic(sa @ direction, sb @ direction)
+    return ks_statistic(_samples(batch_a) @ direction,
+                        _samples(batch_b) @ direction)
+
+
+def _samples(batch):
+    """The sample array of an EndpointBatch, or the array itself."""
+    return np.asarray(batch.samples if isinstance(batch, EndpointBatch)
+                      else batch)
 
 
 def projection_directions(d, seed, extra=None):
@@ -75,8 +78,7 @@ def ecf_distance(batch, law: LimitLaw, freqs=None, t=None):
     Returns (distance, rows); each row carries the frequency, the absolute
     gap, and the Monte Carlo standard error of the empirical CF there.
     """
-    samples = np.asarray(batch.samples if isinstance(batch, EndpointBatch)
-                         else batch)
+    samples = _samples(batch)
     n, d = samples.shape
     t = t if t is not None else (batch.t if isinstance(batch, EndpointBatch)
                                  else 1.0)
@@ -107,8 +109,7 @@ def tail_index(batch, top_fraction=0.05, bootstrap=200, seed=0):
     Gaussian-looking batches drift above 2 and are flagged; constant batches
     have no tail to measure and raise.
     """
-    samples = np.asarray(batch.samples if isinstance(batch, EndpointBatch)
-                         else batch)
+    samples = _samples(batch)
     mags = np.linalg.norm(np.atleast_2d(samples.T).T, axis=1) \
         if samples.ndim > 1 else np.abs(samples)
     mags = mags[mags > 0]
@@ -239,7 +240,8 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
                              meta={"directions": [list(map(float, v))
                                                   for v in dirs],
                                    "paths": n, "seed": seed, "t": t,
-                                   "law": law.kind})
+                                   "law": law.kind,
+                                   "mu": dict(getattr(mu, "meta", {}))})
 
 
 def _verdict(rows, ks_threshold, slack):

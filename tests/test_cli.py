@@ -80,6 +80,12 @@ def test_cli_effective_x_independent(tmp_path):
     assert payload["drift_average"] == [0.0]
     w = np.loadtxt(out / "invariant_measure.csv", delimiter=",", skiprows=1)
     assert np.allclose(w[:, -1], 1.0 / 32, atol=1e-10)
+    # the manifest says how mu was computed: no x-mode, so no unknown
+    info = payload["invariant_measure"]
+    assert info["route"] == "fourier_galerkin" and info["grid_n"] == 32
+    assert info["mode_box"] == 40 and info["unknowns"] == 0
+    assert info["clipped_mass"] >= 0.0 and np.isfinite(info["residual"])
+    assert info["min_weight"] == info["max_weight"] == 1.0 / 32
     assert (out / "manifest_effective.json").exists()
 
 
