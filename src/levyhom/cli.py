@@ -53,17 +53,12 @@ def _manifest(settings, out_dir, command, artifacts, overrides):
 def _load(path):
     try:
         return load_config(path)
-    except (ConfigSchemaError, FileNotFoundError) as exc:
+    except ConfigSchemaError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
-
-
-def _load_with_out(args):
-    """(settings, spec, output directory) of a command, the directory made."""
-    settings = _load(args.config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return settings, settings.spec, out
+    except FileNotFoundError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_CONFIG)
 
 
 def _apply_overrides(sim: SimConfig, args):
@@ -99,7 +94,10 @@ def cmd_validate(args):
 
 
 def cmd_effective(args):
-    settings, spec, out = _load_with_out(args)
+    settings = _load(args.config)
+    spec = settings.spec
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     mu = stationary_measure(spec, args.grid)
     drifts = effective_drifts(spec, mu)
     kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
@@ -137,7 +135,10 @@ def cmd_effective(args):
 
 
 def cmd_corrector(args):
-    settings, spec, out = _load_with_out(args)
+    settings = _load(args.config)
+    spec = settings.spec
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     mu = stationary_measure(spec, args.grid)
     mode = "truncated" if settings.regime == "cauchy_center" else "full"
     R = None
@@ -171,7 +172,10 @@ def cmd_corrector(args):
 
 
 def cmd_simulate(args):
-    settings, spec, out = _load_with_out(args)
+    settings = _load(args.config)
+    spec = settings.spec
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     overrides = _apply_overrides(settings.sim, args)
     sim = settings.sim
     if sim.regime is None:
@@ -197,7 +201,10 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
-    settings, spec, out = _load_with_out(args)
+    settings = _load(args.config)
+    spec = settings.spec
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     overrides = _apply_overrides(settings.sim, args)
     regime = settings.regime or settings.sim.regime
     if regime is None:

@@ -116,8 +116,14 @@ def _term_to_poly(term, dim_x, dim_z, path):
         if dim_z == 0:
             raise ConfigSchemaError(f"{path}: drift terms cannot carry z modes")
         phase = term.get("z_phase", "cos")
-        maker = TrigPoly.cos_z if phase == "cos" else TrigPoly.sin_z
-        poly = poly * maker(dim_x, dim_z, tuple(term["z_mode"]), 1.0)
+        if phase == "cos":
+            poly = poly * TrigPoly.cos_z(dim_x, dim_z, tuple(term["z_mode"]),
+                                         1.0)
+        else:
+            neg = tuple(-v for v in term["z_mode"])
+            poly = poly * TrigPoly(dim_x, dim_z, {
+                ((0,) * dim_x, tuple(term["z_mode"])): 1 / 2j,
+                ((0,) * dim_x, neg): -1 / 2j})
     return poly
 
 

@@ -22,7 +22,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import splu
 from scipy.special import gamma, jv, roots_jacobi
 
@@ -72,22 +71,18 @@ class AssembledOperator:
         max |L| max |w|.
         """
         N = self.grid.size
-        w = _bordered_solve(self.matrix.T, 1.0, np.zeros(N), 1.0)[:N]
+        aug = np.zeros((N + 1, N + 1))
+        aug[:N, :N] = self.matrix.T
+        aug[:N, N] = 1.0
+        aug[N, :N] = 1.0
+        rhs = np.zeros(N + 1)
+        rhs[N] = 1.0
+        w = np.linalg.solve(aug, rhs)[:N]
         resid = float(np.abs(self.matrix.T @ w).max()
                       / (np.abs(self.matrix).max() * np.abs(w).max()))
         w, clipped = density_weights(w)
         self.meta.update(residual=resid, clipped_mass=clipped)
         return w
-
-
-def _bordered_solve(A, row, rhs, last):
-    """Solve [[A, 1], [row, 0]] (x, s) = (rhs, last)."""
-    N = len(rhs)
-    aug = np.zeros((N + 1, N + 1))
-    aug[:N, :N] = A
-    aug[:N, N] = 1.0
-    aug[N, :N] = row
-    return np.linalg.solve(aug, np.append(rhs, last))
 
 
 def assemble_operator(spec: JumpSpec, n) -> AssembledOperator:
@@ -170,7 +165,6 @@ def assemble_operator(spec: JumpSpec, n) -> AssembledOperator:
 # ---------------------------------------------------------------------------
 
 MODE_BOX = {1: 40, 2: 16, 3: 8}     # default box |l|_inf <= MODE_BOX[d]
-_DENSE_MODES = 600                  # larger mode systems use a sparse LU
 
 
 def _bessel_pair(nu, rho):
@@ -245,6 +239,19 @@ def fourier_multiplier(spec: JumpSpec, mode):
     return complex(kval * m + 1j * _TWO_PI * float(mode @ bvec))
 
 
+def x_mode_steps(spec: JumpSpec):
+    """The nonzero x-modes of the kernel and drift, as a (steps, d) array."""
+    steps = {mx for c in [spec.kernel.poly] + spec.drift.components
+             for mx, _ in c.coeffs} - {(0,) * spec.d}
+    return np.array(sorted(steps), dtype=np.int64).reshape(-1, spec.d)
+
+
+def fits_mode_box(spec: JumpSpec, box):
+    """Whether every x-mode step is at most box / 4 long (|.|_inf), so that
+    the modes reached from 0 reach four steps out in each direction."""
+    return bool(np.all(np.abs(x_mode_steps(spec)) <= box / 4))
+
+
 def mode_set(spec: JumpSpec, box, full=False):
     """Modes of the box |l|_inf <= box reached from 0 by steps along the
     x-modes of the kernel and drift ({0} when they have none), or the
@@ -253,12 +260,11 @@ def mode_set(spec: JumpSpec, box, full=False):
     if full:
         modes = np.indices((2 * box + 1,) * d).reshape(d, -1).T - box
         return modes[np.argsort(np.abs(modes).max(axis=1), kind="stable")]
-    steps = {mx for c in [spec.kernel.poly] + spec.drift.components
-             for mx, _ in c.coeffs} - {(0,) * d}
+    steps = x_mode_steps(spec).tolist()
     found = [(0,) * d]
     seen = set(found)
     for m in found:                 # grows while it is walked: breadth first
-        for s in sorted(steps):
+        for s in steps:
             nb = tuple(a + b for a, b in zip(m, s))
             if max(map(abs, nb)) <= box and nb not in seen:
                 seen.add(nb)
@@ -310,10 +316,7 @@ def mode_solvers(M):
     invariant measure mu, since L* mu = 0 reads v^T M = 0."""
     A = M[1:, 1:]
     solve = None
-    if 0 < A.shape[0] <= _DENSE_MODES:
-        lu = lu_factor(A.toarray())
-        solve = lambda b, adjoint: lu_solve(lu, b, trans=int(adjoint))
-    elif A.shape[0]:
+    if A.shape[0]:
         slu = splu(A.tocsc())
         solve = lambda b, adjoint: slu.solve(np.asarray(b, dtype=complex),
                                              trans="T" if adjoint else "N")
@@ -412,7 +415,7 @@ def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
         grid = op.grid
         fv = np.asarray(f(grid.centers) if callable(f) else f,
                         dtype=float).reshape(grid.size)
-        w_op = op.stationary_weights()
+        w_op = None if mu_weights is not None else op.stationary_weights()
         mu_w = (np.asarray(mu_weights).reshape(grid.size)
                 if mu_weights is not None else w_op)
         fnorm = float(np.max(np.abs(fv)))
@@ -426,10 +429,17 @@ def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
         # project onto the range of the discrete operator using its own
         # invariant weights; the projection size records how far the caller's
         # measure and the discretized dynamics disagree
+        if w_op is None:
+            w_op = op.stationary_weights()
         range_defect = float(w_op @ fv)
         fv_proj = fv - range_defect
         N = grid.size
-        sol = _bordered_solve(op.matrix, w_op, fv_proj, 0.0)
+        aug = np.zeros((N + 1, N + 1))
+        aug[:N, :N] = op.matrix
+        aug[:N, N] = 1.0
+        aug[N, :N] = w_op
+        rhs = np.concatenate([fv_proj, [0.0]])
+        sol = np.linalg.solve(aug, rhs)
         psi = sol[:N]
         psi = psi - float(mu_w @ psi)
         resid = float(np.max(np.abs(op.matrix @ psi - fv_proj))) / fnorm
@@ -541,6 +551,9 @@ class AtomJumpMeasure:
 
     def small_support_directions(self, directions):
         return [False for _ in directions]
+
+    def second_moment_total(self):
+        return float(self.w @ np.sum(self.z ** 2, axis=1))
 
 
 class VectorCorrector:
@@ -698,12 +711,17 @@ def nondegeneracy_check(spec_or_atoms, directions=None, irreducible=True
     isotropic stable small part supplies them for every direction; a purely
     atomic measure never does.
     """
-    dirs = (np.eye(spec_or_atoms.d) if directions is None
-            else np.atleast_2d(np.asarray(directions, dtype=float)))
     if isinstance(spec_or_atoms, AtomJumpMeasure):
+        d = spec_or_atoms.d
+        dirs = (np.eye(d) if directions is None
+                else np.atleast_2d(np.asarray(directions, dtype=float)))
         flags = spec_or_atoms.small_support_directions(dirs)
     else:
-        flags = [spec_or_atoms.small.kind == "stable" for _ in dirs]
+        spec = spec_or_atoms
+        d = spec.d
+        dirs = (np.eye(d) if directions is None
+                else np.atleast_2d(np.asarray(directions, dtype=float)))
+        flags = [spec.small.kind == "stable" for _ in dirs]
     ok = bool(irreducible and all(flags))
     note = "" if ok else \
         "no small-jump support along some probe direction; degeneracy possible"

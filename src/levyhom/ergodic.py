@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .corrector import (MODE_BOX, assemble_operator, density_weights,
-                        mode_operator, mode_set, mode_solvers, modes_on_grid)
+                        fits_mode_box, mode_operator, mode_set, mode_solvers,
+                        modes_on_grid, x_mode_steps)
 from .grid import TorusGrid
 from .pathsim import (SimConfig, occupation_counts, simulate_endpoints,
                       simulate_quotient_time_integrals, simulate_snapshots)
@@ -79,14 +80,6 @@ def default_grid_n(d):
     return 64 if d <= 2 else 32
 
 
-def _sub_config(cfg: SimConfig, **changes):
-    """The engine settings of ``cfg`` (paths, horizon, dt, delta, rmax, seed,
-    workers), with ``changes``."""
-    return SimConfig(**{"paths": cfg.paths, "horizon": cfg.horizon,
-                        "dt": cfg.dt, "delta": cfg.delta, "rmax": cfg.rmax,
-                        "seed": cfg.seed, "workers": cfg.workers, **changes})
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -102,9 +95,12 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None,
     n = grid_n or default_grid_n(spec.d)
     burn = burn_in if burn_in is not None else 0.2 * cfg.horizon
     half = max(1, cfg.paths // 2)
-    cfg_a = _sub_config(cfg, paths=half)
-    cfg_b = _sub_config(cfg, paths=cfg.paths - half,
-                        seed=cfg.seed ^ 0x9E3779B97F4A7C15)
+    cfg_a = SimConfig(paths=half, horizon=cfg.horizon, dt=cfg.dt,
+                      delta=cfg.delta, rmax=cfg.rmax, seed=cfg.seed,
+                      workers=cfg.workers)
+    cfg_b = SimConfig(paths=cfg.paths - half, horizon=cfg.horizon, dt=cfg.dt,
+                      delta=cfg.delta, rmax=cfg.rmax,
+                      seed=cfg.seed ^ 0x9E3779B97F4A7C15, workers=cfg.workers)
     x_a = np.zeros(spec.d)
     x_b = np.full(spec.d, 0.5)
     counts_a = occupation_counts(spec, cfg_a, n, burn_in=burn, x0=x_a)
@@ -140,7 +136,9 @@ def stationary_measure_modes(spec: JumpSpec, n=None, box=None
     Weights are point values of the density on the grid (n = 128 in d = 1),
     which integrates trig polynomials exactly against it. With no x-mode
     in the kernel and drift the only mode is 0: mu is exactly uniform. The
-    residual is max |v^T M| over max |M| max |v|.
+    residual is max |v^T M| over max |M| max |v|; ``edge_mass`` is the
+    share of sum |v| on the modes a step leads out of the box, where the
+    truncation drops coupling.
     """
     grid = TorusGrid(spec.d, n or (128 if spec.d == 1
                                    else default_grid_n(spec.d)))
@@ -150,17 +148,27 @@ def stationary_measure_modes(spec: JumpSpec, n=None, box=None
     v = mode_solvers(M)[1]
     scale = abs(M).max() * np.abs(v).max()
     w, clipped = density_weights(modes_on_grid(-modes, v, grid))
+    reach = np.abs(modes[:, None, :] + x_mode_steps(spec)[None]).max(axis=2)
+    edge = np.any(reach > box, axis=1)
     return TorusMeasure(grid, w, {
         "route": "fourier_galerkin", "grid_n": grid.n, "mode_box": box,
         "unknowns": len(modes) - 1, "clipped_mass": clipped,
-        "residual": float(np.abs(M.T @ v).max() / scale) if scale else 0.0})
+        "residual": float(np.abs(M.T @ v).max() / scale) if scale else 0.0,
+        "edge_mass": float(np.abs(v[edge]).sum() / np.abs(v).sum())})
 
 
 def stationary_measure(spec: JumpSpec, n=None) -> TorusMeasure:
     """Deterministic invariant measure: the mode route for trig kernels and
-    drifts, the grid adjoint otherwise."""
-    if spec.kernel.is_trig and spec.drift.is_trig:
+    drifts whose x-modes are at most a quarter of the default mode box
+    long, the grid adjoint (d <= 2) otherwise."""
+    if (spec.kernel.is_trig and spec.drift.is_trig
+            and fits_mode_box(spec, MODE_BOX[spec.d])):
         return stationary_measure_modes(spec, n)
+    if spec.d > 2:
+        raise ValueError(
+            f"no deterministic invariant measure in d={spec.d}: the mode "
+            f"route needs a trig kernel and drift with x-modes of length "
+            f"<= {MODE_BOX[spec.d] // 4}")
     return stationary_measure_grid(spec, n)
 
 
@@ -249,10 +257,15 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
     if not fs:
         return MixingEstimate(float("nan"), float("nan"), float("nan"), [],
                               False)
+    g = np.arange(starts) / starts
+    start_pts = (np.stack(np.meshgrid(*([g] * spec.d), indexing="ij"),
+                          axis=-1).reshape(-1, spec.d)
+                 if spec.d > 1 else g[:, None])
     sup_curve = np.zeros(len(time_grid))
-    for si, x0 in enumerate(TorusGrid(spec.d, starts).centers):
-        sub = _sub_config(cfg, horizon=float(time_grid[-1]),
-                          seed=cfg.seed + 7919 * si)
+    for si, x0 in enumerate(start_pts):
+        sub = SimConfig(paths=cfg.paths, horizon=float(time_grid[-1]),
+                        dt=cfg.dt, delta=cfg.delta, rmax=cfg.rmax,
+                        seed=cfg.seed + 7919 * si, workers=cfg.workers)
         snaps = simulate_snapshots(spec, sub, time_grid, x0=x0)
         snaps_mod = snaps - np.floor(snaps)
         for f in fs:
@@ -299,7 +312,9 @@ def ergodic_average_decay(spec: JumpSpec, f, eps_ladder, cfg: SimConfig,
     rows = []
     for eps in eps_ladder:
         rho = float(spec.phi(1.0 / eps))
-        sub = _sub_config(cfg, horizon=rho * t)
+        sub = SimConfig(paths=cfg.paths, horizon=rho * t, dt=cfg.dt,
+                        delta=cfg.delta, rmax=cfg.rmax, seed=cfg.seed,
+                        workers=cfg.workers)
         acc = simulate_quotient_time_integrals(
             spec, sub, f, window=(rho * s, rho * t))
         scaled = acc / rho

@@ -480,22 +480,32 @@ class PeriodicKernel:
         return float(np.min(vals)), float(np.max(vals))
 
     def x_periodicity_defect(self, n=32, seed=1):
-        return self._periodicity_defect(n, seed, in_z=False)
-
-    def z_periodicity_defect(self, n=32, seed=2):
-        return self._periodicity_defect(n, seed, in_z=True)
-
-    def _periodicity_defect(self, n, seed, in_z):
-        """Sampled max |k(x + e_a, z) - k(x, z)| over the axes (z + e_a
-        with ``in_z``); 0 for trig polys."""
         if self.is_trig:
             return 0.0
         rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
         xs = rng.random((n, self.d))
         zs = rng.random((n, self.d)) * 4.0 - 2.0
-        return max(float(np.max(np.abs(
-            (self(xs, zs + e) if in_z else self(xs + e, zs)) - self(xs, zs))))
-            for e in np.eye(self.d))
+        defect = 0.0
+        for axis in range(self.d):
+            shift = np.zeros(self.d)
+            shift[axis] = 1.0
+            defect = max(defect, float(np.max(np.abs(
+                self(xs + shift, zs) - self(xs, zs)))))
+        return defect
+
+    def z_periodicity_defect(self, n=32, seed=2):
+        if self.is_trig:
+            return 0.0
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        xs = rng.random((n, self.d))
+        zs = rng.random((n, self.d)) * 4.0 - 2.0
+        defect = 0.0
+        for axis in range(self.d):
+            shift = np.zeros(self.d)
+            shift[axis] = 1.0
+            defect = max(defect, float(np.max(np.abs(
+                self(xs, zs + shift) - self(xs, zs)))))
+        return defect
 
     def continuity_modulus(self, h_ladder=(0.1, 0.01, 0.001), n=64, seed=3):
         """Sampled sup_z |k(x+h, z) - k(x, z)| per step size h."""
@@ -650,15 +660,10 @@ def tail_mass_bound(spec: JumpSpec, R):
     envelope phi >= c r^b; exact for power phi without kappa.
     """
     c, b = spec.phi.envelope()
-    return _tail_angular_mass(spec, R) * (R ** (-b) / (c * b))
-
-
-def _tail_angular_mass(spec: JumpSpec, R):
-    """|rho0| + |base| sup_{r>=R} |g|: the angular mass beyond radius R."""
     mass = spec.rho0.total_mass
     if not spec.kappa.is_none:
         mass = mass + spec.kappa.base.total_mass * spec.kappa.sup_abs(R)
-    return mass
+    return mass * (R ** (-b) / (c * b))
 
 
 def _drift_trig(spec: JumpSpec, x, R):
@@ -667,9 +672,10 @@ def _drift_trig(spec: JumpSpec, x, R):
     out = np.zeros(x.shape[:-1] + (spec.d,))
     for (mx, mz), c in spec.kernel.poly.coeffs.items():
         xphase = np.exp(1j * 2 * np.pi * (x @ np.asarray(mx, dtype=float)))
-        for measure, g in spec.angular_terms():
+        for measure, weight in [(spec.rho0, False)] + (
+                [] if spec.kappa.is_none else [(spec.kappa.base, True)]):
             svals = measure.thetas @ np.asarray(mz, dtype=float)
-            radial = np.array([spec.radial_integral(s, R, g is not None)
+            radial = np.array([spec.radial_integral(s, R, weight)
                                for s in svals])
             angular = (measure.weights * radial) @ measure.thetas
             out = out + np.real(c * xphase)[..., None] * np.real(angular) \
@@ -687,10 +693,11 @@ def _drift_callback(spec: JumpSpec, x, R):
 
     def angular_sum(r):
         vals = np.zeros((len(r), spec.d))
-        for measure, g in spec.angular_terms():
+        for measure, weight in [(spec.rho0, False)] + (
+                [] if spec.kappa.is_none else [(spec.kappa.base, True)]):
             w = measure.weights
-            if g is not None:
-                w = w[None, :] * np.asarray(g(r))[:, None]
+            if weight:
+                w = w[None, :] * np.asarray(spec.kappa.g(r))[:, None]
             else:
                 w = np.broadcast_to(w, (len(r), len(w)))
             zpts = r[:, None, None] * measure.thetas[None, :, :]
@@ -734,8 +741,10 @@ def full_drift(spec: JumpSpec, x):
 
 def drift_tail_bound(spec: JumpSpec, R):
     """Upper bound on |b_R - b_inf| per component: kmax |rho0+kappa| int_R^inf dr/phi."""
-    return (spec.kernel.kmax * _tail_angular_mass(spec, R)
-            * spec.phi.inv_integral(R, np.inf))
+    mass = spec.rho0.total_mass
+    if not spec.kappa.is_none:
+        mass += spec.kappa.base.total_mass * spec.kappa.sup_abs(R)
+    return spec.kernel.kmax * mass * spec.phi.inv_integral(R, np.inf)
 
 
 # ---------------------------------------------------------------------------

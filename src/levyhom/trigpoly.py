@@ -70,29 +70,28 @@ class TrigPoly:
         return cls(dim_x, dim_z, {((0,) * dim_x, (0,) * dim_z): value})
 
     @classmethod
-    def _wave(cls, dim_x, dim_z, mode, c, in_z):
-        """c e^{2 pi i m.y} + conj(c) e^{-2 pi i m.y}, y = x or z (in_z)."""
-        mode = _as_mode(mode, dim_z if in_z else dim_x)
-        neg = tuple(-v for v in mode)
-        x0, z0 = (0,) * dim_x, (0,) * dim_z
-        key = (lambda m: (x0, m)) if in_z else (lambda m: (m, z0))
-        return cls(dim_x, dim_z, {key(mode): c, key(neg): np.conj(c)})
-
-    @classmethod
     def cos_x(cls, dim_x, dim_z, mode, amplitude=1.0):
-        return cls._wave(dim_x, dim_z, mode, amplitude / 2.0, False)
+        mode = _as_mode(mode, dim_x)
+        z0 = (0,) * dim_z
+        neg = tuple(-v for v in mode)
+        return cls(dim_x, dim_z, {(mode, z0): amplitude / 2.0,
+                                  (neg, z0): amplitude / 2.0})
 
     @classmethod
     def sin_x(cls, dim_x, dim_z, mode, amplitude=1.0):
-        return cls._wave(dim_x, dim_z, mode, amplitude / 2.0j, False)
+        mode = _as_mode(mode, dim_x)
+        z0 = (0,) * dim_z
+        neg = tuple(-v for v in mode)
+        return cls(dim_x, dim_z, {(mode, z0): amplitude / 2.0j,
+                                  (neg, z0): -amplitude / 2.0j})
 
     @classmethod
     def cos_z(cls, dim_x, dim_z, mode, amplitude=1.0):
-        return cls._wave(dim_x, dim_z, mode, amplitude / 2.0, True)
-
-    @classmethod
-    def sin_z(cls, dim_x, dim_z, mode, amplitude=1.0):
-        return cls._wave(dim_x, dim_z, mode, amplitude / 2.0j, True)
+        mode = _as_mode(mode, dim_z)
+        x0 = (0,) * dim_x
+        neg = tuple(-v for v in mode)
+        return cls(dim_x, dim_z, {(x0, mode): amplitude / 2.0,
+                                  (x0, neg): amplitude / 2.0})
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other):

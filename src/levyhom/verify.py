@@ -50,14 +50,11 @@ def ks_projection(batch_a, batch_b, direction):
     """KS statistic of the two batches projected on a direction."""
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    return ks_statistic(_samples(batch_a) @ direction,
-                        _samples(batch_b) @ direction)
-
-
-def _samples(batch):
-    """The sample array of an EndpointBatch, or the array itself."""
-    return np.asarray(batch.samples if isinstance(batch, EndpointBatch)
-                      else batch)
+    sa = np.asarray(batch_a.samples if isinstance(batch_a, EndpointBatch)
+                    else batch_a)
+    sb = np.asarray(batch_b.samples if isinstance(batch_b, EndpointBatch)
+                    else batch_b)
+    return ks_statistic(sa @ direction, sb @ direction)
 
 
 def projection_directions(d, seed, extra=None):
@@ -78,7 +75,8 @@ def ecf_distance(batch, law: LimitLaw, freqs=None, t=None):
     Returns (distance, rows); each row carries the frequency, the absolute
     gap, and the Monte Carlo standard error of the empirical CF there.
     """
-    samples = _samples(batch)
+    samples = np.asarray(batch.samples if isinstance(batch, EndpointBatch)
+                         else batch)
     n, d = samples.shape
     t = t if t is not None else (batch.t if isinstance(batch, EndpointBatch)
                                  else 1.0)
@@ -109,7 +107,8 @@ def tail_index(batch, top_fraction=0.05, bootstrap=200, seed=0):
     Gaussian-looking batches drift above 2 and are flagged; constant batches
     have no tail to measure and raise.
     """
-    samples = _samples(batch)
+    samples = np.asarray(batch.samples if isinstance(batch, EndpointBatch)
+                         else batch)
     mags = np.linalg.norm(np.atleast_2d(samples.T).T, axis=1) \
         if samples.ndim > 1 else np.abs(samples)
     mags = mags[mags > 0]

@@ -65,6 +65,7 @@ def test_x_independent_d2_kernels_give_exact_uniform(name, monkeypatch):
     assert mu.meta["route"] == "fourier_galerkin"
     assert mu.meta["unknowns"] == 0
     assert mu.meta["residual"] == 0.0 and mu.meta["clipped_mass"] == 0.0
+    assert mu.meta["edge_mass"] == 0.0
 
 
 @pytest.mark.parametrize("d, tol", [(1, 1e-12), (2, 1e-6), (3, 2e-4)])
@@ -106,11 +107,43 @@ def test_coupled_d2_kernel_matches_grid_route(coupled_grid):
     assert mu.meta["unknowns"] == 33 ** 2 - 1
     coarse = stationary_measure_modes(spec, 32, box=8)
     assert mu.tv_distance(coarse) <= 1e-5
+    # the coefficient mass where the box cuts the coupling shrinks with it
+    assert 0.0 < mu.meta["edge_mass"] <= 1e-8 < coarse.meta["edge_mass"] <= 1e-4
     tv = {n: stationary_measure_modes(spec, n).tv_distance(
         op.stationary_weights()) for n, op in ops.items()}
     # the grid converges towards the mode solution as it is refined
     assert tv[32] <= 2e-3 and tv[32] < tv[16]
     assert mu.tv_distance(np.full(mu.grid.size, 1.0 / mu.grid.size)) > 0.05
+
+
+def _one_mode_spec(d, mode):
+    """k = 1 + 0.5 cos(2 pi mode x_1), symmetric atoms on the axes."""
+    e = tuple(mode * int(i == 0) for i in range(d))
+    atoms = [(s * np.eye(d)[a], 0.5) for a in range(d) for s in (1.0, -1.0)]
+    return make_spec(d=d, alpha=1.5, alpha0=1.0,
+                     rho0=SphericalMeasure.atoms(d, atoms),
+                     kernel=PeriodicKernel.trig(
+                         TrigPoly.const(d, d, 1.0)
+                         + TrigPoly.cos_x(d, d, e, 0.5)))
+
+
+@pytest.mark.parametrize("d, mode, n", [(1, 11, 128), (2, 17, 16)])
+def test_long_x_modes_take_the_grid_route(d, mode, n):
+    # an x-mode longer than a quarter of the mode box would leave the mode
+    # set {0} (or a few modes) and mu falsely uniform: the grid solves it
+    spec = _one_mode_spec(d, mode)
+    mu = stationary_measure(spec, n)
+    assert mu.meta["route"] == "grid_adjoint"
+    assert np.array_equal(mu.weights, stationary_measure_grid(spec, n).weights)
+    assert mu.tv_distance(np.full(mu.grid.size, 1.0 / mu.grid.size)) > 0.05
+    # a quarter of the box still takes the mode route
+    assert stationary_measure(_one_mode_spec(d, 10 if d == 1 else 4),
+                              n).meta["route"] == "fourier_galerkin"
+
+
+def test_long_x_modes_raise_in_d3():
+    with pytest.raises(ValueError, match="x-modes of length <= 2"):
+        stationary_measure(_one_mode_spec(3, 3))
 
 
 @pytest.mark.parametrize("phi, kappa", [
@@ -280,10 +313,12 @@ def test_poisson_fourier_in_d3_matches_multiplier():
 
 def test_measure_meta_records_route_residual_and_clipped_mass(coupled_grid):
     spec, ops = coupled_grid
-    for mu in (stationary_measure(spec, 16), stationary_measure_grid(spec, 8)):
+    mus = (stationary_measure(spec, 16), stationary_measure_grid(spec, 8))
+    for mu in mus:
         assert mu.meta["route"] in ("fourier_galerkin", "grid_adjoint")
         assert mu.meta["clipped_mass"] >= 0.0
         assert np.isfinite(mu.meta["residual"])
+    assert 0.0 <= mus[0].meta["edge_mass"] <= 1e-5
     op = assemble_operator(spec, 8)
     assert op.meta == {}
     op.stationary_weights()
