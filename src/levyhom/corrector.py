@@ -490,11 +490,11 @@ def corrector_rhs(spec: JumpSpec, mu, mode="full", R=None, grid_n=128):
     """
     centers = mu.centers
     if mode == "full":
-        tail = np.array([full_drift(spec, x) for x in centers])
+        tail = full_drift(spec, centers)
     elif mode == "truncated":
         if R is None or R <= 1.0:
             raise ValueError("truncated mode needs R > 1")
-        tail = np.array([truncated_drift(spec, x, R) for x in centers])
+        tail = truncated_drift(spec, centers, R)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     bvals = spec.drift(centers).reshape(len(centers), spec.d)

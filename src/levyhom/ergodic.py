@@ -187,14 +187,12 @@ def effective_drifts(spec: JumpSpec, mu: TorusMeasure) -> EffectiveDrifts:
     b_bar = mu_average(mu, lambda pts: spec.drift(pts).reshape(len(pts),
                                                                spec.d))
     try:
-        b_inf = mu_average(mu, lambda pts: np.array(
-            [full_drift(spec, x) for x in pts]))
+        b_inf = mu_average(mu, lambda pts: full_drift(spec, pts))
     except IntegrabilityError:
         b_inf = None
 
     def b_trunc_bar(R):
-        vals = np.array([truncated_drift(spec, x, R) for x in mu.centers])
-        return mu.weights @ vals
+        return mu.weights @ truncated_drift(spec, mu.centers, R)
 
     return EffectiveDrifts(b_bar=np.atleast_1d(b_bar), b_inf_bar=b_inf,
                            b_trunc_bar=b_trunc_bar)

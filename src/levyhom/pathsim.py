@@ -33,7 +33,12 @@ Reproducibility contract: every random number consumed by path i comes from a
 counter-based stream keyed by (seed, i) in a fixed order, so results are
 bit-identical for any chunk partition of the path range and any number of
 processes. Occupation histograms accumulate integer step counts, which keeps
-the reduction exactly associative.
+the reduction exactly associative. The streams are Generator(Philox) objects
+cached per process (a forked worker inherits the cache) and re-keyed for each
+chunk to key (seed, i), counter 0, an empty buffer and no stored 32-bit half,
+the state of a fresh ``Philox(key=(seed, i))``. Re-keying overwrites the
+previous chunk's streams, which is safe because a chunk's generators live
+only inside ``_run_chunk``: chunks never nest, and no thread runs one.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
 _BLOCK = 2048
 _TAPE_BYTES = 96e6         # candidate-tape bytes per chunk
 _PACKET_BLOCK = 1 << 16    # candidates per z_from_packets call
+_POOL_WORK = 5e5           # candidates + steps x paths for a pool to pay off
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +394,26 @@ class TraceCollector:
 # the engine
 # ---------------------------------------------------------------------------
 
+_GENERATORS = []     # this process's Generator(Philox) objects, re-keyed
+
+
 def _path_generators(seed, indices):
-    return [np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed & (2 ** 64 - 1)), np.uint64(i)],
-                     dtype=np.uint64))) for i in indices]
+    """The cached generators, grown to ``len(indices)`` and re-keyed to the
+    state of fresh ``Philox(key=(seed, i))`` objects (module docstring)."""
+    while len(_GENERATORS) < len(indices):
+        _GENERATORS.append(np.random.Generator(np.random.Philox(0)))
+    gens = _GENERATORS[:len(indices)]
+    zeros = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": zeros, "key": None}, "buffer": zeros,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = np.empty((len(gens), 2), dtype=np.uint64)
+    keys[:, 0] = seed & (2 ** 64 - 1)
+    keys[:, 1] = indices
+    for g, key in zip(gens, keys):
+        state["state"]["key"] = key
+        g.bit_generator.state = state
+    return gens
 
 
 def check_workers(workers):
@@ -408,7 +430,9 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     The path range is cut into chunks whose candidate tapes fit
     ``_TAPE_BYTES``. Without collectors and ``jump_hook``, ``workers > 1``
     runs the chunks in a pool of at most ``min(workers, os.cpu_count())``
-    forked processes; otherwise they run here, one after another. Outputs
+    forked processes when the batch's expected work, candidates
+    ``rate T n_paths`` plus Euler steps times paths, reaches ``_POOL_WORK``;
+    otherwise they run here, one after another. Outputs
     are bit-identical for every ``workers`` value because each path consumes
     exclusively its own counter-based stream. ``start_sampler``, when given,
     maps per-path uniforms (P, 2) to start points (P, d); those uniforms are
@@ -420,7 +444,9 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     d = driver.dim
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     procs = 1
-    if workers > 1 and not collectors and jump_hook is None:
+    steps = 0 if driver.branch == "thinning" else math.ceil(T / dt - 1e-12)
+    if (workers > 1 and not collectors and jump_hook is None
+            and n_paths * (driver.rate * T + steps) >= _POOL_WORK):
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             procs = min(workers, os.cpu_count() or 1)

@@ -667,19 +667,24 @@ def tail_mass_bound(spec: JumpSpec, R):
 
 
 def _drift_trig(spec: JumpSpec, x, R):
-    """Mode-by-mode evaluation of the drift integral for trig-poly kernels."""
+    """Mode-by-mode drift integral for trig-poly kernels at x (..., d), in
+    elementwise real arithmetic: a matmul or complex array product may fuse
+    operations and round a row apart from the same point alone."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[:-1] + (spec.d,))
     for (mx, mz), c in spec.kernel.poly.coeffs.items():
-        xphase = np.exp(1j * 2 * np.pi * (x @ np.asarray(mx, dtype=float)))
+        xphase = np.exp(1j * 2 * np.pi * (x * np.asarray(mx, dtype=float)
+                                          ).sum(axis=-1))
+        re = c.real * xphase.real - c.imag * xphase.imag
+        im = c.real * xphase.imag + c.imag * xphase.real
         for measure, weight in [(spec.rho0, False)] + (
                 [] if spec.kappa.is_none else [(spec.kappa.base, True)]):
             svals = measure.thetas @ np.asarray(mz, dtype=float)
             radial = np.array([spec.radial_integral(s, R, weight)
                                for s in svals])
             angular = (measure.weights * radial) @ measure.thetas
-            out = out + np.real(c * xphase)[..., None] * np.real(angular) \
-                - np.imag(c * xphase)[..., None] * np.imag(angular)
+            out = out + re[..., None] * np.real(angular) \
+                - im[..., None] * np.imag(angular)
     return out
 
 
@@ -688,8 +693,12 @@ def _drift_callback(spec: JumpSpec, x, R):
 
     Rapidly oscillating z-dependence is only supported through the trig-poly
     representation, where each mode gets a dedicated oscillatory integral.
+    Points ``x`` (..., d) are integrated one row at a time.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        return np.array([_drift_callback(spec, p, R)
+                         for p in x.reshape(-1, spec.d)]).reshape(x.shape)
 
     def angular_sum(r):
         vals = np.zeros((len(r), spec.d))
@@ -720,7 +729,10 @@ def _drift_callback(spec: JumpSpec, x, R):
 
 
 def truncated_drift(spec: JumpSpec, x, R):
-    """Drift of jumps with 1 < |z| <= R: int_{1<|z|<=R} z k(x,z) Pi(dz)."""
+    """Drift of jumps with 1 < |z| <= R: int_{1<|z|<=R} z k(x,z) Pi(dz).
+
+    ``x`` is one point (d,) or points (..., d); the result has the shape of
+    ``x``, and each row equals the call on that row alone, bit for bit."""
     if R <= 1.0:
         raise ValueError("R must exceed 1")
     if spec.kernel.is_trig:
@@ -729,7 +741,9 @@ def truncated_drift(spec: JumpSpec, x, R):
 
 
 def full_drift(spec: JumpSpec, x):
-    """Tail drift int_{|z|>1} z k(x,z) Pi(dz); requires an integrable tail."""
+    """Tail drift int_{|z|>1} z k(x,z) Pi(dz); requires an integrable tail.
+
+    ``x`` (..., d) as in ``truncated_drift``."""
     if not spec.phi.tail_integrable():
         raise IntegrabilityError(
             "full drift undefined: int_1^inf dr/phi(r) diverges "

@@ -104,7 +104,14 @@ def test_delta_refinement_stability(sym_spec):
         assert ks_statistic(a, b) <= 0.03
 
 
-def test_bit_exact_reproducibility_across_workers(sym_spec):
+@pytest.fixture
+def pool_always(monkeypatch):
+    """Send every batch with workers > 1 to the pool, however small."""
+    from levyhom import pathsim
+    monkeypatch.setattr(pathsim, "_POOL_WORK", 0)
+
+
+def test_bit_exact_reproducibility_across_workers(sym_spec, pool_always):
     outs = []
     for workers in (1, 3, 7):
         cfg = SimConfig(paths=500, horizon=1.0, delta=0.25, seed=23,
@@ -375,6 +382,12 @@ def _z_from_packets_reference(driver, pk):
     return z
 
 
+def _fresh_generators(seed, indices):
+    return [np.random.Generator(np.random.Philox(
+        key=np.array([np.uint64(seed), np.uint64(i)], dtype=np.uint64)))
+        for i in indices]
+
+
 def _run_paths_reference(driver, T, n_paths, seed, dt, start_sampler=None,
                          chunk_size=64):
     """Reference engine: per-path packet lists, packets mapped per round."""
@@ -383,9 +396,7 @@ def _run_paths_reference(driver, T, n_paths, seed, dt, start_sampler=None,
     endpoints = np.empty((n_paths, d))
     for c0 in range(0, n_paths, chunk_size):
         c1 = min(c0 + chunk_size, n_paths)
-        gens = [np.random.Generator(np.random.Philox(
-            key=np.array([np.uint64(seed), np.uint64(i)], dtype=np.uint64)))
-            for i in range(c0, c1)]
+        gens = _fresh_generators(seed, range(c0, c1))
         P = len(gens)
         if start_sampler is not None:
             u = np.stack([g.random(2) for g in gens])
@@ -487,7 +498,7 @@ def _mixed_case():
     (_diffusive_case, "thinning"), (_constant_case, "thinning"),
     (_axes_case, "stepped"), (_mixed_case, "stepped")],
     ids=["ex4_1_diffusive", "constant", "ex4_0_axes", "ex4_3_mixed"])
-def test_engine_matches_reference_loops(case, branch):
+def test_engine_matches_reference_loops(case, branch, pool_always):
     from levyhom.pathsim import run_paths
     spec, cfg, T, n, sampler = case()
     driver = driver_from_spec(spec, cfg, T)
@@ -517,7 +528,6 @@ def test_single_component_packets_match_component_search():
 # --------------------------------------------------------------------------
 
 def test_batch_counters_identical_across_workers():
-    import os
     spec = load_config(fixture_config("ex4_1_diffusive")).spec
     metas = []
     for workers in (1, 2, 3, 7):
@@ -530,12 +540,30 @@ def test_batch_counters_identical_across_workers():
         assert 0 <= meta["accepted"] <= meta["candidates"]
         assert 1 <= meta["chunk_paths"] <= 120
         json.dumps(meta)
-    assert metas[0]["candidates"] > 0 and metas[0]["pool_processes"] == 0
+    assert metas[0]["candidates"] > 0
     for meta in metas[1:]:
         assert (meta["candidates"], meta["accepted"]) == \
             (metas[0]["candidates"], metas[0]["accepted"])
-    # the pool never outgrows the machine, whatever workers asks for
-    assert metas[3]["pool_processes"] == min(7, os.cpu_count())
+    # about 2.4e3 expected candidates: far too little work for a pool
+    assert [m["pool_processes"] for m in metas] == [0, 0, 0, 0]
+
+
+def test_pool_runs_batches_above_the_work_threshold():
+    import os
+    from levyhom.pathsim import _POOL_WORK
+    spec = load_config(fixture_config("ex4_1_diffusive")).spec
+    batches = []
+    for workers in (1, 2, 7):
+        cfg = SimConfig(paths=2000, horizon=1.0, delta=1.0, seed=3,
+                        eps=1 / 16, regime="diffusive", workers=workers)
+        batches.append(scaled_endpoint_batch(spec, cfg, EffectiveDrifts(
+            b_bar=np.zeros(1), b_inf_bar=np.zeros(1))))
+    assert batches[0].meta["candidates"] >= _POOL_WORK
+    for workers, batch in zip((1, 2, 7), batches):
+        # the pool never outgrows the machine, whatever workers asks for
+        procs = min(workers, os.cpu_count())
+        assert batch.meta["pool_processes"] == (procs if procs > 1 else 0)
+        assert np.array_equal(batch.samples, batches[0].samples)
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -562,6 +590,7 @@ def test_workers_below_one_rejected(workers, sym_spec, tmp_path):
 
 _FORK_SCRIPT = """
 import numpy as np
+from levyhom import pathsim
 from levyhom.config import fixture_config, load_config
 from levyhom.pathsim import SimConfig, driver_from_spec, run_paths
 
@@ -570,12 +599,15 @@ a = np.random.default_rng(0).random((400, 400))
 np.linalg.solve(a @ a.T + np.eye(400), np.ones(400))
 spec = load_config(fixture_config("ex4_0_axes")).spec
 driver = driver_from_spec(spec, SimConfig(delta=0.1), 1.0)
+pathsim._POOL_WORK = 0     # fork for this small batch too
 ends = [run_paths(driver, 1.0, 40, 9, 0.01, workers=w) for w in (2, 1)]
 print("equal" if np.array_equal(*ends) else "differ")
 """
 
 
-def test_pool_forks_safely_under_default_blas_threads():
+def _fresh_python(script):
+    """stdout of ``script`` in a new interpreter with the default BLAS
+    threads and this checkout's sources."""
     import os
     import subprocess
     import sys
@@ -585,7 +617,66 @@ def test_pool_forks_safely_under_default_blas_threads():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _FORK_SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["equal"]
+    return proc.stdout
+
+
+def test_pool_forks_safely_under_default_blas_threads():
+    assert _fresh_python(_FORK_SCRIPT).split() == ["equal"]
+
+
+# --------------------------------------------------------------------------
+# re-keyed per-path streams
+# --------------------------------------------------------------------------
+
+def _draws(g):
+    u = np.empty(7)
+    g.random(out=u)
+    return (g.poisson(3.5), u, g.standard_normal((3, 2)),
+            g.integers(0, 2 ** 32, size=3, dtype=np.uint32), g.random())
+
+
+def test_rekeyed_generators_match_fresh_philox():
+    from levyhom.pathsim import _path_generators
+    # dirty the cache with another seed and more paths; leave the streams
+    # mid-buffer and holding a spare 32-bit half
+    for j, g in enumerate(_path_generators(99, range(40))):
+        g.random(1 + j % 3)
+        g.integers(0, 2 ** 32, dtype=np.uint32)
+    rows = np.arange(5, 25)
+    for g, fresh in zip(_path_generators(7, rows),
+                        _fresh_generators(7, rows)):
+        for a, b in zip(_draws(g), _draws(fresh)):
+            assert np.array_equal(a, b)
+
+
+_STREAM_SCRIPT = """
+import hashlib
+from levyhom.config import fixture_config, load_config
+from levyhom.pathsim import SimConfig, driver_from_spec, run_paths
+
+spec = load_config(fixture_config("ex4_0_axes")).spec
+driver = driver_from_spec(spec, SimConfig(delta=0.1), 1.0)
+print(hashlib.sha256(run_paths(driver, 1.0, 30, 12, 0.01).tobytes())
+      .hexdigest())
+"""
+
+
+def test_run_paths_twice_matches_a_fresh_process(pool_always):
+    import hashlib
+    import os
+    from levyhom.pathsim import run_paths
+    spec = load_config(fixture_config("ex4_0_axes")).spec
+    driver = driver_from_spec(spec, SimConfig(delta=0.1), 1.0)
+    assert driver.has_gauss and driver.has_jumps   # poisson, random, normals
+    run_paths(driver, 1.0, 45, 11, 0.01)    # another seed, more paths
+    here = run_paths(driver, 1.0, 30, 12, 0.01)
+    stats = {}
+    # forked workers inherit the dirty cache
+    pooled = run_paths(driver, 1.0, 30, 12, 0.01, workers=2, stats=stats)
+    assert stats["pool_processes"] == (2 if os.cpu_count() > 1 else 0)
+    fresh = _fresh_python(_STREAM_SCRIPT).split()
+    assert [hashlib.sha256(e.tobytes()).hexdigest()
+            for e in (here, pooled)] == fresh * 2
