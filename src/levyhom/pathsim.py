@@ -23,6 +23,16 @@ they are x-only trig polys built once per driver from F(mz) = sum_q w_q f_q
 e^{2 pi i mz.z_q}, and a drift without x-modes folds into constant_drift; for
 a callback kernel they are node sums evaluated at every step.
 
+Each trig poly the engine evaluates per round or per step, the kernel of the
+accept fraction, a drift with x-modes and the Gaussian coefficient, is
+compiled once per driver by ``TrigPoly.evaluator``: the arithmetic of
+``TrigPoly.__call__``, bit for bit, without its broadcasting, and with the
+x-phase (z-phase) only for a poly with x-modes (z-modes). A constant kernel
+at kmax has no kernel function: its accept fraction is one. The driver's meta
+records the routes: ``accept`` ("constant", "x_modes", "z_modes", "joint" or
+"callback", and whether the envelope factor applies) and ``drift`` ("none",
+"constant", "x_modes" or "callback").
+
 The engine cuts the path range into chunks and draws each chunk's candidates
 once into a compact tape: jump vector, accept uniform and time per candidate.
 Without observers, the thinning branch reads the tape round by round with
@@ -58,6 +68,7 @@ from .quadrature import power_law_radii
 from .regimes import EffectiveDrifts, Regime
 from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
                          tail_mass_bound)
+from .trigpoly import TrigPoly
 
 _BLOCK = 2048
 _TAPE_BYTES = 96e6         # candidate-tape bytes per chunk
@@ -238,29 +249,37 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
         partial(power_law_radii, lo=1.0, hi=rmax, a=b),
         spec.rho0.sample_from_uniforms))
 
-    if not spec.kernel.depends_on_x() and not spec.kernel.depends_on_z():
+    # trig kernels, drifts and coefficients are compiled once per driver
+    # (TrigPoly.evaluator); a constant kernel at kmax accepts every candidate
+    route = _kernel_route(spec.kernel)
+    keval = spec.kernel.poly.evaluator() if spec.kernel.is_trig else None
+    kernel_fn = spec.kernel if keval is None else keval
+    if route == "constant":
         kconst = float(spec.kernel(np.zeros((1, d)), np.zeros((1, d)))[0])
-        kernel_fn = None if abs(kconst - kmax) <= 1e-14 * kmax else spec.kernel
-    else:
-        kernel_fn = spec.kernel
-    if spec.phi.kind != "power" or not spec.kappa.is_none:
+        if abs(kconst - kmax) <= 1e-14 * kmax:
+            kernel_fn = None
+    envelope = spec.phi.kind != "power" or not spec.kappa.is_none
+    if envelope:
         kernel_fn = _envelope_thinned(spec, kernel_fn, kmax, c, b, ghat)
 
     # the Gaussian coefficient of the sub-delta activity and the compensator
     # drift of the (delta, 1] annulus are x-functions sum_q w_q k(x, z_q) f_q
-    meta = {"rmax": rmax, "delta": delta}
+    meta = {"rmax": rmax, "delta": delta,
+            "accept": {"route": route, "envelope": envelope}}
     gauss_coef = None
     drift = spec.drift
     if spec.small.kind == "stable" and not spec.kernel.depends_on_z():
         ball_m2 = spec.small.ball_second_moment(d, delta)
         def gauss_coef(X, c=ball_m2 / d):
-            return spec.kernel(X, np.zeros_like(X)) * c
+            return keval(X) * c
         meta["gauss_coef"] = _route_meta(spec.kernel.poly, 0, "closed_form")
     elif spec.small.kind == "stable":
         zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
         gauss_coef = spec.kernel.z_functional(
             zq, wq * np.sum(zq * zq, axis=1) / d)
         meta["gauss_coef"] = _route_meta(gauss_coef, len(wq))
+        if isinstance(gauss_coef, TrigPoly):
+            gauss_coef = gauss_coef.evaluator()
         if delta < 1.0:
             zq, wq, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
             comp = spec.kernel.z_functional(zq, wq, zq)
@@ -275,15 +294,35 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
     drift_fn = constant_drift = None
     if drift.is_trig and all(c.max_mode_order() == 0
                              for c in drift.components):
+        meta["drift"] = {"route": "none" if drift.is_zero() else "constant"}
         if not drift.is_zero():
             constant_drift = drift(np.zeros((1, d))).reshape(d)
+    elif drift.is_trig:
+        meta["drift"] = {"route": "x_modes"}
+        parts = [comp.evaluator() for comp in drift.components]
+        def drift_fn(X):
+            out = np.empty(X.shape)
+            for j, f in enumerate(parts):
+                out[:, j] = f(X)
+            return out
     else:
+        meta["drift"] = {"route": "callback"}
         def drift_fn(X):
             return drift(X).reshape(X.shape)
 
     return JumpDriver(d, components, kmax, kernel_fn, gauss_coef=gauss_coef,
                       drift_fn=drift_fn, constant_drift=constant_drift,
                       meta=meta)
+
+
+def _kernel_route(kernel):
+    """Which modes the accept fraction evaluates: "constant", "x_modes",
+    "z_modes", "joint" (both), or "callback" for a callback kernel."""
+    if not kernel.is_trig:
+        return "callback"
+    on_x, on_z = kernel.depends_on_x(), kernel.depends_on_z()
+    return {(False, False): "constant", (True, False): "x_modes",
+            (False, True): "z_modes", (True, True): "joint"}[(on_x, on_z)]
 
 
 def _route_meta(f, nodes, route="modes"):
@@ -408,7 +447,7 @@ def _path_generators(seed, indices):
              "state": {"counter": zeros, "key": None}, "buffer": zeros,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     keys = np.empty((len(gens), 2), dtype=np.uint64)
-    keys[:, 0] = seed & (2 ** 64 - 1)
+    keys[:, 0] = int(seed) & (2 ** 64 - 1)
     keys[:, 1] = indices
     for g, key in zip(gens, keys):
         state["state"]["key"] = key
@@ -594,7 +633,7 @@ def _thin(driver, gens, counts, X, T):
             frac = driver.accept_fraction(
                 x + t[lo:hi, None] * bconst[None, :], zj)
         ok = u[lo:hi] < frac
-        x[ok] += zj[ok]
+        np.add(x, zj, out=x, where=ok[:, None])
         accepted += int(np.count_nonzero(ok))
     X[order] = Xs
     if bconst is not None:

@@ -147,6 +147,37 @@ class TrigPoly:
             val = val + np.sin(phase) @ self._amp_sin
         return np.broadcast_to(val, shape).copy() if val.shape != shape else val
 
+    def evaluator(self):
+        """``f(x, z=None)`` for point arrays x (P, dim_x) and z (P, dim_z).
+
+        It does the arithmetic of ``__call__``, so its values are the same
+        bits, without the broadcasting: the x-phase enters only when the poly
+        has x-modes and the z-phase only when it has z-modes (z may then be
+        omitted), the sine part only when it has sine amplitudes, and a poly
+        without terms is its constant.
+        """
+        const, amp_cos = self._const, self._amp_cos
+        if self._n_terms == 0:
+            return lambda x, z=None: np.full(len(x), const)
+        mx = self._mx.T if self.depends_on_x() else None
+        mz = self._mz.T if self.depends_on_z() else None
+        amp_sin = self._amp_sin if np.any(self._amp_sin) else None
+
+        def f(x, z=None):
+            if mz is None:
+                phase = x @ mx
+            elif mx is None:
+                phase = z @ mz
+            else:
+                phase = x @ mx + z @ mz
+            phase = _TWO_PI * phase
+            val = np.cos(phase) @ amp_cos + const
+            if amp_sin is not None:
+                val = val + np.sin(phase) @ amp_sin
+            return val
+
+        return f
+
     @property
     def mean(self):
         """Integral over the full torus (coefficient of the zero mode)."""

@@ -151,6 +151,13 @@ class ConvergenceRow:
     ecf_gap: float
     n: int
     error: str = ""
+    meta: dict = field(default_factory=dict)
+
+
+# the deterministic settings and counters a row keeps from its batch's meta;
+# timings are left out, so that a report's bytes depend on its inputs only
+ROW_META_KEYS = ("branch", "dt", "rmax", "delta", "candidates", "accepted",
+                 "chunk_paths", "pool_processes", "accept")
 
 
 @dataclass
@@ -167,7 +174,8 @@ class ConvergenceReport:
             "thresholds": self.thresholds,
             "rows": [{"eps": r.eps, "ks_max": r.ks_max,
                       "ks_by_direction": r.ks_by_direction,
-                      "ecf_gap": r.ecf_gap, "n": r.n, "error": r.error}
+                      "ecf_gap": r.ecf_gap, "n": r.n, "error": r.error,
+                      "meta": r.meta}
                      for r in self.rows],
             "meta": self.meta,
             "scope": "fixed-time marginal agreement at t=1 only; no "
@@ -228,7 +236,9 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
                                          workers=sim.workers))
             ks_list = [ks_projection(batch, ref, v) for v in dirs]
             gap, _ = ecf_distance(batch, law)
-            rows.append(ConvergenceRow(eps, ks_list, max(ks_list), gap, n))
+            rows.append(ConvergenceRow(
+                eps, ks_list, max(ks_list), gap, n,
+                meta={k: batch.meta[k] for k in ROW_META_KEYS}))
         except Exception as exc:             # annotate, keep the ladder going
             rows.append(ConvergenceRow(eps, [], float("nan"), float("nan"),
                                        n, error=f"{type(exc).__name__}: {exc}"))

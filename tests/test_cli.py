@@ -127,3 +127,7 @@ def test_cli_verify_smoke(tmp_path):
     payload = json.loads((out / "convergence.json").read_text())
     assert payload["verdict"] in ("PASS", "FAIL")
     assert len(payload["rows"]) == 2
+    for row in payload["rows"]:
+        assert 0 <= row["meta"]["accepted"] <= row["meta"]["candidates"]
+        assert row["meta"]["accept"] == {"route": "x_modes",
+                                         "envelope": False}

@@ -299,7 +299,6 @@ def test_axes_functionals_fold_to_constants():
     # the compensator vanishes by the z -> -z symmetry of the nodes and of k,
     # so the folded drift is zero and the engine has no drift at all
     assert drv.drift_fn is None and drv.constant_drift is None
-    assert isinstance(drv.gauss_coef, TrigPoly)
     x = np.random.default_rng(3).random((50, 2)) * 4.0 - 2.0
     coef = drv.gauss_coef(x)
     assert coef.shape == (50,) and np.all(coef == coef[0]) and coef[0] > 0
@@ -388,9 +387,49 @@ def _fresh_generators(seed, indices):
         for i in indices]
 
 
-def _run_paths_reference(driver, T, n_paths, seed, dt, start_sampler=None,
-                         chunk_size=64):
-    """Reference engine: per-path packet lists, packets mapped per round."""
+def _spec_callables(spec, driver):
+    """Accept fraction, drift and Gaussian coefficient of ``driver`` built
+    from the spec's own broadcasting calls (``PeriodicKernel.__call__``,
+    ``DriftField.__call__``, ``TrigPoly.__call__``), not from the compiled
+    functions the driver holds: k(x, z)/kmax (envelope-thinned for a non-power
+    phi), the drift folded with the compensator, and k(X, 0) m2/d or the
+    mode-route functional."""
+    from levyhom.pathsim import _envelope_thinned
+    from levyhom.spec_model import jump_nodes
+    d, delta, kmax = spec.d, driver.meta["delta"], spec.kernel.kmax
+    kernel = spec.kernel
+    if driver.meta["accept"]["envelope"]:
+        c, b = spec.phi.envelope()
+        ghat = 0.0 if spec.kappa.is_none else spec.kappa.sup_abs(1.0)
+        kernel = _envelope_thinned(spec, spec.kernel, kmax, c, b, ghat)
+
+    def accept(x, z):
+        return np.asarray(kernel(x, z)) / kmax
+
+    drift = spec.drift
+    if "compensator" in driver.meta:
+        zc, wc, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
+        comp = spec.kernel.z_functional(zc, wc, zc)
+        drift = DriftField.trig([p - q for p, q in zip(drift.components,
+                                                       comp.components)])
+    gauss = None
+    route = driver.meta.get("gauss_coef", {}).get("route")
+    if route == "closed_form":
+        m2 = spec.small.ball_second_moment(d, delta)
+
+        def gauss(X):
+            return spec.kernel(X, np.zeros_like(X)) * (m2 / d)
+    elif route == "modes":
+        zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
+        gauss = spec.kernel.z_functional(zq, wq * np.sum(zq * zq, axis=1) / d)
+    return accept, (lambda X: drift(X).reshape(X.shape)), gauss
+
+
+def _run_paths_reference(spec, driver, T, n_paths, seed, dt,
+                         start_sampler=None, chunk_size=64):
+    """Reference engine: per-path packet lists, packets mapped per round, and
+    the spec's uncompiled callables (``_spec_callables``)."""
+    accept, drift, gauss = _spec_callables(spec, driver)
     d = driver.dim
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
     endpoints = np.empty((n_paths, d))
@@ -416,17 +455,19 @@ def _run_paths_reference(driver, T, n_paths, seed, dt, start_sampler=None,
         pk_offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
 
         if driver.branch == "thinning":
-            bconst = driver.constant_drift
+            bconst = None
+            if driver.has_drift:
+                bconst = drift(np.zeros((1, d))).reshape(d)
             for j in range(int(counts.max())):
                 live = np.nonzero(counts > j)[0]
                 pk = packets_flat[pk_offsets[live] + j]
                 z = _z_from_packets_reference(driver, pk)
                 if bconst is None:
-                    frac = driver.accept_fraction(X[live], z)
+                    frac = accept(X[live], z)
                 else:
                     t_cand = times_flat[offsets[live] + j]
-                    frac = driver.accept_fraction(
-                        X[live] + t_cand[:, None] * bconst[None, :], z)
+                    frac = accept(X[live] + t_cand[:, None] * bconst[None, :],
+                                  z)
                 ok = pk[:, 4] < frac
                 X[live[ok]] += z[ok]
             if bconst is not None:
@@ -448,12 +489,12 @@ def _run_paths_reference(driver, T, n_paths, seed, dt, start_sampler=None,
                 break
             X_start = X.copy()
             if driver.has_drift:
-                b0 = driver.drift(X)
-                b1 = driver.drift(X + b0 * dt_j)
+                b0 = drift(X)
+                b1 = drift(X + b0 * dt_j)
                 X = X + 0.5 * dt_j * (b0 + b1)
             if driver.has_gauss:
                 xi = normals[:, step % 2048, :]
-                coef = np.asarray(driver.gauss_coef(X_start))
+                coef = np.asarray(gauss(X_start))
                 X = X + np.sqrt(np.maximum(coef, 0.0) * dt_j)[:, None] * xi
             while True:
                 hit = np.nonzero(next_t <= t0 + dt_j)[0]
@@ -461,7 +502,7 @@ def _run_paths_reference(driver, T, n_paths, seed, dt, start_sampler=None,
                     break
                 pk = packets_flat[pk_offsets[hit] + ptr[hit]]
                 z = _z_from_packets_reference(driver, pk)
-                ok = pk[:, 4] < driver.accept_fraction(X[hit], z)
+                ok = pk[:, 4] < accept(X[hit], z)
                 X[hit[ok]] += z[ok]
                 ptr[hit] += 1
                 next_t[hit] = times_flat[offsets[hit] + ptr[hit]]
@@ -488,6 +529,12 @@ def _axes_case():
     return spec, SimConfig(delta=0.1), 1.0, 50, None
 
 
+def _centered_case():
+    # an x-only kernel, a trig drift and the closed-form Gaussian coefficient
+    spec = load_config(fixture_config("ex4_1_centered")).spec
+    return spec, SimConfig(delta=0.1), 1.0, 40, None
+
+
 def _mixed_case():
     # an x-dependent Gaussian coefficient and envelope-thinned tail radii
     spec = load_config(fixture_config("ex4_3_mixed")).spec
@@ -496,19 +543,101 @@ def _mixed_case():
 
 @pytest.mark.parametrize("case,branch", [
     (_diffusive_case, "thinning"), (_constant_case, "thinning"),
-    (_axes_case, "stepped"), (_mixed_case, "stepped")],
-    ids=["ex4_1_diffusive", "constant", "ex4_0_axes", "ex4_3_mixed"])
+    (_axes_case, "stepped"), (_centered_case, "stepped"),
+    (_mixed_case, "stepped")],
+    ids=["ex4_1_diffusive", "constant", "ex4_0_axes", "ex4_1_centered",
+         "ex4_3_mixed"])
 def test_engine_matches_reference_loops(case, branch, pool_always):
     from levyhom.pathsim import run_paths
     spec, cfg, T, n, sampler = case()
     driver = driver_from_spec(spec, cfg, T)
     assert driver.branch == branch
     dt = cfg.resolved_dt(spec.small.alpha0)
-    ref = _run_paths_reference(driver, T, n, 41, dt, start_sampler=sampler)
+    ref = _run_paths_reference(spec, driver, T, n, 41, dt,
+                               start_sampler=sampler)
     for workers in (1, 2, 3):
         ends = run_paths(driver, T, n, 41, dt, workers=workers,
                          start_sampler=sampler)
         assert np.array_equal(ends, ref), workers
+
+
+_ROUTES = {
+    # fixture: (accept route, envelope, drift route, gauss_coef route)
+    "ex4_1_stable": ("x_modes", False, "none", "closed_form"),
+    "ex4_1_cauchy": ("constant", False, "x_modes", "closed_form"),
+    "ex4_1_centered": ("x_modes", False, "x_modes", "closed_form"),
+    "ex4_1_critical": ("constant", False, "none", "closed_form"),
+    "ex4_1_diffusive": ("x_modes", False, "constant", None),
+    "ex4_3_mixed": ("joint", True, "none", "modes"),
+    "ex4_0_axes": ("z_modes", False, "none", "modes"),
+}
+
+
+def _spread_states(rng, n, d):
+    """n states (n, d): a third in [-1, 1), the rest with |x| up to 1e4 and
+    either sign, as diffusive paths reach at T = 4096."""
+    X = rng.uniform(-1.0, 1.0, (n, d))
+    far = slice(n // 3, n)
+    X[far] *= 10.0 ** rng.uniform(0.0, 4.0, (n - n // 3, d))
+    return X
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTES))
+def test_compiled_functions_match_spec_calls(name):
+    settings = load_config(fixture_config(name))
+    spec = settings.spec
+    driver = driver_from_spec(spec, settings.sim, 1.0)
+    accept_route, envelope, drift_route, gauss_route = _ROUTES[name]
+    assert driver.meta["accept"] == {"route": accept_route,
+                                     "envelope": envelope}
+    assert driver.meta["drift"] == {"route": drift_route}
+    assert driver.meta.get("gauss_coef", {}).get("route") == gauss_route
+    # the routes flow into the batch meta
+    cfg = SimConfig(paths=4, horizon=1.0, delta=settings.sim.delta, seed=1,
+                    eps=0.5, regime=settings.regime)
+    meta = scaled_endpoint_batch(spec, cfg, EffectiveDrifts(
+        b_bar=np.zeros(spec.d), b_inf_bar=np.zeros(spec.d),
+        b_trunc_bar=lambda R: np.zeros(spec.d))).meta
+    assert (meta["accept"], meta["drift"]) == (driver.meta["accept"],
+                                               driver.meta["drift"])
+
+    rng = np.random.default_rng(17)
+    X = _spread_states(rng, 2000, spec.d)
+    z = driver.z_from_packets(rng.random((2000, 5)))
+    accept, drift, gauss = _spec_callables(spec, driver)
+    assert np.array_equal(driver.accept_fraction(X, z), accept(X, z))
+    if driver.has_drift:
+        assert np.array_equal(driver.drift(X), drift(X))
+    if gauss is not None:
+        assert np.array_equal(driver.gauss_coef(X), gauss(X))
+
+
+def test_trigpoly_evaluator_matches_call():
+    rng = np.random.default_rng(4)
+    x, z = _spread_states(rng, 500, 2), rng.uniform(-30.0, 30.0, (500, 2))
+    polys = [
+        TrigPoly.const(2, 2, 1.5),                                 # no terms
+        TrigPoly.cos_x(2, 2, (1, -2), 0.3) + 1.0,                  # x only
+        TrigPoly.sin_x(2, 0, (0, 3), 0.7),                         # sine, dz 0
+        TrigPoly.cos_z(2, 2, (2, 1), 0.4) + 1.0,                   # z only
+        TrigPoly.cos_x(2, 2, (1, 0)) * TrigPoly.cos_z(2, 2, (0, 1))
+        + TrigPoly.sin_x(2, 2, (1, 1), 0.2),                       # joint
+    ]
+    for poly in polys:
+        f = poly.evaluator()
+        want = poly(x, z) if poly.dim_z else poly(x)
+        assert np.array_equal(f(x, z), want)
+        if not poly.depends_on_z():
+            assert np.array_equal(f(x), want)
+
+
+def test_numpy_integer_seed_matches_python_int():
+    spec = load_config(fixture_config("ex4_0_axes")).spec
+    ends = [simulate_endpoints(spec, SimConfig(paths=4, horizon=1.0,
+                                               delta=0.1, seed=seed))
+            for seed in (3, np.int64(3), np.uint64(3))]
+    assert np.array_equal(ends[0], ends[1])
+    assert np.array_equal(ends[0], ends[2])
 
 
 def test_single_component_packets_match_component_search():

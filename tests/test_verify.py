@@ -1,5 +1,6 @@
 """Statistical verification layer: null calibration and negative controls."""
 
+import json
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from levyhom.config import fixture_config, load_config
 from levyhom.limits import LimitLaw, exact_symmetric_stable_1d, sample_limit
 from levyhom.pathsim import SimConfig
 from levyhom.spec_model import SphericalMeasure
-from levyhom.verify import (ecf_distance, ks_projection, ks_statistic,
-                            projection_directions, tail_index, theorem_check)
+from levyhom.verify import (ROW_META_KEYS, ecf_distance, ks_projection,
+                            ks_statistic, projection_directions, tail_index,
+                            theorem_check)
 
 from conftest import make_spec
 
@@ -162,9 +164,23 @@ def test_theorem_check_fixture_defaults(name, verdict):
                            sim=settings.sim, t=settings.sim.horizon)
     assert not any(r.error for r in report.rows)
     assert report.verdict == verdict
+    for row in report.rows:
+        _check_row_meta(row.meta)
+    assert report.rows[0].meta["accept"]["route"] == \
+        {"ex4_1_cauchy": "constant", "ex4_0_axes": "z_modes"}[name]
     assert report.meta["mu"]["route"] == "fourier_galerkin"
     assert report.meta["mu"]["clipped_mass"] >= 0.0
     assert np.isfinite(report.meta["mu"]["residual"])
+
+
+def _check_row_meta(meta):
+    """A row carries its batch's deterministic settings and counters, and no
+    timing: traced and untraced reports must be byte-identical."""
+    assert tuple(meta) == ROW_META_KEYS
+    assert 0 <= meta["accepted"] <= meta["candidates"]
+    assert meta["branch"] in ("thinning", "stepped")
+    assert meta["dt"] > 0 and 0 < meta["delta"] <= 1 <= meta["rmax"]
+    assert meta["chunk_paths"] >= 1 and meta["pool_processes"] >= 0
 
 
 def test_theorem_check_annotates_upstream_errors():
@@ -172,7 +188,7 @@ def test_theorem_check_annotates_upstream_errors():
     report = theorem_check(spec, "stable_no_center", [0.25], n=50, seed=1,
                            sim=SimConfig(delta=0.1, rmax=2.0))
     assert report.verdict == "ERROR"
-    assert report.rows[0].error
+    assert report.rows[0].error and report.rows[0].meta == {}
 
 
 def test_report_serialization(tmp_path):
@@ -181,5 +197,12 @@ def test_report_serialization(tmp_path):
                            sim=SimConfig(delta=0.1))
     payload = report.to_json(tmp_path / "report.json")
     assert "marginal" in payload["scope"]
+    _check_row_meta(payload["rows"][0]["meta"])
+    assert payload["rows"][0]["meta"]["accept"] == {"route": "constant",
+                                                    "envelope": False}
+    again = theorem_check(spec, "stable_no_center", [0.25], n=500, seed=2,
+                          sim=SimConfig(delta=0.1))
+    assert json.dumps(again.to_json(), sort_keys=True) == \
+        json.dumps(payload, sort_keys=True)
     report.to_csv(tmp_path / "report.csv")
     assert (tmp_path / "report.csv").read_text().startswith("eps,")
