@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -109,8 +110,7 @@ def cmd_effective(args):
         spec, [lambda p: np.cos(2 * np.pi * p[:, 0]),
                lambda p: np.sin(2 * np.pi * p[:, 0])],
         np.linspace(0.05, 0.8, 8),
-        SimConfig(paths=args.paths or 2000, delta=settings.sim.delta,
-                  seed=settings.sim.seed), mu=mu, starts=4)
+        replace(settings.sim, paths=args.paths or 2000), mu=mu, starts=4)
     payload = {
         "drift_average": np.atleast_1d(drifts.b_bar).tolist(),
         "truncated_drift_average_ladder": ladder,

@@ -27,25 +27,15 @@ from scipy.special import gamma, jv, roots_jacobi
 
 from .grid import TorusGrid
 from .quadrature import radial_fourier_integral
-from .spec_model import (JumpSpec, full_drift, jump_nodes, tail_mass_bound,
+from .spec_model import (JumpSpec, full_drift, jump_nodes, tail_radius,
                          truncated_drift)
 
 _TWO_PI = 2.0 * np.pi
 
 
 def operator_radius(spec: JumpSpec, tol=1e-8, cap=1e12):
-    """Radial cutoff R with tail mass bound * kmax below ``tol``."""
-    kmax = spec.kernel.kmax
-    lo, hi = 1.0, cap
-    if kmax * tail_mass_bound(spec, hi) > tol:
-        return cap
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if kmax * tail_mass_bound(spec, mid) > tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Radial cutoff R with tail mass bound * kmax below ``tol``, or ``cap``."""
+    return tail_radius(spec, tol / max(spec.kernel.kmax, 1e-300), cap) or cap
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -95,12 +95,9 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None,
     n = grid_n or default_grid_n(spec.d)
     burn = burn_in if burn_in is not None else 0.2 * cfg.horizon
     half = max(1, cfg.paths // 2)
-    cfg_a = SimConfig(paths=half, horizon=cfg.horizon, dt=cfg.dt,
-                      delta=cfg.delta, rmax=cfg.rmax, seed=cfg.seed,
-                      workers=cfg.workers)
-    cfg_b = SimConfig(paths=cfg.paths - half, horizon=cfg.horizon, dt=cfg.dt,
-                      delta=cfg.delta, rmax=cfg.rmax,
-                      seed=cfg.seed ^ 0x9E3779B97F4A7C15, workers=cfg.workers)
+    cfg_a = replace(cfg, paths=half)
+    cfg_b = replace(cfg, paths=cfg.paths - half,
+                    seed=cfg.seed ^ 0x9E3779B97F4A7C15)
     x_a = np.zeros(spec.d)
     x_b = np.full(spec.d, 0.5)
     counts_a = occupation_counts(spec, cfg_a, n, burn_in=burn, x0=x_a)
@@ -261,9 +258,8 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
                  if spec.d > 1 else g[:, None])
     sup_curve = np.zeros(len(time_grid))
     for si, x0 in enumerate(start_pts):
-        sub = SimConfig(paths=cfg.paths, horizon=float(time_grid[-1]),
-                        dt=cfg.dt, delta=cfg.delta, rmax=cfg.rmax,
-                        seed=cfg.seed + 7919 * si, workers=cfg.workers)
+        sub = replace(cfg, horizon=float(time_grid[-1]),
+                      seed=cfg.seed + 7919 * si)
         snaps = simulate_snapshots(spec, sub, time_grid, x0=x0)
         snaps_mod = snaps - np.floor(snaps)
         for f in fs:
@@ -310,9 +306,7 @@ def ergodic_average_decay(spec: JumpSpec, f, eps_ladder, cfg: SimConfig,
     rows = []
     for eps in eps_ladder:
         rho = float(spec.phi(1.0 / eps))
-        sub = SimConfig(paths=cfg.paths, horizon=rho * t, dt=cfg.dt,
-                        delta=cfg.delta, rmax=cfg.rmax, seed=cfg.seed,
-                        workers=cfg.workers)
+        sub = replace(cfg, horizon=rho * t)
         acc = simulate_quotient_time_integrals(
             spec, sub, f, window=(rho * s, rho * t))
         scaled = acc / rho

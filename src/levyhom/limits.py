@@ -1,18 +1,20 @@
-"""Limiting laws of the scaled processes and samplers for them.
+"""Limiting laws of the scaled processes and exact samplers for them.
 
 Two families arise: rotation-free stable processes driven by the
 scale-covariant measure (effective angular intensity k̄0 on the original
 angular nodes, with the compensation convention pinned by the scaling index),
-and Brownian motion with an effective covariance matrix. The stable sampler
-reuses the same compound-Poisson engine as the original process so that the
-discretization bias cancels in two-sample comparisons.
+and Brownian motion with an effective covariance matrix. Both are drawn
+exactly. The stable exponent is a finite sum over the nodes of rho0, so a
+stable draw is a sum of independent totally right-skewed stable variables
+along those nodes (Chambers, Mallows & Stuck, JASA 71, 1976; the alpha = 1
+form of Weron, Stat. Probab. Lett. 28, 1996); a Gaussian draw goes through
+the matrix square root of the covariance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -20,9 +22,7 @@ from scipy.integrate import quad
 
 from .corrector import (covariance_matrix, critical_covariance,
                         solve_recentering_corrector)
-from .pathsim import (EndpointBatch, JumpDriver, SimConfig, _Component,
-                      run_paths)
-from .quadrature import power_law_radii
+from .pathsim import EndpointBatch
 from .regimes import (CAUCHY_CENTER, CRITICAL_LOG, DIFFUSIVE, STABLE_CENTER,
                       STABLE_NO_CENTER, Regime)
 from .spec_model import JumpSpec, SphericalMeasure
@@ -70,11 +70,6 @@ class LimitLaw:
     @property
     def d(self):
         return self.rho0.d if self.kind == "stable" else self.A.shape[0]
-
-    def kbar_at(self, thetas):
-        """Effective intensity at arbitrary directions: nearest stored node."""
-        sims = np.atleast_2d(thetas) @ self.rho0.thetas.T
-        return self.kbar0[np.argmax(sims, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,74 +155,57 @@ def _matrix_sqrt(A):
     return vecs @ np.diag(np.sqrt(vals)) @ vecs.T
 
 
-def _stable_driver(law: LimitLaw, cfg: SimConfig, horizon):
-    a = law.alpha
-    d = law.d
-    delta = float(cfg.delta)
-    kmax = float(law.kbar0.max()) if law.kbar0.size else 0.0
-    if kmax <= 0:
-        raise ValueError("limit law carries no jump intensity")
-    # radial cap from the truncation budget
-    mass_tail = lambda R: law.rho0.total_mass * R ** (-a) / a
-    limit = cfg.truncation_budget / max(horizon * kmax, 1e-300)
-    rmax = cfg.rmax if cfg.rmax is not None else \
-        (limit * a / law.rho0.total_mass) ** (-1.0 / a)
-    ca, cb = delta ** -a, rmax ** -a
-    comp = _Component(law.rho0.total_mass * (ca - cb) / a,
-                      partial(power_law_radii, lo=delta, hi=rmax, a=a),
-                      law.rho0.sample_from_uniforms)
-
-    kernel_varies = float(law.kbar0.min()) < kmax * (1 - 1e-12)
-    kernel_fn = (lambda x, z: law.kbar_at(
-        z / np.linalg.norm(z, axis=-1, keepdims=True))) if kernel_varies \
-        else None
-
-    # Gaussian substitution of the sub-delta stable activity
-    M = np.einsum("n,n,ni,nj->ij", law.rho0.weights, law.kbar0,
-                  law.rho0.thetas, law.rho0.thetas)
-    C = delta ** (2.0 - a) / (2.0 - a) * M
-    chol = _matrix_sqrt(C)
-
-    # compensation conventions as a constant drift
-    v = np.einsum("n,n,ni->i", law.rho0.weights, law.kbar0, law.rho0.thetas)
-    if law.convention == "none":
-        drift = v * delta ** (1.0 - a) / (1.0 - a)
-    elif law.convention == "unit_ball":
-        drift = -v * math.log(1.0 / delta)
-    else:
-        drift = -v * delta ** (1.0 - a) / (a - 1.0)
-
-    const_drift = drift if np.any(np.abs(drift) > 0) else None
-    return JumpDriver(d, [comp], kmax, kernel_fn, gauss_chol=chol,
-                      constant_drift=const_drift,
-                      meta={"rmax": rmax, "delta": delta})
+def _skewed_stable_unit(alpha, v, w):
+    """S_alpha(1, 1, 0) draws from V ~ U(-pi/2, pi/2) and W ~ Exp(1):
+    Chambers-Mallows-Stuck with beta = 1, in Weron's form at alpha = 1."""
+    if alpha == 1.0:
+        h = math.pi / 2 + v
+        return 2 / math.pi * (h * np.tan(v)
+                              - np.log(math.pi / 2 * w * np.cos(v) / h))
+    tan = math.tan(math.pi * alpha / 2)
+    b = math.atan(tan) / alpha
+    scale = (1.0 + tan * tan) ** (1.0 / (2.0 * alpha))
+    return (scale * np.sin(alpha * (v + b)) / np.cos(v) ** (1.0 / alpha)
+            * (np.cos(v - alpha * (v + b)) / w) ** ((1.0 - alpha) / alpha))
 
 
-def sample_limit(law: LimitLaw, t, n, seed, cfg: Optional[SimConfig] = None
-                 ) -> EndpointBatch:
-    """Draws of Y_t under the limit law.
+def sample_limit(law: LimitLaw, t, n, seed) -> EndpointBatch:
+    """Exact draws of Y_t under the limit law.
 
-    Gaussian laws are sampled exactly through the matrix square root; stable
-    laws run through the compound-Poisson + Gaussian-substitution engine with
-    the appropriate constant compensation drift.
+    Gaussian laws go through the matrix square root. A stable law is
+    sum_n theta_n X_n over the nodes with c_n = t w_n kbar_n > 0, where X_n
+    has exponent c_n * _radial_symbol, i.e. X_n ~ S_alpha(sigma_n, 1, mu_n):
+    sigma^alpha = c Gamma(1 - alpha) cos(pi alpha / 2) / alpha and mu = 0 for
+    both power conventions; sigma = c pi / 2 and mu = c (1 - gamma) at
+    alpha = 1 (unit-ball compensation), where rescaling S_1(1, 1, 0) by sigma
+    adds (2 / pi) sigma log sigma. A law without intensity is all zeros.
     """
-    cfg = cfg or SimConfig()
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([np.uint64(int(seed) & (2 ** 64 - 1)), np.uint64(0)],
+                     dtype=np.uint64)))
     if law.kind == "gaussian":
         root = _matrix_sqrt(law.A)
-        gen = np.random.Generator(np.random.Philox(
-            key=np.array([np.uint64(seed & (2 ** 64 - 1)), np.uint64(0)],
-                         dtype=np.uint64)))
         samples = math.sqrt(t) * gen.standard_normal((n, law.d)) @ root.T
         return EndpointBatch(samples=samples, regime="limit_gaussian",
                              eps=0.0, seed=seed, t=t,
                              meta={"sampler": "exact_gaussian"})
-    driver = _stable_driver(law, cfg, t)
-    dt = cfg.dt if cfg.dt is not None else min(0.01, t / 10.0)
-    samples = run_paths(driver, t, n, seed, dt, workers=cfg.workers)
-    return EndpointBatch(samples=samples, regime="limit_stable", eps=0.0,
-                         seed=seed, t=t,
-                         meta={"sampler": "engine", "delta": cfg.delta,
-                               "rmax": driver.meta["rmax"]})
+    a = law.alpha
+    c = t * law.rho0.weights * law.kbar0
+    live = c > 0
+    c = c[live]
+    u = gen.random((n, c.size, 2))
+    x = _skewed_stable_unit(a, math.pi * (u[..., 0] - 0.5),
+                            -np.log1p(-u[..., 1]))
+    if a == 1.0:
+        sigma = c * math.pi / 2
+        x = sigma * x + 2 / math.pi * sigma * np.log(sigma) \
+            + c * (1.0 - _EULER_GAMMA)
+    else:
+        x = x * (c * math.gamma(1.0 - a) * math.cos(math.pi * a / 2) / a
+                 ) ** (1.0 / a)
+    return EndpointBatch(samples=x @ law.rho0.thetas[live],
+                         regime="limit_stable", eps=0.0, seed=seed, t=t,
+                         meta={"sampler": "exact_stable"})
 
 
 def exact_symmetric_stable_1d(alpha, scale_exponent, t, n, seed):

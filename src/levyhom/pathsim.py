@@ -59,7 +59,7 @@ import os
 import time as _time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from .grid import TorusGrid
 from .quadrature import power_law_radii
 from .regimes import EffectiveDrifts, Regime
 from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
-                         tail_mass_bound)
+                         tail_mass_bound, tail_radius)
 from .trigpoly import TrigPoly
 
 _BLOCK = 2048
@@ -91,7 +91,6 @@ class SimConfig:
     eps: Optional[float] = None
     regime: Optional[str] = None
     workers: int = 1
-    x0: Optional[Sequence[float]] = None
     stationary_start: bool = False
     truncation_budget: float = 1e-6
 
@@ -123,17 +122,15 @@ class _Component:
 
 
 class JumpDriver:
-    """Prepared simulation mechanics shared by the original and limit processes."""
+    """Prepared simulation mechanics of a JumpSpec generator."""
 
     def __init__(self, dim, components, kmax, kernel_fn, gauss_coef=None,
-                 gauss_chol=None, drift_fn=None, constant_drift=None,
-                 meta=None):
+                 drift_fn=None, constant_drift=None, meta=None):
         self.dim = dim
         self.components = [c for c in components if c.mass > 0]
         self.kmax = kmax
         self.kernel_fn = kernel_fn
         self.gauss_coef = gauss_coef          # (X)->(P,) isotropic coefficient
-        self.gauss_chol = gauss_chol          # constant (d,d) factor, or None
         self.drift_fn = drift_fn              # (X)->(P,d) or None
         self.constant_drift = constant_drift  # (d,) or None
         self.meta = meta or {}
@@ -148,7 +145,7 @@ class JumpDriver:
 
     @property
     def has_gauss(self):
-        return self.gauss_coef is not None or self.gauss_chol is not None
+        return self.gauss_coef is not None
 
     @property
     def has_drift(self):
@@ -194,17 +191,10 @@ class JumpDriver:
 
 def choose_rmax(spec: JumpSpec, horizon, budget, kmax):
     """Smallest cap with Pi({|z| > R}) * horizon * kmax below the budget."""
-    limit = budget / max(horizon * kmax, 1e-300)
-    lo, hi = 1.0, 1e18
-    if tail_mass_bound(spec, hi) > limit:
+    rmax = tail_radius(spec, budget / max(horizon * kmax, 1e-300))
+    if rmax is None:
         raise ConfigError("truncation budget unreachable even at R=1e18")
-    for _ in range(120):
-        mid = math.sqrt(lo * hi)
-        if tail_mass_bound(spec, mid) > limit:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return rmax
 
 
 def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
@@ -656,8 +646,7 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors, jump_hook):
         ptr = first[:-1].copy()
         next_t = t[ptr]
 
-    need_start = bool(collectors) or (driver.has_gauss and
-                                      driver.gauss_chol is None)
+    need_start = bool(collectors) or driver.has_gauss
     step = 0
     while step < n_steps:
         blk = min(_BLOCK, n_steps - step)
@@ -678,13 +667,9 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors, jump_hook):
                 X = X + 0.5 * dt_j * (b0 + b1)
             # Gaussian substitution, coefficient frozen at the left state
             if driver.has_gauss:
-                xi = normals[:, j, :]
-                if driver.gauss_chol is not None:
-                    X = X + math.sqrt(dt_j) * xi @ driver.gauss_chol.T
-                else:
-                    coef = np.asarray(driver.gauss_coef(X_start))
-                    X = X + np.sqrt(np.maximum(coef, 0.0) * dt_j
-                                    )[:, None] * xi
+                coef = np.asarray(driver.gauss_coef(X_start))
+                X = X + np.sqrt(np.maximum(coef, 0.0) * dt_j
+                                )[:, None] * normals[:, j, :]
             # candidate jumps in (t0, t0 + dt_j]; thinning evaluates the
             # kernel at the state just before each jump
             if driver.has_jumps:

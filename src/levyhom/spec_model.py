@@ -666,6 +666,24 @@ def tail_mass_bound(spec: JumpSpec, R):
     return mass * (R ** (-b) / (c * b))
 
 
+def tail_radius(spec: JumpSpec, limit, cap=1e18):
+    """Smallest R in [1, cap] with tail_mass_bound(spec, R) <= limit.
+
+    Bisection in log R (120 halvings); None when even ``cap`` leaves more
+    tail mass than ``limit``.
+    """
+    lo, hi = 1.0, cap
+    if tail_mass_bound(spec, hi) > limit:
+        return None
+    for _ in range(120):
+        mid = math.sqrt(lo * hi)
+        if tail_mass_bound(spec, mid) > limit:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _drift_trig(spec: JumpSpec, x, R):
     """Mode-by-mode drift integral for trig-poly kernels at x (..., d), in
     elementwise real arithmetic: a matmul or complex array product may fuse

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -224,16 +224,11 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
     rows = []
     for i, eps in enumerate(eps_ladder):
         try:
-            cfg = SimConfig(paths=n, horizon=t, dt=sim.dt, delta=sim.delta,
-                            rmax=sim.rmax, seed=seed + 1009 * i,
-                            eps=eps, regime=regime_name, workers=sim.workers,
-                            stationary_start=sim.stationary_start,
-                            truncation_budget=sim.truncation_budget)
+            cfg = replace(sim, paths=n, horizon=t, seed=seed + 1009 * i,
+                          eps=eps, regime=regime_name)
             batch = scaled_endpoint_batch(spec, cfg, drifts,
                                           start_measure=mu)
-            ref = sample_limit(law, t, n, seed + 1009 * i + 499,
-                               SimConfig(dt=sim.dt, delta=sim.delta,
-                                         workers=sim.workers))
+            ref = sample_limit(law, t, n, seed + 1009 * i + 499)
             ks_list = [ks_projection(batch, ref, v) for v in dirs]
             gap, _ = ecf_distance(batch, law)
             rows.append(ConvergenceRow(
@@ -248,7 +243,7 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
                                          "monotone_slack": slack},
                              meta={"directions": [list(map(float, v))
                                                   for v in dirs],
-                                   "paths": n, "seed": seed, "t": t,
+                                   "paths": n, "seed": int(seed), "t": t,
                                    "law": law.kind,
                                    "mu": dict(getattr(mu, "meta", {}))})
 

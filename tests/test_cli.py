@@ -89,6 +89,27 @@ def test_cli_effective_x_independent(tmp_path):
     assert (out / "manifest_effective.json").exists()
 
 
+def test_cli_effective_mixing_keeps_the_config_settings(tmp_path,
+                                                       monkeypatch):
+    # the mixing runs of `effective` take the config's sim settings; only
+    # the path count comes from --paths
+    from levyhom import pathsim
+    seen = []
+    build = pathsim.driver_from_spec
+    monkeypatch.setattr(pathsim, "driver_from_spec",
+                        lambda spec, cfg, horizon:
+                        seen.append(cfg) or build(spec, cfg, horizon))
+    raw = fixture_config("ex4_1_stable")
+    raw["sim"].update(dt=0.02, truncation_budget=1e-3, workers=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(raw))
+    assert main(["effective", str(cfg), "--out", str(tmp_path / "eff"),
+                 "--grid", "16", "--paths", "40"]) == 0
+    assert len(seen) == 4
+    assert all((c.paths, c.dt, c.truncation_budget, c.workers, c.delta)
+               == (40, 0.02, 1e-3, 2, 0.1) for c in seen)
+
+
 def test_cli_simulate_reproducible(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dump_config(fixture_config("ex4_1_stable")))

@@ -1,8 +1,11 @@
 """Invariant measure estimators, mixing fits, and ergodic-average decay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from levyhom import pathsim
 from levyhom.corrector import fourier_multiplier
 from levyhom.ergodic import (TorusMeasure, effective_drifts,
                              ergodic_average_decay, estimate_invariant_measure,
@@ -166,3 +169,22 @@ def test_ergodic_average_decay_rejects_biased_function(constant_spec_1d):
     with pytest.raises(ValueError):
         ergodic_average_decay(constant_spec_1d, f, [0.25],
                               SimConfig(paths=50, delta=0.25, seed=7))
+
+
+def test_derived_runs_keep_the_config_settings(constant_spec_1d, monkeypatch):
+    # the runs that the estimators derive from cfg keep its truncation
+    # budget and dt; only paths, horizon and seed are theirs to set
+    seen = []
+    build = pathsim.driver_from_spec
+    monkeypatch.setattr(pathsim, "driver_from_spec",
+                        lambda spec, cfg, horizon:
+                        seen.append(cfg) or build(spec, cfg, horizon))
+    cfg = SimConfig(paths=20, delta=0.25, seed=7, dt=0.02,
+                    truncation_budget=1e-3)
+    f = lambda p: np.cos(2 * np.pi * p[:, 0])
+    mixing_rate(constant_spec_1d, [f], [0.1, 0.2], cfg, starts=2)
+    ergodic_average_decay(constant_spec_1d, f, [0.25], cfg)
+    estimate_invariant_measure(constant_spec_1d, replace(cfg, horizon=2.0),
+                               grid_n=8)
+    assert len(seen) == 2 + 1 + 2
+    assert all(c.truncation_budget == 1e-3 and c.dt == 0.02 for c in seen)

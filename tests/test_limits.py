@@ -7,7 +7,6 @@ import pytest
 from levyhom.limits import (LimitLaw, _radial_symbol, char_exponent, char_fn,
                             exact_symmetric_stable_1d, predicted_limit,
                             radial_symbol_quadrature, sample_limit)
-from levyhom.pathsim import SimConfig
 from levyhom.spec_model import PeriodicKernel, ScalingFunction, SphericalMeasure
 from levyhom.trigpoly import TrigPoly
 from levyhom.verify import ecf_distance, ks_statistic
@@ -92,8 +91,7 @@ def test_gaussian_sample_covariance_matches():
 
 def test_stable_batch_matches_char_fn():
     law = sym_stable_law_1d(0.5)
-    batch = sample_limit(law, 1.0, 10_000, seed=9,
-                         cfg=SimConfig(delta=0.05))
+    batch = sample_limit(law, 1.0, 10_000, seed=9)
     worst, rows = ecf_distance(batch, law)
     bad = [r for r in rows if not r["within_3se"]]
     assert not bad, f"{len(bad)} frequencies outside 3 standard errors"
@@ -101,7 +99,7 @@ def test_stable_batch_matches_char_fn():
 
 def test_stable_batch_median_zero():
     law = sym_stable_law_1d(0.5)
-    batch = sample_limit(law, 1.0, 8000, seed=11, cfg=SimConfig(delta=0.05))
+    batch = sample_limit(law, 1.0, 8000, seed=11)
     med = np.median(batch.samples[:, 0])
     # median CI at this sample size is a few times n^{-1/2} in sample units
     spread = np.percentile(np.abs(batch.samples[:, 0]), 50)
@@ -112,7 +110,7 @@ def test_stable_batch_matches_exact_cms_sampler():
     # same-law comparison against the independent transform-based oracle
     alpha = 0.5
     law = sym_stable_law_1d(alpha)
-    batch = sample_limit(law, 1.0, 8000, seed=13, cfg=SimConfig(delta=0.02))
+    batch = sample_limit(law, 1.0, 8000, seed=13)
     c = math.gamma(1 - alpha) * np.cos(np.pi * alpha / 2) / alpha
     oracle = exact_symmetric_stable_1d(alpha, c, 1.0, 8000, seed=14)
     assert ks_statistic(batch.samples[:, 0], oracle) <= 0.03
@@ -122,9 +120,8 @@ def test_stable_self_similarity():
     # Y_{st} ~ s^{1/alpha} Y_t for the uncentered symmetric law
     alpha = 0.5
     law = sym_stable_law_1d(alpha)
-    cfg = SimConfig(delta=0.05)
-    b1 = sample_limit(law, 1.0, 6000, seed=21, cfg=cfg)
-    b2 = sample_limit(law, 2.0, 6000, seed=22, cfg=cfg)
+    b1 = sample_limit(law, 1.0, 6000, seed=21)
+    b2 = sample_limit(law, 2.0, 6000, seed=22)
     rescaled = 2.0 ** (1.0 / alpha) * b1.samples[:, 0]
     assert ks_statistic(rescaled, b2.samples[:, 0]) <= 0.03
 
@@ -134,11 +131,81 @@ def test_asymmetric_cauchy_drift_correction():
     rho = SphericalMeasure.atoms(1, [((1.0,), 1.0)])
     law = LimitLaw(kind="stable", alpha=1.0, rho0=rho, kbar0=np.array([1.0]),
                    convention="unit_ball")
-    batch = sample_limit(law, 1.0, 10_000, seed=31, cfg=SimConfig(delta=0.05))
+    batch = sample_limit(law, 1.0, 10_000, seed=31)
     worst, rows = ecf_distance(batch, law, freqs=[np.array([u])
                                                   for u in (0.4, 1.0, 2.0)])
     bad = [r for r in rows if not r["within_3se"]]
     assert not bad
+
+
+def _atoms_law(alpha, conv, atoms, kbar):
+    rho = SphericalMeasure.atoms(len(atoms[0][0]), atoms)
+    return LimitLaw(kind="stable", alpha=alpha, rho0=rho,
+                    kbar0=np.asarray(kbar, dtype=float), convention=conv)
+
+
+def _ecf_freqs(d):
+    base = np.linspace(0.3, 5.0, 10)
+    dirs = np.eye(d) if d == 1 else np.vstack(
+        [np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)])
+    return [u * v for v in dirs for u in base]
+
+
+_UNIFORM_2D = SphericalMeasure.uniform(2, 1.0)      # 64 nodes
+EXACT_LAWS = {
+    "none_one_sided": _atoms_law(0.6, "none", [((1.0,), 1.0)], [1.0]),
+    "none_axes": _atoms_law(0.75, "none", [((1.0, 0.0), 1.0),
+                                           ((0.0, 1.0), 1.0)], [1.0, 1.5]),
+    "unit_ball_atoms": _atoms_law(1.0, "unit_ball", [((1.0,), 0.5),
+                                                     ((-1.0,), 0.25)],
+                                  [1.0, 1.0]),
+    "full_atoms": _atoms_law(1.5, "full", [((1.0,), 1.0), ((-1.0,), 0.5)],
+                             [1.0, 1.0]),
+    "full_uniform_2d": LimitLaw(kind="stable", alpha=1.5,
+                                rho0=_UNIFORM_2D,
+                                kbar0=np.ones(len(_UNIFORM_2D.weights)),
+                                convention="full"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_LAWS))
+@pytest.mark.parametrize("t", [1.0, 3.0])
+def test_exact_stable_draws_match_char_fn(name, t):
+    # the ECF of 10^5 exact draws against exp(t eta) on the axes and, in
+    # d = 2, the diagonals, which see the joint law of the node sum
+    law = EXACT_LAWS[name]
+    batch = sample_limit(law, t, 100_000, seed=41)
+    assert batch.meta["sampler"] == "exact_stable"
+    _, rows = ecf_distance(batch, law, freqs=_ecf_freqs(law.d))
+    bad = [r for r in rows if not r["within_3se"]]
+    assert not bad, bad
+
+
+def test_exact_cauchy_log_shift_is_needed():
+    # negative control: alpha = 1 draws without the (2/pi) sigma log sigma
+    # shift of rescaling S_1(1, 1, 0) must miss the characteristic function
+    law = EXACT_LAWS["unit_ball_atoms"]
+    sigma = law.rho0.weights * law.kbar0 * math.pi / 2
+    shift = (2 / math.pi * sigma * np.log(sigma)) @ law.rho0.thetas
+    batch = sample_limit(law, 1.0, 100_000, seed=41)
+    _, rows = ecf_distance(batch.samples - shift, law,
+                           freqs=_ecf_freqs(1))
+    assert max(r["gap"] / r["se"] for r in rows) > 5.0
+
+
+def test_stable_law_without_intensity_gives_zeros():
+    law = sym_stable_law_1d(1.5, kbar=0.0)
+    batch = sample_limit(law, 1.0, 50, seed=3)
+    assert batch.samples.shape == (50, 1) and np.all(batch.samples == 0.0)
+
+
+@pytest.mark.parametrize("law", [sym_stable_law_1d(1.0),
+                                 LimitLaw(kind="gaussian", A=np.eye(2))])
+def test_numpy_integer_seed_matches_python_int(law):
+    want = sample_limit(law, 1.0, 100, seed=5).samples
+    for seed in (np.int64(5), np.uint64(5)):
+        assert np.array_equal(sample_limit(law, 1.0, 100, seed).samples,
+                              want)
 
 
 def test_convention_consistency_enforced():

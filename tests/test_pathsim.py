@@ -2,13 +2,15 @@
 refinement stability, and the bit-reproducibility contract."""
 
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyhom.config import fixture_config, load_config
+from levyhom.config import FIXTURES, fixture_config, load_config
+from levyhom.corrector import operator_radius
 from levyhom.pathsim import (ConfigError, EndpointBatch, SimConfig,
                              choose_rmax, driver_from_spec, occupation_counts,
                              quotient_path, sample_path, scaled_endpoint_batch,
@@ -17,7 +19,8 @@ from levyhom.quadrature import panel_nodes
 from levyhom.regimes import EffectiveDrifts
 from levyhom.spec_model import (DriftField, PeriodicKernel,
                                 RadialPerturbation, ScalingFunction,
-                                SmallJumpPart, SphericalMeasure)
+                                SmallJumpPart, SphericalMeasure,
+                                tail_mass_bound)
 from levyhom.trigpoly import TrigPoly
 from levyhom.verify import ks_statistic
 
@@ -155,6 +158,55 @@ def test_choose_rmax_meets_budget(sym_spec):
                     kmax=sym_spec.kernel.kmax)
     tail = sym_spec.rho0.total_mass * sym_spec.phi.radial_tail_mass(r, np.inf)
     assert tail * 10.0 * sym_spec.kernel.kmax <= 1e-6 * 1.01
+
+
+def _choose_rmax_two_bisections(spec, horizon, budget, kmax):
+    """``choose_rmax`` before the caps shared one bisection."""
+    limit = budget / max(horizon * kmax, 1e-300)
+    lo, hi = 1.0, 1e18
+    assert tail_mass_bound(spec, hi) <= limit
+    for _ in range(120):
+        mid = math.sqrt(lo * hi)
+        if tail_mass_bound(spec, mid) > limit:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _operator_radius_two_bisections(spec, tol=1e-8, cap=1e12):
+    """``corrector.operator_radius`` before the caps shared one bisection."""
+    kmax = spec.kernel.kmax
+    lo, hi = 1.0, cap
+    if kmax * tail_mass_bound(spec, hi) > tol:
+        return cap
+    for _ in range(80):
+        mid = math.sqrt(lo * hi)
+        if kmax * tail_mass_bound(spec, mid) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_radial_caps_match_two_bisections(name):
+    # one bisection serves the engine's cap and the operator's radius, with
+    # the bits of the two routines it replaced on every fixture
+    spec = load_config(fixture_config(name)).spec
+    kmax = spec.kernel.kmax
+    for horizon in (1.0, 37.5):
+        assert np.array_equal(
+            choose_rmax(spec, horizon, 1e-6, kmax),
+            _choose_rmax_two_bisections(spec, horizon, 1e-6, kmax))
+    assert np.array_equal(operator_radius(spec),
+                          _operator_radius_two_bisections(spec))
+
+
+def test_operator_radius_falls_back_to_cap():
+    spec = make_spec(alpha=0.1)
+    assert operator_radius(spec) == _operator_radius_two_bisections(spec) \
+        == 1e12
 
 
 def test_truncation_budget_counts_kappa():

@@ -46,10 +46,8 @@ def test_ks_null_distribution_calibration():
     hits = 0
     reps = 20
     for rep in range(reps):
-        a = sample_limit(law, 1.0, 5000, seed=100 + rep,
-                         cfg=SimConfig(delta=0.1))
-        b = sample_limit(law, 1.0, 5000, seed=900 + rep,
-                         cfg=SimConfig(delta=0.1))
+        a = sample_limit(law, 1.0, 5000, seed=100 + rep)
+        b = sample_limit(law, 1.0, 5000, seed=900 + rep)
         if ks_statistic(a.samples[:, 0], b.samples[:, 0]) < crit:
             hits += 1
     assert hits >= 0.95 * reps
@@ -90,8 +88,7 @@ def test_ecf_negative_control_mismatched_index():
     rho = SphericalMeasure.uniform(1, 1.0)
     law_wrong = LimitLaw(kind="stable", alpha=1.5, rho0=rho,
                          kbar0=np.full(2, 1.0), convention="full")
-    batch = sample_limit(stable_law(alpha=0.5), 1.0, 5000, seed=4,
-                         cfg=SimConfig(delta=0.05))
+    batch = sample_limit(stable_law(alpha=0.5), 1.0, 5000, seed=4)
     _, rows = ecf_distance(batch, law_wrong)
     z_scores = [r["gap"] / max(r["se"], 1e-12) for r in rows]
     assert max(z_scores) > 5.0
@@ -171,6 +168,17 @@ def test_theorem_check_fixture_defaults(name, verdict):
     assert report.meta["mu"]["route"] == "fourier_galerkin"
     assert report.meta["mu"]["clipped_mass"] >= 0.0
     assert np.isfinite(report.meta["mu"]["residual"])
+
+
+def test_theorem_check_numpy_integer_seed_matches_python_int():
+    # a NumPy integer seed keys the same streams, the Gaussian reference
+    # included, and the report serializes as for the Python int
+    settings = load_config(fixture_config("ex4_1_diffusive"))
+    reports = [theorem_check(settings.spec, settings.regime, [1.0 / 8], n=300,
+                             seed=seed, sim=settings.sim).to_json()
+               for seed in (5, np.int64(5))]
+    assert reports[0]["verdict"] != "ERROR"
+    assert json.dumps(reports[1]) == json.dumps(reports[0])
 
 
 def _check_row_meta(meta):
