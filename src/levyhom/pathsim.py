@@ -33,11 +33,21 @@ records the routes: ``accept`` ("constant", "x_modes", "z_modes", "joint" or
 "callback", and whether the envelope factor applies) and ``drift`` ("none",
 "constant", "x_modes" or "callback").
 
-The engine cuts the path range into chunks and draws each chunk's candidates
-once into a compact tape: jump vector, accept uniform and time per candidate.
-Without observers, the thinning branch reads the tape round by round with
-the chunk's paths ordered by candidate count, and ``workers > 1`` runs the
-chunks in a pool of forked processes.
+The engine cuts the path range into chunks, and ``workers > 1`` runs the
+chunks of a batch without observers in a pool of forked processes. It has
+three branches (``JumpDriver.branch``):
+
+* "levy", for a driver whose accept fraction, drift and Gaussian coefficient
+  do not depend on x: the process is a Levy process, so a path at time t is
+  its start plus its accepted jumps up to t, one Gaussian increment and t
+  times the constant drift. It has no time grid: it serves endpoints and
+  snapshots at exact times, one block of packets at a time;
+* "thinning", for the other drivers without a Gaussian part or an
+  x-dependent drift: it draws each chunk's candidates once into a compact
+  tape (jump vector, accept uniform and time per candidate) and reads it
+  round by round, with the chunk's paths ordered by candidate count;
+* "stepped": Euler-Heun steps over the same tape. Runs with a jump hook or
+  with occupation, time-integral or trace observers always step.
 
 Reproducibility contract: every random number consumed by path i comes from a
 counter-based stream keyed by (seed, i) in a fixed order, so results are
@@ -125,7 +135,8 @@ class JumpDriver:
     """Prepared simulation mechanics of a JumpSpec generator."""
 
     def __init__(self, dim, components, kmax, kernel_fn, gauss_coef=None,
-                 drift_fn=None, constant_drift=None, meta=None):
+                 drift_fn=None, constant_drift=None, meta=None,
+                 x_independent=False):
         self.dim = dim
         self.components = [c for c in components if c.mass > 0]
         self.kmax = kmax
@@ -134,6 +145,7 @@ class JumpDriver:
         self.drift_fn = drift_fn              # (X)->(P,d) or None
         self.constant_drift = constant_drift  # (d,) or None
         self.meta = meta or {}
+        self.x_independent = x_independent
         mass = sum(c.mass for c in self.components)
         self.rate = kmax * mass
         self._cum = np.cumsum([c.mass for c in self.components]) / mass \
@@ -177,7 +189,18 @@ class JumpDriver:
 
     @property
     def branch(self):
-        """Branch of run_paths without observers: "thinning" or "stepped"."""
+        """Branch of run_paths without observers.
+
+        "levy" when neither the accept fraction, the drift nor the Gaussian
+        coefficient depends on x (``x_independent``, set by
+        driver_from_spec): the process is then a Levy process, and a path at
+        time t is its start plus its accepted jumps up to t, a Gaussian
+        increment of variance c t and the drift times t, with no time grid.
+        Otherwise "thinning" when there is no Gaussian part and no
+        x-dependent drift, else "stepped".
+        """
+        if self.x_independent:
+            return "levy"
         return ("thinning" if self.has_jumps and self.drift_fn is None
                 and not self.has_gauss else "stepped")
 
@@ -300,9 +323,13 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
         def drift_fn(X):
             return drift(X).reshape(X.shape)
 
+    # the envelope factor depends on r alone, so it keeps "levy" open
+    x_independent = (route in ("constant", "z_modes")
+                     and meta["drift"]["route"] in ("none", "constant")
+                     and meta.get("gauss_coef", {"x_modes": 0})["x_modes"] == 0)
     return JumpDriver(d, components, kmax, kernel_fn, gauss_coef=gauss_coef,
                       drift_fn=drift_fn, constant_drift=constant_drift,
-                      meta=meta)
+                      meta=meta, x_independent=x_independent)
 
 
 def _kernel_route(kernel):
@@ -385,7 +412,9 @@ class TimeIntegralCollector:
 
 
 class SnapshotCollector:
-    """States at the first step boundary past each requested time."""
+    """States at each requested time: on the levy branch the exact states at
+    those times, on the stepped branch the states at the first step boundary
+    past them."""
 
     def __init__(self, times, n_paths, dim):
         self.times = np.asarray(sorted(times), dtype=float)
@@ -457,11 +486,13 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     """Advance ``n_paths`` paths to time T; returns endpoints (n_paths, d).
 
     The path range is cut into chunks whose candidate tapes fit
-    ``_TAPE_BYTES``. Without collectors and ``jump_hook``, ``workers > 1``
-    runs the chunks in a pool of at most ``min(workers, os.cpu_count())``
-    forked processes when the batch's expected work, candidates
-    ``rate T n_paths`` plus Euler steps times paths, reaches ``_POOL_WORK``;
-    otherwise they run here, one after another. Outputs
+    ``_TAPE_BYTES``; on the levy branch, which holds one packet block at a
+    time, into chunks of up to 4096 paths. Without collectors and
+    ``jump_hook``, ``workers > 1`` runs the chunks in a pool of at most
+    ``min(workers, os.cpu_count())`` forked processes when the batch's
+    expected work, candidates ``rate T n_paths`` plus Euler steps times
+    paths (none off the stepped branch), reaches ``_POOL_WORK``; otherwise
+    they run here, one after another. Outputs
     are bit-identical for every ``workers`` value because each path consumes
     exclusively its own counter-based stream. ``start_sampler``, when given,
     maps per-path uniforms (P, 2) to start points (P, d); those uniforms are
@@ -472,24 +503,27 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     check_workers(workers)
     d = driver.dim
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
+    branch = _run_branch(driver, T, collectors, jump_hook)
     procs = 1
-    steps = 0 if driver.branch == "thinning" else math.ceil(T / dt - 1e-12)
+    steps = 0 if branch != "stepped" else math.ceil(T / dt - 1e-12)
     if (workers > 1 and not collectors and jump_hook is None
             and n_paths * (driver.rate * T + steps) >= _POOL_WORK):
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             procs = min(workers, os.cpu_count() or 1)
-    # the cap bounds a chunk's tape; whole rounds of chunks keep the pool busy
+    # the cap bounds a chunk's tape (the levy branch holds one packet block
+    # whatever the chunk size); whole rounds of chunks keep the pool busy
     tape_bytes = 8 * (d + 2) * max(1.0, driver.rate * T)
-    cap = min(4096, max(16, int(_TAPE_BYTES / tape_bytes)))
+    cap = 4096 if branch == "levy" else \
+        min(4096, max(16, int(_TAPE_BYTES / tape_bytes)))
     n_chunks = -(-max(1, -(-n_paths // cap)) // procs) * procs
     chunk_paths = max(1, -(-n_paths // n_chunks))
     ranges = [(c0, min(c0 + chunk_paths, n_paths))
               for c0 in range(0, n_paths, chunk_paths)]
     procs = min(procs, len(ranges))
 
-    chunk = partial(_run_chunk, driver, T, seed, dt, x0, start_sampler,
-                    tuple(collectors), jump_hook)
+    chunk = partial(_run_chunk, driver, branch, T, seed, dt, x0,
+                    start_sampler, tuple(collectors), jump_hook)
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -526,8 +560,22 @@ def _pool_chunk(c0, c1):
     return _pool_chunk_fn(c0, c1)
 
 
-def _run_chunk(driver, T, seed, dt, x0, start_sampler, collectors, jump_hook,
-               c0, c1):
+def _run_branch(driver, T, collectors, jump_hook):
+    """The branch a run takes: the driver's, unless its observers need the
+    Euler steps. The levy branch serves one SnapshotCollector whose times do
+    not pass T; occupation, time-integral and trace runs step."""
+    if jump_hook is not None or driver.branch == "stepped":
+        return "stepped"
+    if not collectors:
+        return driver.branch
+    snapshots = (len(collectors) == 1
+                 and isinstance(collectors[0], SnapshotCollector)
+                 and collectors[0].times[-1] <= T)
+    return "levy" if driver.branch == "levy" and snapshots else "stepped"
+
+
+def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, collectors,
+               jump_hook, c0, c1):
     """Endpoints of paths c0..c1-1, their candidate count and accepted count."""
     d = driver.dim
     rows = np.arange(c0, c1)
@@ -546,9 +594,19 @@ def _run_chunk(driver, T, seed, dt, x0, start_sampler, collectors, jump_hook,
         if hasattr(col, "reset_chunk"):
             col.reset_chunk()
 
-    # no time grid: thinning against the exact pre-jump state is exact
-    if driver.branch == "thinning" and not collectors and jump_hook is None:
+    # no time grid: thinning against the exact pre-jump state is exact, and
+    # an x-independent driver needs no state at all
+    if branch == "thinning":
         X, accepted = _thin(driver, gens, counts, X, T)
+    elif branch == "levy":
+        snap = collectors[0] if collectors else None
+        times = np.array([T]) if snap is None else snap.times
+        if times[-1] < T:
+            times = np.append(times, T)
+        states, accepted = _levy(driver, gens, counts, X, T, times)
+        if snap is not None:
+            snap.states[rows] = states[:, :len(snap.times)]
+        X = states[:, -1]
     else:
         X, accepted = _step(driver, gens, counts, X, T, dt, rows, collectors,
                             jump_hook)
@@ -629,6 +687,69 @@ def _thin(driver, gens, counts, X, T):
     if bconst is not None:
         X = X + T * bconst[None, :]
     return X, accepted
+
+
+def _levy(driver, gens, counts, X, T, times):
+    """States (P, K, d) of an x-independent driver at ``times`` (ascending,
+    the last one T), and the accepted count.
+
+    Per path, after the counts: c times, then c packets (as on the tape),
+    then ``standard_normal((K, d))`` when there is a Gaussian part. A state
+    at t_k is the start plus the accepted jumps whose times do not pass t_k,
+    summed in candidate order (the j-th packet holds the j-th smallest
+    time, so those are the first packets), plus the normals of rows
+    1..k scaled by sqrt(c (t_k - t_{k-1})), plus t_k times the constant
+    drift. Paths go in blocks whose (path, candidate) grid has at most
+    ``_PACKET_BLOCK`` cells; when every t_k is T the times are drawn and
+    skipped.
+    """
+    P, d = X.shape
+    K = len(times)
+    states = np.empty((P, K, d))
+    accepted = 0
+    cap = max(_PACKET_BLOCK, int(counts.max(initial=0)) + 1)
+    pk = np.empty((cap, 5))
+    tb = np.empty(cap)
+    anywhere = np.broadcast_to(np.zeros(d), (cap, d))   # k does not read x
+    k0 = 0
+    while k0 < P:
+        width = np.maximum.accumulate(counts[k0:]) + 1
+        n = max(1, int(np.searchsorted(width * np.arange(1, P - k0 + 1), cap,
+                                       side="right")))
+        c = counts[k0:k0 + n]
+        lo = np.concatenate([[0], np.cumsum(c)])
+        for g, a, b in zip(gens[k0:k0 + n], lo[:-1].tolist(),
+                           lo[1:].tolist()):
+            g.random(out=tb[a:b])
+            g.random(out=pk[a:b])
+        m = int(lo[-1])
+        z = driver.z_from_packets(pk[:m])
+        ok = pk[:m, 4] < driver.accept_fraction(anywhere[:m], z)
+        accepted += int(np.count_nonzero(ok))
+        z[~ok] = 0.0
+        # row p: start, then the jumps; its running sums are the states
+        live = np.arange(1, int(c.max(initial=0)) + 1)[None, :] <= c[:, None]
+        grid = np.zeros((n, live.shape[1] + 1, d))
+        grid[:, 0] = X[k0:k0 + n]
+        grid[:, 1:][live] = z
+        np.cumsum(grid, axis=1, out=grid)
+        if times[0] < T:
+            tg = np.full(live.shape, np.inf)
+            tg[live] = tb[:m] * T
+            idx = np.stack([np.count_nonzero(tg <= t, axis=1) for t in times],
+                           axis=1)
+        else:
+            idx = np.broadcast_to(c[:, None], (n, K))
+        states[k0:k0 + n] = np.take_along_axis(grid, idx[:, :, None], axis=1)
+        k0 += n
+    if driver.has_gauss:
+        coef = max(float(driver.gauss_coef(np.zeros((1, d)))[0]), 0.0)
+        scale = np.sqrt(coef * np.diff(times, prepend=0.0))
+        normals = np.stack([g.standard_normal((K, d)) for g in gens])
+        states += np.cumsum(scale[None, :, None] * normals, axis=1)
+    if driver.constant_drift is not None:
+        states += times[None, :, None] * driver.constant_drift[None, None, :]
+    return states, accepted
 
 
 def _step(driver, gens, counts, X, T, dt, rows, collectors, jump_hook):

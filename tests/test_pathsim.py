@@ -407,12 +407,12 @@ def test_batch_meta_records_numerics(sym_spec):
                     regime="stable_no_center")
     meta = scaled_endpoint_batch(sym_spec, cfg).meta
     assert 1.0 <= meta["rmax"] < np.inf and meta["delta"] == 0.25
-    assert 0 < meta["dt"] <= 0.01 and meta["branch"] == "stepped"
+    assert 0 < meta["dt"] <= 0.01 and meta["branch"] == "levy"
     assert meta["gauss_coef"] == {"route": "closed_form", "nodes": 0,
                                   "x_modes": 0}
     no_small = make_spec(alpha=0.5, alpha0=None)
     meta = scaled_endpoint_batch(no_small, cfg).meta
-    assert meta["branch"] == "thinning" and "gauss_coef" not in meta
+    assert meta["branch"] == "levy" and "gauss_coef" not in meta
     json.dumps(meta)
 
 
@@ -477,10 +477,52 @@ def _spec_callables(spec, driver):
     return accept, (lambda X: drift(X).reshape(X.shape)), gauss
 
 
+def _levy_reference(spec, driver, T, n_paths, seed, start_sampler=None,
+                    times=None):
+    """Reference levy branch, one path at a time: states (n_paths, K, d) at
+    ``times`` (default T). Fresh streams in the branch's layout (start
+    uniforms, count, c times, c packets, K x d normals), the spec's
+    uncompiled callables, sorted times, and each state summed jump by
+    jump."""
+    accept, drift, gauss = _spec_callables(spec, driver)
+    d = driver.dim
+    times = np.array([T]) if times is None else np.asarray(times, float)
+    origin = np.zeros((1, d))
+    out = np.empty((n_paths, len(times), d))
+    for i, g in enumerate(_fresh_generators(seed, range(n_paths))):
+        x = np.zeros(d) if start_sampler is None else \
+            np.asarray(start_sampler(g.random(2)[None, :]), float).reshape(d)
+        c = g.poisson(driver.rate * T) if driver.has_jumps else 0
+        t = np.sort(g.random(c) * T)
+        pk = g.random((c, 5))
+        z = _z_from_packets_reference(driver, pk)
+        ok = pk[:, 4] < accept(np.repeat(x[None, :], c, axis=0), z)
+        for k, tk in enumerate(times):
+            y = x.copy()
+            for zj, okj in zip(z[:np.searchsorted(t, tk, side="right")],
+                               ok):
+                if okj:
+                    y = y + zj
+            out[i, k] = y
+        if gauss is not None:
+            coef = max(float(np.asarray(gauss(origin))[0]), 0.0)
+            xi = g.standard_normal((len(times), d))
+            out[i] += np.cumsum(np.sqrt(coef * np.diff(times, prepend=0.0)
+                                        )[:, None] * xi, axis=0)
+        if driver.has_drift:
+            out[i] += times[:, None] * drift(origin)
+    return out
+
+
 def _run_paths_reference(spec, driver, T, n_paths, seed, dt,
-                         start_sampler=None, chunk_size=64):
+                         start_sampler=None, chunk_size=64, branch=None):
     """Reference engine: per-path packet lists, packets mapped per round, and
-    the spec's uncompiled callables (``_spec_callables``)."""
+    the spec's uncompiled callables (``_spec_callables``). ``branch``
+    (default the driver's) "stepped" runs the Euler loop for any driver."""
+    branch = driver.branch if branch is None else branch
+    if branch == "levy":
+        return _levy_reference(spec, driver, T, n_paths, seed,
+                               start_sampler)[:, -1]
     accept, drift, gauss = _spec_callables(spec, driver)
     d = driver.dim
     n_steps = max(1, int(np.ceil(T / dt - 1e-12)))
@@ -506,7 +548,7 @@ def _run_paths_reference(spec, driver, T, n_paths, seed, dt,
         packets_flat = np.concatenate(packets_l)
         pk_offsets = np.concatenate([[0], np.cumsum(counts)])[:-1]
 
-        if driver.branch == "thinning":
+        if branch == "thinning":
             bconst = None
             if driver.has_drift:
                 bconst = drift(np.zeros((1, d))).reshape(d)
@@ -581,6 +623,22 @@ def _axes_case():
     return spec, SimConfig(delta=0.1), 1.0, 50, None
 
 
+def _critical_case():
+    # a constant kernel at kmax, no drift, a constant Gaussian coefficient
+    spec = load_config(fixture_config("ex4_1_critical")).spec
+    return spec, SimConfig(delta=0.25), 4.0, 60, None
+
+
+def _drift_case():
+    # a z-only kernel, a constant drift folded with the compensator, and
+    # the mode-route Gaussian coefficient, in d = 1
+    kernel = PeriodicKernel.trig(TrigPoly.const(1, 1, 1.0)
+                                 + TrigPoly.cos_z(1, 1, (1,), 0.5))
+    drift = DriftField.trig([TrigPoly.const(1, 0, 0.7)])
+    return (make_spec(alpha=1.5, alpha0=0.5, kernel=kernel, drift=drift),
+            SimConfig(delta=0.25), 3.0, 60, None)
+
+
 def _centered_case():
     # an x-only kernel, a trig drift and the closed-form Gaussian coefficient
     spec = load_config(fixture_config("ex4_1_centered")).spec
@@ -594,11 +652,11 @@ def _mixed_case():
 
 
 @pytest.mark.parametrize("case,branch", [
-    (_diffusive_case, "thinning"), (_constant_case, "thinning"),
-    (_axes_case, "stepped"), (_centered_case, "stepped"),
-    (_mixed_case, "stepped")],
-    ids=["ex4_1_diffusive", "constant", "ex4_0_axes", "ex4_1_centered",
-         "ex4_3_mixed"])
+    (_diffusive_case, "thinning"), (_constant_case, "levy"),
+    (_axes_case, "levy"), (_critical_case, "levy"), (_drift_case, "levy"),
+    (_centered_case, "stepped"), (_mixed_case, "stepped")],
+    ids=["ex4_1_diffusive", "constant", "ex4_0_axes", "ex4_1_critical",
+         "constant_drift", "ex4_1_centered", "ex4_3_mixed"])
 def test_engine_matches_reference_loops(case, branch, pool_always):
     from levyhom.pathsim import run_paths
     spec, cfg, T, n, sampler = case()
@@ -611,6 +669,50 @@ def test_engine_matches_reference_loops(case, branch, pool_always):
         ends = run_paths(driver, T, n, 41, dt, workers=workers,
                          start_sampler=sampler)
         assert np.array_equal(ends, ref), workers
+
+
+@pytest.mark.parametrize("block", [50, 400])
+@pytest.mark.parametrize("name", ["ex4_0_axes", "ex4_1_critical"])
+def test_levy_snapshots_match_reference(name, block, monkeypatch):
+    # blocks of a few paths (400), or paths longer than a block (50)
+    from levyhom import pathsim
+    from levyhom.pathsim import simulate_snapshots
+    monkeypatch.setattr(pathsim, "_PACKET_BLOCK", block)
+    spec = load_config(fixture_config(name)).spec
+    cfg = SimConfig(paths=40, horizon=5.0, delta=0.25, seed=8)
+    times = [0.5, 2.0, 2.0, 5.0]
+    driver = driver_from_spec(spec, cfg, 5.0)
+    assert 50 < driver.rate * 5.0 < 400 / 3
+    ref = _levy_reference(spec, driver, 5.0, 40, 8, times=times)
+    assert np.array_equal(simulate_snapshots(spec, cfg, times), ref)
+
+
+@pytest.mark.parametrize("name", ["ex4_0_axes", "ex4_1_critical"])
+def test_levy_snapshot_at_the_horizon_is_the_endpoint(name):
+    from levyhom.pathsim import simulate_snapshots
+    spec = load_config(fixture_config(name)).spec
+    cfg = SimConfig(paths=300, horizon=3.0, delta=0.25, seed=5)
+    snaps = simulate_snapshots(spec, cfg, [3.0])
+    assert snaps.shape == (300, 1, 2)
+    assert np.array_equal(snaps[:, 0], simulate_endpoints(spec, cfg))
+
+
+@pytest.mark.parametrize("name, T", [("ex4_0_axes", 4.0),
+                                     ("ex4_1_critical", 8.0)])
+def test_levy_endpoints_match_stepped_law(name, T):
+    # both branches are exact in law for an x-independent spec, so their
+    # endpoints (independent streams) agree in a two-sample KS test
+    from scipy.stats import ks_2samp
+    from levyhom.pathsim import run_paths
+    spec = load_config(fixture_config(name)).spec
+    cfg = SimConfig(delta=0.25)
+    driver = driver_from_spec(spec, cfg, T)
+    dt = cfg.resolved_dt(spec.small.alpha0)
+    levy = run_paths(driver, T, 2000, 61, dt)
+    stepped = _run_paths_reference(spec, driver, T, 2000, 62, dt,
+                                   chunk_size=1000, branch="stepped")
+    for v in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]):
+        assert ks_2samp(levy @ v, stepped @ v).pvalue >= 0.01, v
 
 
 _ROUTES = {
