@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -132,37 +132,17 @@ def rationality(theta, M=50, exact=None) -> RationalityVerdict:
 # effective directional kernel
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DirectionalAverage:
-    """Evaluator of k̄(x, theta) with its provenance ("fourier" or "cesaro")."""
-    kernel: object
-    provenance: str
-    horizon: float = 1e4
-
-    def __call__(self, x, theta):
-        if self.provenance == "fourier":
-            return fourier_mean(self.kernel.poly, theta, x=x)
-        return cesaro_average(self.kernel, x, theta, T=self.horizon)
-
-    def x_poly(self, theta):
-        if self.provenance != "fourier":
-            raise ValueError("x-profile available only for trig-poly kernels")
-        return fourier_mean(self.kernel.poly, theta)
-
-
-def directional_average(kernel, horizon=1e4) -> DirectionalAverage:
-    if kernel.is_trig:
-        return DirectionalAverage(kernel, "fourier")
-    return DirectionalAverage(kernel, "cesaro", horizon=horizon)
-
-
 def effective_directional_kernel(kernel, mu, theta, horizon=1e4):
-    """Invariant-measure average of the directional mean: sum_cells mu k̄(x, theta)."""
-    avg = directional_average(kernel, horizon=horizon)
-    if avg.provenance == "fourier":
-        poly = avg.x_poly(theta)
+    """Invariant-measure average of the directional mean: sum_cells mu k̄(x, theta).
+
+    A trig-poly kernel has the exact Fourier mean, a callback kernel the
+    Cesaro average over ``horizon``.
+    """
+    if kernel.is_trig:
+        poly = fourier_mean(kernel.poly, theta)
         return float(mu.weights @ poly(mu.centers))
-    vals = np.array([avg(x, theta) for x in mu.centers])
+    vals = np.array([cesaro_average(kernel, x, theta, T=horizon)
+                     for x in mu.centers])
     return float(mu.weights @ vals)
 
 
@@ -232,7 +212,6 @@ def check_averaging_hypothesis(spec: JumpSpec, f_family=None, r=0.5, R=2.0,
     f_family = f_family or default_test_functions(d)
     eps_ladder = list(eps_ladder if eps_ladder is not None
                       else [2.0 ** -k for k in range(1, 9)])
-    avg = directional_average(spec.kernel)
     rho = spec.rho0
 
     xs = (np.arange(x_grid_size) + 0.5) / x_grid_size
@@ -243,8 +222,8 @@ def check_averaging_hypothesis(spec: JumpSpec, f_family=None, r=0.5, R=2.0,
         x_grid = np.stack([m.ravel() for m in mesh], axis=-1)
 
     kb_polys = None
-    if kbar_override is None and avg.provenance == "fourier":
-        kb_polys = [avg.x_poly(th) for th in rho.thetas]
+    if kbar_override is None and spec.kernel.is_trig:
+        kb_polys = [fourier_mean(spec.kernel.poly, th) for th in rho.thetas]
 
     rows = []
     for eps in eps_ladder:
@@ -262,7 +241,8 @@ def check_averaging_hypothesis(spec: JumpSpec, f_family=None, r=0.5, R=2.0,
             elif kb_polys is not None:
                 kb = np.array([p(xe) for p in kb_polys])
             else:
-                kb = np.array([avg(xe, th) for th in rho.thetas])
+                kb = np.array([cesaro_average(spec.kernel, xe, th)
+                               for th in rho.thetas])
             diff = kv - kb[None, :]
             for _, f in f_family:
                 fv = f(np.broadcast_to(x, zpts.shape), zpts)

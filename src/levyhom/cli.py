@@ -64,7 +64,7 @@ def _load(path):
 
 def _apply_overrides(sim: SimConfig, args):
     overrides = {}
-    for name in ("eps", "paths", "seed", "workers", "dt", "delta"):
+    for name in ("eps", "paths", "seed", "workers"):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -26,7 +26,6 @@ from scipy.sparse.linalg import splu
 from scipy.special import gamma, jv, roots_jacobi
 
 from .grid import TorusGrid
-from .quadrature import radial_fourier_integral
 from .spec_model import (JumpSpec, full_drift, jump_nodes, tail_radius,
                          truncated_drift)
 

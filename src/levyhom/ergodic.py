@@ -14,7 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .corrector import (MODE_BOX, assemble_operator, density_weights,
                         fits_mode_box, mode_operator, mode_set, mode_solvers,
                         modes_on_grid, x_mode_steps)
 from .grid import TorusGrid
-from .pathsim import (SimConfig, occupation_counts, simulate_endpoints,
+from .pathsim import (SimConfig, occupation_counts,
                       simulate_quotient_time_integrals, simulate_snapshots)
 from .regimes import EffectiveDrifts
 from .spec_model import (IntegrabilityError, JumpSpec, full_drift,

@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from .corrector import (covariance_matrix, critical_covariance,
                         solve_recentering_corrector)
 from .pathsim import EndpointBatch
-from .regimes import (CAUCHY_CENTER, CRITICAL_LOG, DIFFUSIVE, STABLE_CENTER,
+from .regimes import (CAUCHY_CENTER, CRITICAL_LOG, STABLE_CENTER,
                       STABLE_NO_CENTER, Regime)
 from .spec_model import JumpSpec, SphericalMeasure
 
@@ -227,8 +227,7 @@ def exact_symmetric_stable_1d(alpha, scale_exponent, t, n, seed):
 # predicted limits from the pipeline
 # ---------------------------------------------------------------------------
 
-def predicted_limit(spec: JumpSpec, mu, regime_name, operator=None,
-                    corrector_mode="full") -> LimitLaw:
+def predicted_limit(spec: JumpSpec, mu, regime_name) -> LimitLaw:
     """Assemble the limit law the theory predicts for the declared regime."""
     from .averaging import effective_kernel_table
 
@@ -250,8 +249,7 @@ def predicted_limit(spec: JumpSpec, mu, regime_name, operator=None,
                         meta={"source": "critical_covariance",
                               "converged": cov.meta.get("converged")})
 
-    psi = solve_recentering_corrector(spec, mu, mode=corrector_mode,
-                                      operator=operator, n=mu.grid.n
+    psi = solve_recentering_corrector(spec, mu, n=mu.grid.n
                                       if hasattr(mu, "grid") else 64)
     cov = covariance_matrix(spec, mu, psi=psi)
     return LimitLaw(kind="gaussian", A=cov.A,

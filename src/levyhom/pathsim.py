@@ -46,8 +46,8 @@ three branches (``JumpDriver.branch``):
   x-dependent drift: it draws each chunk's candidates once into a compact
   tape (jump vector, accept uniform and time per candidate) and reads it
   round by round, with the chunk's paths ordered by candidate count;
-* "stepped": Euler-Heun steps over the same tape. Runs with a jump hook or
-  with occupation, time-integral or trace observers always step.
+* "stepped": Euler-Heun steps over the same tape. Runs with occupation or
+  time-integral observers always step.
 
 Reproducibility contract: every random number consumed by path i comes from a
 counter-based stream keyed by (seed, i) in a fixed order, so results are
@@ -432,22 +432,6 @@ class SnapshotCollector:
             self._next += 1
 
 
-class TraceCollector:
-    """Full step trace for a single path."""
-
-    def __init__(self, stride=1):
-        self.stride = stride
-        self.times = [0.0]
-        self.states = []
-        self._k = 0
-
-    def on_step(self, t0, dt_j, full_step, X_start, X_end, rows):
-        self._k += 1
-        if self._k % self.stride == 0:
-            self.times.append(t0 + dt_j)
-            self.states.append(X_end[0].copy())
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -481,32 +465,31 @@ def check_workers(workers):
 
 
 def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
-              collectors=(), workers=1, jump_hook=None, start_sampler=None,
-              stats=None):
+              collectors=(), workers=1, start_sampler=None, stats=None):
     """Advance ``n_paths`` paths to time T; returns endpoints (n_paths, d).
 
     The path range is cut into chunks whose candidate tapes fit
     ``_TAPE_BYTES``; on the levy branch, which holds one packet block at a
-    time, into chunks of up to 4096 paths. Without collectors and
-    ``jump_hook``, ``workers > 1`` runs the chunks in a pool of at most
-    ``min(workers, os.cpu_count())`` forked processes when the batch's
-    expected work, candidates ``rate T n_paths`` plus Euler steps times
-    paths (none off the stepped branch), reaches ``_POOL_WORK``; otherwise
-    they run here, one after another. Outputs
-    are bit-identical for every ``workers`` value because each path consumes
-    exclusively its own counter-based stream. ``start_sampler``, when given,
-    maps per-path uniforms (P, 2) to start points (P, d); those uniforms are
-    the first draws of each path's stream. ``stats``, when given, receives
-    the counters ``candidates`` (tape length), ``accepted``, ``chunk_paths``
-    and ``pool_processes`` (0: the chunks ran in this process).
+    time, into chunks of up to 4096 paths. Without collectors, ``workers >
+    1`` runs the chunks in a pool of at most ``min(workers, os.cpu_count())``
+    forked processes when the batch's expected work, candidates ``rate T
+    n_paths`` plus Euler steps times paths (none off the stepped branch),
+    reaches ``_POOL_WORK``; otherwise they run here, one after another.
+    Outputs are bit-identical for every ``workers`` value because each path
+    consumes exclusively its own counter-based stream. ``start_sampler``,
+    when given, maps per-path uniforms (P, 2) to start points (P, d); those
+    uniforms are the first draws of each path's stream. ``stats``, when
+    given, receives the counters ``candidates`` (tape length),
+    ``accepted``, ``chunk_paths`` and ``pool_processes`` (0: the chunks ran
+    in this process).
     """
     check_workers(workers)
     d = driver.dim
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
-    branch = _run_branch(driver, T, collectors, jump_hook)
+    branch = _run_branch(driver, T, collectors)
     procs = 1
     steps = 0 if branch != "stepped" else math.ceil(T / dt - 1e-12)
-    if (workers > 1 and not collectors and jump_hook is None
+    if (workers > 1 and not collectors
             and n_paths * (driver.rate * T + steps) >= _POOL_WORK):
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
@@ -523,7 +506,7 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     procs = min(procs, len(ranges))
 
     chunk = partial(_run_chunk, driver, branch, T, seed, dt, x0,
-                    start_sampler, tuple(collectors), jump_hook)
+                    start_sampler, tuple(collectors))
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -560,12 +543,10 @@ def _pool_chunk(c0, c1):
     return _pool_chunk_fn(c0, c1)
 
 
-def _run_branch(driver, T, collectors, jump_hook):
+def _run_branch(driver, T, collectors):
     """The branch a run takes: the driver's, unless its observers need the
     Euler steps. The levy branch serves one SnapshotCollector whose times do
-    not pass T; occupation, time-integral and trace runs step."""
-    if jump_hook is not None or driver.branch == "stepped":
-        return "stepped"
+    not pass T; occupation and time-integral runs step."""
     if not collectors:
         return driver.branch
     snapshots = (len(collectors) == 1
@@ -575,7 +556,7 @@ def _run_branch(driver, T, collectors, jump_hook):
 
 
 def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, collectors,
-               jump_hook, c0, c1):
+               c0, c1):
     """Endpoints of paths c0..c1-1, their candidate count and accepted count."""
     d = driver.dim
     rows = np.arange(c0, c1)
@@ -608,50 +589,65 @@ def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, collectors,
             snap.states[rows] = states[:, :len(snap.times)]
         X = states[:, -1]
     else:
-        X, accepted = _step(driver, gens, counts, X, T, dt, rows, collectors,
-                            jump_hook)
+        X, accepted = _step(driver, gens, counts, X, T, dt, rows, collectors)
     return X, int(counts.sum()), accepted
+
+
+def _candidate_blocks(driver, gens, counts, order, T, sort_t):
+    """The candidates of a chunk, drawn block by block after the counts.
+
+    Each path's stream yields its c times, then c packets of five uniforms
+    (component, radius, two angles, acceptance). Paths go in ``order``, in
+    blocks whose (path, candidate + 1) grid has at most max(_PACKET_BLOCK,
+    max count + 1) cells. Per block this yields the block's paths, the
+    offsets ``lo`` of their candidates, and the candidates' times (scaled by
+    T, sorted per path with ``sort_t``), jump vectors, from one
+    ``z_from_packets`` call, and accept uniforms. The buffers are reused.
+    """
+    cap = max(_PACKET_BLOCK, int(counts.max(initial=0)) + 1)
+    pk = np.empty((cap, 5))
+    tb = np.empty(cap)
+    ordered = counts[order]
+    k0 = 0
+    while k0 < len(order):
+        width = np.maximum.accumulate(ordered[k0:k0 + cap]) + 1
+        n = max(1, int(np.searchsorted(width * np.arange(1, len(width) + 1),
+                                       cap, side="right")))
+        blk = order[k0:k0 + n]
+        lo = np.concatenate([[0], np.cumsum(counts[blk])])
+        for i, a, b in zip(blk.tolist(), lo[:-1].tolist(), lo[1:].tolist()):
+            gens[i].random(out=tb[a:b])
+            if sort_t:
+                tb[a:b].sort()
+            gens[i].random(out=pk[a:b])
+        m = int(lo[-1])
+        tb[:m] *= T
+        yield blk, lo, tb[:m], driver.z_from_packets(pk[:m]), pk[:m, 4]
+        k0 += n
 
 
 def _candidate_tape(driver, gens, counts, T, first, step, size, need_t):
     """Every candidate of a chunk as a compact tape ``(z, u, t)``.
 
-    Each path's stream yields its c times, then c packets of five uniforms
-    (component, radius, two angles, acceptance). Candidate j of path i lands
-    at ``first[i] + step[j]``. Paths are drawn in blocks of similar counts,
-    largest first; a block's packets map to jump vectors in one
-    ``z_from_packets`` call and land round by round. The times are drawn
-    either way, but scaled, sorted and kept only with ``need_t`` (else ``t``
-    is None).
+    Candidate j of path i lands at ``first[i] + step[j]``. Paths are drawn
+    largest count first (``_candidate_blocks``) and land round by round. The
+    times are sorted and kept only with ``need_t`` (else ``t`` is None).
     """
     z = np.empty((size, driver.dim))
     u = np.empty(size)
     t = np.empty(size) if need_t else None
     order = np.argsort(-counts, kind="stable")
-    cap = max(_PACKET_BLOCK, int(counts.max(initial=0)))
-    pk = np.empty((cap, 5))
-    tb = np.empty(cap)
-    k0 = 0
-    while k0 < len(order):
-        # the block's (round, path) grid has at most cap cells
-        blk = order[k0:k0 + max(1, cap // max(1, int(counts[order[k0]])))]
+    for blk, lo, tb, zb, ub in _candidate_blocks(driver, gens, counts, order,
+                                                 T, need_t):
         c = counts[blk]
-        lo = np.concatenate([[0], np.cumsum(c)])
-        for i, a, b in zip(blk.tolist(), lo[:-1].tolist(), lo[1:].tolist()):
-            gens[i].random(out=tb[a:b])
-            if need_t:
-                tb[a:b] *= T
-                tb[a:b].sort()
-            gens[i].random(out=pk[a:b])
         j = np.arange(c[0])[:, None]
         live = j < c[None, :]
         src = (lo[None, :-1] + j)[live]
         dst = (first[blk][None, :] + step[:c[0], None])[live]
-        z[dst] = driver.z_from_packets(pk[:lo[-1]])[src]
-        u[dst] = pk[src, 4]
+        z[dst] = zb[src]
+        u[dst] = ub[src]
         if need_t:
             t[dst] = tb[src]
-        k0 += len(blk)
     return z, u, t
 
 
@@ -693,55 +689,40 @@ def _levy(driver, gens, counts, X, T, times):
     """States (P, K, d) of an x-independent driver at ``times`` (ascending,
     the last one T), and the accepted count.
 
-    Per path, after the counts: c times, then c packets (as on the tape),
-    then ``standard_normal((K, d))`` when there is a Gaussian part. A state
-    at t_k is the start plus the accepted jumps whose times do not pass t_k,
-    summed in candidate order (the j-th packet holds the j-th smallest
-    time, so those are the first packets), plus the normals of rows
-    1..k scaled by sqrt(c (t_k - t_{k-1})), plus t_k times the constant
-    drift. Paths go in blocks whose (path, candidate) grid has at most
-    ``_PACKET_BLOCK`` cells; when every t_k is T the times are drawn and
-    skipped.
+    Per path, after the counts: its candidates (``_candidate_blocks``, in
+    path order, times unsorted), then ``standard_normal((K, d))`` when there
+    is a Gaussian part. A state at t_k is the start plus the accepted jumps
+    whose times do not pass t_k, summed in candidate order (the j-th packet
+    holds the j-th smallest time, so those are the first packets), plus the
+    normals of rows 1..k scaled by sqrt(c (t_k - t_{k-1})), plus t_k times
+    the constant drift.
     """
     P, d = X.shape
     K = len(times)
     states = np.empty((P, K, d))
     accepted = 0
-    cap = max(_PACKET_BLOCK, int(counts.max(initial=0)) + 1)
-    pk = np.empty((cap, 5))
-    tb = np.empty(cap)
-    anywhere = np.broadcast_to(np.zeros(d), (cap, d))   # k does not read x
-    k0 = 0
-    while k0 < P:
-        width = np.maximum.accumulate(counts[k0:]) + 1
-        n = max(1, int(np.searchsorted(width * np.arange(1, P - k0 + 1), cap,
-                                       side="right")))
-        c = counts[k0:k0 + n]
-        lo = np.concatenate([[0], np.cumsum(c)])
-        for g, a, b in zip(gens[k0:k0 + n], lo[:-1].tolist(),
-                           lo[1:].tolist()):
-            g.random(out=tb[a:b])
-            g.random(out=pk[a:b])
-        m = int(lo[-1])
-        z = driver.z_from_packets(pk[:m])
-        ok = pk[:m, 4] < driver.accept_fraction(anywhere[:m], z)
+    anywhere = np.zeros((1, d))                         # k does not read x
+    for blk, lo, tb, z, u in _candidate_blocks(driver, gens, counts,
+                                               np.arange(P), T, False):
+        ok = u < driver.accept_fraction(
+            np.broadcast_to(anywhere, z.shape), z)
         accepted += int(np.count_nonzero(ok))
         z[~ok] = 0.0
         # row p: start, then the jumps; its running sums are the states
+        c = counts[blk]
         live = np.arange(1, int(c.max(initial=0)) + 1)[None, :] <= c[:, None]
-        grid = np.zeros((n, live.shape[1] + 1, d))
-        grid[:, 0] = X[k0:k0 + n]
+        grid = np.zeros((len(blk), live.shape[1] + 1, d))
+        grid[:, 0] = X[blk]
         grid[:, 1:][live] = z
         np.cumsum(grid, axis=1, out=grid)
         if times[0] < T:
             tg = np.full(live.shape, np.inf)
-            tg[live] = tb[:m] * T
+            tg[live] = tb
             idx = np.stack([np.count_nonzero(tg <= t, axis=1) for t in times],
                            axis=1)
         else:
-            idx = np.broadcast_to(c[:, None], (n, K))
-        states[k0:k0 + n] = np.take_along_axis(grid, idx[:, :, None], axis=1)
-        k0 += n
+            idx = np.broadcast_to(c[:, None], (len(blk), K))
+        states[blk] = np.take_along_axis(grid, idx[:, :, None], axis=1)
     if driver.has_gauss:
         coef = max(float(driver.gauss_coef(np.zeros((1, d)))[0]), 0.0)
         scale = np.sqrt(coef * np.diff(times, prepend=0.0))
@@ -752,7 +733,7 @@ def _levy(driver, gens, counts, X, T, times):
     return states, accepted
 
 
-def _step(driver, gens, counts, X, T, dt, rows, collectors, jump_hook):
+def _step(driver, gens, counts, X, T, dt, rows, collectors):
     """Euler-Heun steps of one chunk with thinned jumps inside each step."""
     d = driver.dim
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
@@ -805,8 +786,6 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors, jump_hook):
                     ok = u[k] < driver.accept_fraction(X[hit], zh)
                     X[hit[ok]] += zh[ok]
                     accepted += int(np.count_nonzero(ok))
-                    if jump_hook is not None:
-                        jump_hook(rows[hit], next_t[hit], zh, ok)
                     ptr[hit] += 1
                     next_t[hit] = t[ptr[hit]]
             for col in collectors:
@@ -819,53 +798,15 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors, jump_hook):
 # public operations
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PathRecord:
-    times: np.ndarray
-    states: np.ndarray
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-    jump_accepted: np.ndarray
-
-    def reduced_mod_1(self):
-        states = self.states - np.floor(self.states)
-        return PathRecord(self.times, states, self.jump_times,
-                          self.jump_sizes, self.jump_accepted)
-
-
-def sample_path(spec: JumpSpec, cfg: SimConfig, x0=None, stride=1
-                ) -> PathRecord:
-    """One path with its full step trace and candidate-jump log."""
-    T = float(cfg.horizon)
+def simulate_endpoints(spec: JumpSpec, cfg: SimConfig, x0=None, horizon=None,
+                       collectors=()):
+    """Raw unscaled endpoints X_T for cfg.paths paths at T = ``horizon``
+    (default cfg.horizon); ``collectors`` observe every step."""
+    T = float(cfg.horizon if horizon is None else horizon)
     dt = cfg.resolved_dt(spec.small.alpha0)
     driver = driver_from_spec(spec, cfg, T)
-    trace = TraceCollector(stride)
-    jumps = {"t": [], "z": [], "ok": []}
-
-    def hook(rows, t, z, ok):
-        jumps["t"].extend(t.tolist())
-        jumps["z"].extend(z.tolist())
-        jumps["ok"].extend(ok.tolist())
-
-    x0 = np.zeros(spec.d) if x0 is None else np.asarray(x0, dtype=float)
-    end = run_paths(driver, T, 1, cfg.seed, dt, x0=x0, collectors=[trace],
-                    jump_hook=hook)
-    states = np.vstack([[x0], np.asarray(trace.states)]) if trace.states \
-        else np.asarray([x0, end[0]])
-    times = np.asarray(trace.times if trace.states else [0.0, T])
-    return PathRecord(times, states, np.asarray(jumps["t"]),
-                      np.asarray(jumps["z"]), np.asarray(jumps["ok"]))
-
-
-def quotient_path(spec: JumpSpec, cfg: SimConfig, x0=None, stride=1
-                  ) -> PathRecord:
-    """sample_path reduced mod 1 componentwise."""
-    return sample_path(spec, cfg, x0=x0, stride=stride).reduced_mod_1()
-
-
-def simulate_endpoints(spec: JumpSpec, cfg: SimConfig, x0=None):
-    """Raw unscaled endpoints X_T for cfg.paths paths at T = cfg.horizon."""
-    return simulate_endpoints_with_horizon(spec, cfg, float(cfg.horizon), x0)
+    return run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0,
+                     collectors=collectors, workers=cfg.workers)
 
 
 def simulate_quotient_time_integrals(spec: JumpSpec, cfg: SimConfig, f,
@@ -873,25 +814,23 @@ def simulate_quotient_time_integrals(spec: JumpSpec, cfg: SimConfig, f,
     """Per-path integrals int f(X_t mod 1) dt over [0, T] or a window."""
     col = TimeIntegralCollector(lambda pts: np.asarray(f(pts)), cfg.paths,
                                 window=window)
-    simulate_endpoints_with_horizon(spec, cfg, float(cfg.horizon), x0,
-                                    collectors=[col])
+    simulate_endpoints(spec, cfg, x0, collectors=[col])
     return col.acc
 
 
 def simulate_snapshots(spec: JumpSpec, cfg: SimConfig, times, x0=None):
-    """States at the given unscaled times, shape (paths, len(times), d)."""
+    """States at the given unscaled times, shape (paths, len(times), d), with
+    the columns in the order of ``times``."""
     col = SnapshotCollector(times, cfg.paths, spec.d)
-    simulate_endpoints_with_horizon(spec, cfg, float(max(times)), x0,
-                                    collectors=[col])
-    return col.states
+    simulate_endpoints(spec, cfg, x0, horizon=max(times), collectors=[col])
+    return col.states[:, np.searchsorted(col.times, times)]
 
 
 def occupation_counts(spec: JumpSpec, cfg: SimConfig, grid_n, burn_in=0.0,
                       x0=None):
     """Integer occupation counts of the quotient process on a torus grid."""
     col = OccupationCollector(TorusGrid(spec.d, grid_n), burn_in=burn_in)
-    simulate_endpoints_with_horizon(spec, cfg, float(cfg.horizon), x0,
-                                    collectors=[col])
+    simulate_endpoints(spec, cfg, x0, collectors=[col])
     return col.counts
 
 
@@ -1001,14 +940,3 @@ def scaled_endpoint_batch(spec: JumpSpec, cfg: SimConfig,
                                "centering_average": avg.tolist(),
                                "paths": cfg.paths,
                                "stationary_start": bool(cfg.stationary_start)})
-
-
-def simulate_endpoints_with_horizon(spec: JumpSpec, cfg: SimConfig, T,
-                                    x0=None, start_sampler=None,
-                                    collectors=()):
-    """Endpoints at unscaled time T; ``collectors`` observe every step."""
-    dt = cfg.resolved_dt(spec.small.alpha0)
-    driver = driver_from_spec(spec, cfg, T)
-    return run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0,
-                     collectors=collectors, workers=cfg.workers,
-                     start_sampler=start_sampler)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from levyhom.averaging import (cesaro_average, check_averaging_hypothesis,
-                               directional_average,
                                effective_directional_kernel, fourier_mean,
                                rationality)
 from levyhom.spec_model import PeriodicKernel, SphericalMeasure

@@ -13,8 +13,8 @@ from levyhom.config import FIXTURES, fixture_config, load_config
 from levyhom.corrector import operator_radius
 from levyhom.pathsim import (ConfigError, EndpointBatch, SimConfig,
                              choose_rmax, driver_from_spec, occupation_counts,
-                             quotient_path, sample_path, scaled_endpoint_batch,
-                             simulate_endpoints)
+                             run_paths, scaled_endpoint_batch,
+                             simulate_endpoints, simulate_snapshots)
 from levyhom.quadrature import panel_nodes
 from levyhom.regimes import EffectiveDrifts
 from levyhom.spec_model import (DriftField, PeriodicKernel,
@@ -64,21 +64,18 @@ def test_symmetric_endpoint_mean(sym_spec):
 
 def test_jump_count_poisson_identity(sym_spec):
     # x-independent: accepted-candidate count is Poisson with the product rate
-    cfg = SimConfig(paths=1, horizon=50.0, delta=0.25, seed=3)
-    counts = []
-    for seed in range(40):
-        rec = sample_path(sym_spec, SimConfig(paths=1, horizon=50.0,
-                                              delta=0.25, seed=seed))
-        counts.append(rec.jump_accepted.sum())
-    counts = np.asarray(counts, dtype=float)
+    cfg = SimConfig(paths=40, horizon=50.0, delta=0.25, seed=3)
+    driver = driver_from_spec(sym_spec, cfg, 50.0)
+    stats = {}
+    run_paths(driver, 50.0, 40, cfg.seed,
+              cfg.resolved_dt(sym_spec.small.alpha0), stats=stats)
     d = 1
     small_mass = sym_spec.small.annulus_mass(d, 0.25, 1.0)
-    rmax = driver_from_spec(sym_spec, cfg, 50.0).meta["rmax"]
     sph_mass = sym_spec.rho0.total_mass * \
-        sym_spec.phi.radial_tail_mass(1.0, rmax)
+        sym_spec.phi.radial_tail_mass(1.0, driver.meta["rmax"])
     lam = (small_mass + sph_mass) * 50.0     # k = 1 so thinning accepts all
-    se = np.sqrt(lam / len(counts))
-    assert abs(counts.mean() - lam) <= 3 * se
+    se = np.sqrt(lam / 40)
+    assert abs(stats["accepted"] / 40 - lam) <= 3 * se
 
 
 def test_ecf_matches_levy_khintchine(sym_spec):
@@ -142,9 +139,10 @@ def test_quotient_uniform_marginal(sym_spec):
 def test_quotient_translation_invariance(sym_spec):
     # starting one period apart gives identical quotient paths
     cfg = SimConfig(paths=1, horizon=5.0, delta=0.25, seed=9)
-    p0 = quotient_path(sym_spec, cfg, x0=np.array([0.25]))
-    p1 = quotient_path(sym_spec, cfg, x0=np.array([1.25]))
-    assert np.allclose(p0.states, p1.states, atol=1e-12)
+    times = np.linspace(0.25, 5.0, 20)
+    s0 = simulate_snapshots(sym_spec, cfg, times, x0=np.array([0.25]))
+    s1 = simulate_snapshots(sym_spec, cfg, times, x0=np.array([1.25]))
+    assert np.allclose(s0 % 1.0, s1 % 1.0, atol=1e-12)
 
 
 def test_truncation_budget_enforced(sym_spec):
@@ -297,10 +295,8 @@ def test_scaled_batch_symmetric_centering_is_noop():
 
 
 def simulate_endpoints_scaled_raw(spec, cfg):
-    from levyhom.pathsim import simulate_endpoints_with_horizon
     rho = float(spec.phi(1.0 / cfg.eps))
-    ends = simulate_endpoints_with_horizon(spec, cfg, rho * cfg.horizon)
-    return cfg.eps * ends
+    return cfg.eps * simulate_endpoints(spec, cfg, horizon=rho * cfg.horizon)
 
 
 def test_scaled_batch_missing_averages_raises():
@@ -335,8 +331,11 @@ def test_xdep_kernel_thinning_changes_rate(xdep_spec_1d):
     # acceptance ratio k/kmax < 1 on average: fewer accepted jumps than
     # candidates, matching the mean of k under the invariant measure
     cfg = SimConfig(paths=1, horizon=200.0, delta=0.5, seed=21)
-    rec = sample_path(xdep_spec_1d, cfg)
-    frac = rec.jump_accepted.mean()
+    driver = driver_from_spec(xdep_spec_1d, cfg, 200.0)
+    stats = {}
+    run_paths(driver, 200.0, 1, cfg.seed,
+              cfg.resolved_dt(xdep_spec_1d.small.alpha0), stats=stats)
+    frac = stats["accepted"] / stats["candidates"]
     # k/kmax averages roughly mean(k)/1.5 = 2/3 under near-uniform occupation
     assert 0.5 < frac < 0.8
 
@@ -658,7 +657,6 @@ def _mixed_case():
     ids=["ex4_1_diffusive", "constant", "ex4_0_axes", "ex4_1_critical",
          "constant_drift", "ex4_1_centered", "ex4_3_mixed"])
 def test_engine_matches_reference_loops(case, branch, pool_always):
-    from levyhom.pathsim import run_paths
     spec, cfg, T, n, sampler = case()
     driver = driver_from_spec(spec, cfg, T)
     assert driver.branch == branch
@@ -676,7 +674,6 @@ def test_engine_matches_reference_loops(case, branch, pool_always):
 def test_levy_snapshots_match_reference(name, block, monkeypatch):
     # blocks of a few paths (400), or paths longer than a block (50)
     from levyhom import pathsim
-    from levyhom.pathsim import simulate_snapshots
     monkeypatch.setattr(pathsim, "_PACKET_BLOCK", block)
     spec = load_config(fixture_config(name)).spec
     cfg = SimConfig(paths=40, horizon=5.0, delta=0.25, seed=8)
@@ -689,7 +686,6 @@ def test_levy_snapshots_match_reference(name, block, monkeypatch):
 
 @pytest.mark.parametrize("name", ["ex4_0_axes", "ex4_1_critical"])
 def test_levy_snapshot_at_the_horizon_is_the_endpoint(name):
-    from levyhom.pathsim import simulate_snapshots
     spec = load_config(fixture_config(name)).spec
     cfg = SimConfig(paths=300, horizon=3.0, delta=0.25, seed=5)
     snaps = simulate_snapshots(spec, cfg, [3.0])
@@ -697,13 +693,24 @@ def test_levy_snapshot_at_the_horizon_is_the_endpoint(name):
     assert np.array_equal(snaps[:, 0], simulate_endpoints(spec, cfg))
 
 
-@pytest.mark.parametrize("name, T", [("ex4_0_axes", 4.0),
+@pytest.mark.parametrize("name, branch", [("ex4_1_critical", "levy"),
+                                          ("ex4_1_centered", "stepped")])
+def test_snapshot_columns_follow_the_given_times(name, branch):
+    spec = load_config(fixture_config(name)).spec
+    cfg = SimConfig(paths=30, horizon=2.0, delta=0.25, seed=6)
+    assert driver_from_spec(spec, cfg, 2.0).branch == branch
+    ascending = simulate_snapshots(spec, cfg, [0.05, 2.0])
+    descending = simulate_snapshots(spec, cfg, [2.0, 0.05])
+    assert not np.array_equal(ascending[:, 0], ascending[:, 1])
+    assert np.array_equal(descending, ascending[:, ::-1])
+
+
+@pytest.mark.parametrize("name, T",[("ex4_0_axes", 4.0),
                                      ("ex4_1_critical", 8.0)])
 def test_levy_endpoints_match_stepped_law(name, T):
     # both branches are exact in law for an x-independent spec, so their
     # endpoints (independent streams) agree in a two-sample KS test
     from scipy.stats import ks_2samp
-    from levyhom.pathsim import run_paths
     spec = load_config(fixture_config(name)).spec
     cfg = SimConfig(delta=0.25)
     driver = driver_from_spec(spec, cfg, T)
@@ -853,7 +860,6 @@ def test_pool_runs_batches_above_the_work_threshold():
 def test_workers_below_one_rejected(workers, sym_spec, tmp_path):
     from levyhom.cli import main
     from levyhom.config import ConfigSchemaError, dump_config
-    from levyhom.pathsim import run_paths
     with pytest.raises(ConfigError, match="workers"):
         SimConfig(workers=workers)
     driver = driver_from_spec(sym_spec, SimConfig(), 1.0)
@@ -950,7 +956,6 @@ print(hashlib.sha256(run_paths(driver, 1.0, 30, 12, 0.01).tobytes())
 def test_run_paths_twice_matches_a_fresh_process(pool_always):
     import hashlib
     import os
-    from levyhom.pathsim import run_paths
     spec = load_config(fixture_config("ex4_0_axes")).spec
     driver = driver_from_spec(spec, SimConfig(delta=0.1), 1.0)
     assert driver.has_gauss and driver.has_jumps   # poisson, random, normals
