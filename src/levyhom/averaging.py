@@ -29,15 +29,16 @@ _MODE_TOL = 1e-12
 # Cesaro and Fourier means
 # ---------------------------------------------------------------------------
 
-def cesaro_average(kernel, x, theta, T=1e4, n=None):
-    """Composite-trapezoid value of (1/T) int_0^T k(x, r theta) dr."""
+def cesaro_average(kernel, x, theta, T=1e4):
+    """Composite-trapezoid value of (1/T) int_0^T k(x, r theta) dr on
+    min(max(20 T, 1000), 2e6) panels."""
     if T < 1.0:
         raise ValueError("averaging horizon must be at least 1")
     theta = np.asarray(theta, dtype=float)
     nrm = np.linalg.norm(theta)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError("theta must be a unit vector")
-    n = int(n if n is not None else min(max(int(20 * T), 1000), 2_000_000))
+    n = min(max(int(20 * T), 1000), 2_000_000)
     r = np.linspace(0.0, T, n + 1)
     z = r[:, None] * theta[None, :]
     x = np.asarray(x, dtype=float)
@@ -132,25 +133,23 @@ def rationality(theta, M=50, exact=None) -> RationalityVerdict:
 # effective directional kernel
 # ---------------------------------------------------------------------------
 
-def effective_directional_kernel(kernel, mu, theta, horizon=1e4):
+def effective_directional_kernel(kernel, mu, theta):
     """Invariant-measure average of the directional mean: sum_cells mu k̄(x, theta).
 
     A trig-poly kernel has the exact Fourier mean, a callback kernel the
-    Cesaro average over ``horizon``.
+    Cesaro average over the default horizon of ``cesaro_average``.
     """
     if kernel.is_trig:
         poly = fourier_mean(kernel.poly, theta)
         return float(mu.weights @ poly(mu.centers))
-    vals = np.array([cesaro_average(kernel, x, theta, T=horizon)
-                     for x in mu.centers])
+    vals = np.array([cesaro_average(kernel, x, theta) for x in mu.centers])
     return float(mu.weights @ vals)
 
 
-def effective_kernel_table(kernel, mu, rho0: SphericalMeasure, horizon=1e4):
+def effective_kernel_table(kernel, mu, rho0: SphericalMeasure):
     """k̄0 evaluated on the angular node table of rho0."""
-    vals = np.array([effective_directional_kernel(kernel, mu, th, horizon)
+    return np.array([effective_directional_kernel(kernel, mu, th)
                      for th in rho0.thetas])
-    return vals
 
 
 def write_kernel_table_csv(path, rho0, values):
@@ -165,7 +164,7 @@ def write_kernel_table_csv(path, rho0, values):
 # averaging-hypothesis check
 # ---------------------------------------------------------------------------
 
-def default_test_functions(d):
+def default_test_functions():
     """Fixed z-equicontinuous test family: tensor Gaussians and trig waves."""
 
     def gauss(x, z):
@@ -194,22 +193,21 @@ class AveragingReport:
                 w.writerow([f"{eps:.17g}", f"{v:.17g}"])
 
 
-def check_averaging_hypothesis(spec: JumpSpec, f_family=None, r=0.5, R=2.0,
-                               eps_ladder=None, x_grid_size=8,
+def check_averaging_hypothesis(spec: JumpSpec, eps_ladder=None,
+                               x_grid_size=8,
                                kbar_override=None) -> AveragingReport:
     """Sup-discrepancy between the scaled kernel and its directional average.
 
     For each epsilon the quantity measured is
         sup_x | int_{r<=|z|<=R} f(x,z) (k(x/eps, z/eps) - k̄(x/eps, z/|z|))
                rho0(dtheta) r^{-1-alpha} dr |
-    maximized over the built-in test family. The radial quadrature uses panels
-    fine enough to resolve the 1/eps oscillation of the scaled kernel.
+    with r = 0.5 and R = 2, maximized over the built-in test family. The
+    radial quadrature uses panels fine enough to resolve the 1/eps
+    oscillation of the scaled kernel.
     """
-    if not (0 < r < R):
-        raise ValueError("need 0 < r < R")
+    r, R = 0.5, 2.0
     d = spec.d
     alpha = spec.phi.index
-    f_family = f_family or default_test_functions(d)
     eps_ladder = list(eps_ladder if eps_ladder is not None
                       else [2.0 ** -k for k in range(1, 9)])
     rho = spec.rho0
@@ -244,7 +242,7 @@ def check_averaging_hypothesis(spec: JumpSpec, f_family=None, r=0.5, R=2.0,
                 kb = np.array([cesaro_average(spec.kernel, xe, th)
                                for th in rho.thetas])
             diff = kv - kb[None, :]
-            for _, f in f_family:
+            for _, f in default_test_functions():
                 fv = f(np.broadcast_to(x, zpts.shape), zpts)
                 val = np.einsum("s,n,sn->", radial_w, rho.weights, fv * diff)
                 sup_val = max(sup_val, abs(float(val)))

@@ -145,8 +145,7 @@ def cmd_corrector(args):
     if mode == "truncated":
         R = 1.0 / args.eps if args.eps else 16.0
     try:
-        psi = solve_recentering_corrector(spec, mu, mode=mode, R=R,
-                                          n=mu.grid.n)
+        psi = solve_recentering_corrector(spec, mu, mode=mode, R=R)
     except IntegrabilityError as exc:
         print(f"corrector unavailable: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -3,14 +3,14 @@
 The generator has two discretizations. For trig-poly kernels and drifts it
 acts on Fourier modes through exact multipliers (``mode_operator``, a
 Fourier-Galerkin truncation in any d <= 3); this is the route of the
-invariant measure and of ``solve_poisson(method="fourier")``. The grid route
-(``assemble_operator``, dense, d in {1, 2}) replaces the singular part of the
-small-jump integral inside one grid cell by its second-order Taylor proxy (a
-scaled discrete Laplacian with the exact radial coefficient), the remaining
-jump integral by log-spaced Gauss-Legendre quadrature with multilinear
-interpolation, the compensator by central differences, and the drift by
-upwind differences. It serves callback kernels, the default corrector
-solves, and as the oracle of the mode route.
+invariant measure and of ``solve_poisson_modes``. The grid route
+(``assemble_operator``, dense, d in {1, 2}; ``solve_poisson``) replaces the
+singular part of the small-jump integral inside one grid cell by its
+second-order Taylor proxy (a scaled discrete Laplacian with the exact radial
+coefficient), the remaining jump integral by log-spaced Gauss-Legendre
+quadrature with multilinear interpolation, the compensator by central
+differences, and the drift by upwind differences. It serves callback
+kernels, the default corrector solves, and as the oracle of the mode route.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from .spec_model import (JumpSpec, full_drift, jump_nodes, tail_radius,
 _TWO_PI = 2.0 * np.pi
 
 
-def operator_radius(spec: JumpSpec, tol=1e-8, cap=1e12):
-    """Radial cutoff R with tail mass bound * kmax below ``tol``, or ``cap``."""
-    return tail_radius(spec, tol / max(spec.kernel.kmax, 1e-300), cap) or cap
+def operator_radius(spec: JumpSpec):
+    """Radial cutoff R with tail mass bound * kmax below 1e-8, or 1e12."""
+    return tail_radius(spec, 1e-8 / max(spec.kernel.kmax, 1e-300), 1e12) \
+        or 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +48,8 @@ class AssembledOperator:
     matrix: np.ndarray
     spec: JumpSpec
     meta: dict = field(default_factory=dict)
+    _weights: Optional[np.ndarray] = field(default=None, init=False,
+                                           repr=False)
 
     def apply(self, values):
         return self.matrix @ values
@@ -54,11 +57,13 @@ class AssembledOperator:
     def stationary_weights(self):
         """Left null vector of the generator matrix, normalized to mass one.
 
-        This is the invariant measure of the discretized dynamics. Negative
-        entries from the compensator stencil are clipped; ``meta`` records
-        the mass they carried and the solve residual max |L^T w| over
-        max |L| max |w|.
+        This is the invariant measure of the discretized dynamics, solved on
+        the first call and kept. Negative entries from the compensator
+        stencil are clipped; ``meta`` records the mass they carried and the
+        solve residual max |L^T w| over max |L| max |w|.
         """
+        if self._weights is not None:
+            return self._weights
         N = self.grid.size
         aug = np.zeros((N + 1, N + 1))
         aug[:N, :N] = self.matrix.T
@@ -69,9 +74,9 @@ class AssembledOperator:
         w = np.linalg.solve(aug, rhs)[:N]
         resid = float(np.abs(self.matrix.T @ w).max()
                       / (np.abs(self.matrix).max() * np.abs(w).max()))
-        w, clipped = density_weights(w)
+        self._weights, clipped = density_weights(w)
         self.meta.update(residual=resid, clipped_mass=clipped)
-        return w
+        return self._weights
 
 
 def assemble_operator(spec: JumpSpec, n) -> AssembledOperator:
@@ -383,68 +388,57 @@ def _central_gradient(grid: TorusGrid, values):
     return grad
 
 
-def _zero_field(op: AssembledOperator, mu_w, method):
-    grid = op.grid
-    z = np.zeros(grid.size)
-    return CorrectorField(grid, z, np.zeros((grid.size, grid.d)), mu_w, 0.0,
-                          method)
-
-
-def solve_poisson(spec: JumpSpec, f, method="grid", n=128, mu_weights=None,
-                  operator: Optional[AssembledOperator] = None,
-                  mean_tol=1e-8) -> CorrectorField:
-    """Zero-mean periodic solution of (generator) psi = f.
+def solve_poisson(op: AssembledOperator, f, mu_weights=None, mean_tol=1e-8
+                  ) -> CorrectorField:
+    """Zero-mean periodic solution of (generator) psi = f on the grid of the
+    assembled operator ``op``.
 
     ``f`` is a callable of grid centers or an array of grid values. The
-    solvability precondition is that f integrates to ~0 against the invariant
-    weights; violations beyond ``mean_tol`` raise.
+    solvability precondition is that f integrates to ~0 against
+    ``mu_weights`` (default: the operator's invariant weights); violations
+    beyond ``mean_tol`` raise.
     """
-    if method == "grid":
-        op = operator if operator is not None else assemble_operator(spec, n)
-        grid = op.grid
-        fv = np.asarray(f(grid.centers) if callable(f) else f,
-                        dtype=float).reshape(grid.size)
-        w_op = None if mu_weights is not None else op.stationary_weights()
-        mu_w = (np.asarray(mu_weights).reshape(grid.size)
-                if mu_weights is not None else w_op)
-        fnorm = float(np.max(np.abs(fv)))
-        if fnorm == 0.0:
-            return _zero_field(op, mu_w, "grid")
-        defect = float(mu_w @ fv)
-        if abs(defect) > mean_tol * max(fnorm, 1.0):
-            raise ValueError(
-                f"right-hand side is not mean-free (defect {defect:.3e}); "
-                "the discrete Poisson system is singular")
-        # project onto the range of the discrete operator using its own
-        # invariant weights; the projection size records how far the caller's
-        # measure and the discretized dynamics disagree
-        if w_op is None:
-            w_op = op.stationary_weights()
-        range_defect = float(w_op @ fv)
-        fv_proj = fv - range_defect
-        N = grid.size
-        aug = np.zeros((N + 1, N + 1))
-        aug[:N, :N] = op.matrix
-        aug[:N, N] = 1.0
-        aug[N, :N] = w_op
-        rhs = np.concatenate([fv_proj, [0.0]])
-        sol = np.linalg.solve(aug, rhs)
-        psi = sol[:N]
-        psi = psi - float(mu_w @ psi)
-        resid = float(np.max(np.abs(op.matrix @ psi - fv_proj))) / fnorm
-        grad = _central_gradient(grid, psi)
-        return CorrectorField(grid, psi, grad, mu_w, resid, "grid",
-                              meta={"lagrange_shift": float(sol[N]),
-                                    "range_projection": range_defect})
-
-    if method == "fourier":
-        return _solve_modes(spec, f, n, mu_weights)
-
-    raise ValueError(f"unknown method {method!r}")
+    grid = op.grid
+    fv = np.asarray(f(grid.centers) if callable(f) else f,
+                    dtype=float).reshape(grid.size)
+    w_op = op.stationary_weights()
+    mu_w = (w_op if mu_weights is None
+            else np.asarray(mu_weights).reshape(grid.size))
+    fnorm = float(np.max(np.abs(fv)))
+    defect = float(mu_w @ fv)
+    if abs(defect) > mean_tol * max(fnorm, 1.0):
+        raise ValueError(
+            f"right-hand side is not mean-free (defect {defect:.3e}); "
+            "the discrete Poisson system is singular")
+    # project onto the range of the discrete operator using its own
+    # invariant weights; the projection size records how far the caller's
+    # measure and the discretized dynamics disagree
+    range_defect = float(w_op @ fv)
+    fv_proj = fv - range_defect
+    N = grid.size
+    aug = np.zeros((N + 1, N + 1))
+    aug[:N, :N] = op.matrix
+    aug[:N, N] = 1.0
+    aug[N, :N] = w_op
+    rhs = np.concatenate([fv_proj, [0.0]])
+    sol = np.linalg.solve(aug, rhs)
+    psi = sol[:N]
+    # adding 0.0 turns the -0.0 that a zero right-hand side can leave into 0.0
+    psi = psi - float(mu_w @ psi) + 0.0
+    resid = float(np.max(np.abs(op.matrix @ psi - fv_proj))) / max(fnorm,
+                                                                   1e-300)
+    grad = _central_gradient(grid, psi)
+    return CorrectorField(grid, psi, grad, mu_w, resid, "grid",
+                          meta={"lagrange_shift": float(sol[N]),
+                                "range_projection": range_defect})
 
 
-def _solve_modes(spec: JumpSpec, f, n, mu_weights):
-    """Right-hand solve on the mode operator of the box |l|_inf <=
+def solve_poisson_modes(spec: JumpSpec, f, n, mu_weights=None
+                        ) -> CorrectorField:
+    """Zero-mean solution of (generator) psi = f for a trig spec, with f and
+    psi as values on the n-grid.
+
+    Right-hand solve on the mode operator of the box |l|_inf <=
     min(n/2 - 1, MODE_BOX) with psi's mode 0 at zero; the default weights
     are the invariant density of the same operator. The residual is
     sum |M psi - f| over the box, relative to max |f|."""
@@ -470,7 +464,7 @@ def _solve_modes(spec: JumpSpec, f, n, mu_weights):
 # right-hand sides for the recentering correctors
 # ---------------------------------------------------------------------------
 
-def corrector_rhs(spec: JumpSpec, mu, mode="full", R=None, grid_n=128):
+def corrector_rhs(spec: JumpSpec, mu, mode="full", R=None):
     """Mean-free field -(tail drift) - b + averages, on the measure's grid.
 
     ``mode='full'`` uses the full tail drift (needs an integrable tail);
@@ -538,9 +532,6 @@ class AtomJumpMeasure:
     def nodes(self):
         return self.z, self.w
 
-    def small_support_directions(self, directions):
-        return [False for _ in directions]
-
     def second_moment_total(self):
         return float(self.w @ np.sum(self.z ** 2, axis=1))
 
@@ -573,13 +564,13 @@ class VectorCorrector:
 
 
 def solve_recentering_corrector(spec: JumpSpec, mu, mode="full", R=None,
-                                operator: Optional[AssembledOperator] = None,
-                                n=128, mean_tol=1e-6) -> VectorCorrector:
-    """Corrector for the recentering drift: solves one Poisson problem per axis."""
-    op = operator if operator is not None else assemble_operator(spec, n)
-    rhs, _ = corrector_rhs(spec, mu, mode=mode, R=R, grid_n=op.grid.n)
-    comps = [solve_poisson(spec, rhs[:, a], method="grid", operator=op,
-                           mu_weights=mu.weights, mean_tol=mean_tol)
+                                mean_tol=1e-6) -> VectorCorrector:
+    """Corrector for the recentering drift: solves one Poisson problem per
+    axis on the grid operator of mu's own cells (n^d of them)."""
+    op = assemble_operator(spec, round(len(mu.weights) ** (1.0 / spec.d)))
+    rhs, _ = corrector_rhs(spec, mu, mode=mode, R=R)
+    comps = [solve_poisson(op, rhs[:, a], mu_weights=mu.weights,
+                           mean_tol=mean_tol)
              for a in range(spec.d)]
     return VectorCorrector(comps)
 
@@ -606,8 +597,6 @@ def covariance_matrix(spec_or_atoms, mu, psi: Optional[VectorCorrector] = None
         zq, wq, _ = jump_nodes(spec, 1e-7, min(hi, 1e9), 6, 8, 8)
         kern = spec.kernel
 
-    if isinstance(psi, CorrectorField):
-        psi = VectorCorrector([psi])
     A = _second_moment(zq, wq, kern, mu, psi)
     return CovarianceMatrix(A, meta={"with_corrector": psi is not None})
 
@@ -644,26 +633,26 @@ def _second_moment(zq, wq, kern, mu, psi=None):
 # critical (logarithmic) covariance
 # ---------------------------------------------------------------------------
 
-def critical_covariance(spec: JumpSpec, mu, eps_ladder=None, log_factor=None
-                        ) -> CovarianceMatrix:
+_CRITICAL_LADDER = (1e-2, 1e-3, 1e-4, 1e-6)
+
+
+def critical_covariance(spec: JumpSpec, mu) -> CovarianceMatrix:
     """Limit of the truncated second moment over the slowly varying factor.
 
-    Evaluates A(eps) = [int int_{|z|<=1/eps} z z^T k Pi dmu] / phi_c(eps) on a
-    ladder and removes the O(1/phi_c) correction by a least-squares fit that is
-    linear in 1/phi_c (the truncated moment grows like A phi_c + const when the
+    Evaluates A(eps) = [int int_{|z|<=1/eps} z z^T k Pi dmu] / phi_c(eps),
+    phi_c(eps) = |log eps|, on the ladder ``_CRITICAL_LADDER`` and removes
+    the O(1/phi_c) correction by a least-squares fit that is linear in
+    1/phi_c (the truncated moment grows like A phi_c + const when the
     critical scaling holds). A poor fit flags non-convergence.
     """
-    eps_ladder = list(eps_ladder if eps_ladder is not None
-                      else [1e-2, 1e-3, 1e-4, 1e-6])
-    phi_c = log_factor or (lambda e: abs(math.log(e)))
     d = spec.d
     vals = []
-    for eps in eps_ladder:
+    for eps in _CRITICAL_LADDER:
         zq, wq, _ = jump_nodes(spec, 1e-7, 1.0 / eps, 6, 8, 8)
-        A_eps = _second_moment(zq, wq, spec.kernel, mu) / phi_c(eps)
+        A_eps = _second_moment(zq, wq, spec.kernel, mu) / abs(math.log(eps))
         vals.append(A_eps)
     vals = np.array(vals)                       # (m, d, d)
-    L = np.array([phi_c(e) for e in eps_ladder])
+    L = np.array([abs(math.log(e)) for e in _CRITICAL_LADDER])
     # per entry: A(eps) = A + C / L  -> linear regression in 1/L
     X = np.stack([np.ones_like(L), 1.0 / L], axis=1)
     coef, res, *_ = np.linalg.lstsq(X, vals.reshape(len(L), -1), rcond=None)
@@ -674,7 +663,7 @@ def critical_covariance(spec: JumpSpec, mu, eps_ladder=None, log_factor=None
     converged = resid <= 5e-2 * scale
     return CovarianceMatrix(A_extrap,
                             meta={"ladder": [(e, v.tolist()) for e, v in
-                                             zip(eps_ladder, vals)],
+                                             zip(_CRITICAL_LADDER, vals)],
                                   "fit_residual": resid,
                                   "converged": bool(converged)})
 
@@ -691,27 +680,17 @@ class DegeneracyVerdict:
     notes: str = ""
 
 
-def nondegeneracy_check(spec_or_atoms, directions=None, irreducible=True
-                        ) -> DegeneracyVerdict:
+def nondegeneracy_check(spec_or_atoms) -> DegeneracyVerdict:
     """Predict whether the diffusive covariance can degenerate.
 
-    The criterion is the existence, for each probe direction, of arbitrarily
+    The criterion is the existence, for each axis direction, of arbitrarily
     small jumps in the support of the measure aligned with that direction. The
     isotropic stable small part supplies them for every direction; a purely
     atomic measure never does.
     """
-    if isinstance(spec_or_atoms, AtomJumpMeasure):
-        d = spec_or_atoms.d
-        dirs = (np.eye(d) if directions is None
-                else np.atleast_2d(np.asarray(directions, dtype=float)))
-        flags = spec_or_atoms.small_support_directions(dirs)
-    else:
-        spec = spec_or_atoms
-        d = spec.d
-        dirs = (np.eye(d) if directions is None
-                else np.atleast_2d(np.asarray(directions, dtype=float)))
-        flags = [spec.small.kind == "stable" for _ in dirs]
-    ok = bool(irreducible and all(flags))
+    d = spec_or_atoms.d
+    ok = (not isinstance(spec_or_atoms, AtomJumpMeasure)
+          and spec_or_atoms.small.kind == "stable")
     note = "" if ok else \
         "no small-jump support along some probe direction; degeneracy possible"
-    return DegeneracyVerdict(dirs, flags, ok, note)
+    return DegeneracyVerdict(np.eye(d), [ok] * d, ok, note)

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 
 from .corrector import (covariance_matrix, critical_covariance,
                         solve_recentering_corrector)
-from .pathsim import EndpointBatch
+from .pathsim import EndpointBatch, philox_key
 from .regimes import (CAUCHY_CENTER, CRITICAL_LOG, STABLE_CENTER,
                       STABLE_NO_CENTER, Regime)
 from .spec_model import JumpSpec, SphericalMeasure
@@ -99,12 +99,12 @@ def _radial_symbol(s, alpha, convention):
                    sign * mag * (1.0 - _EULER_GAMMA - math.log(mag)))
 
 
-def radial_symbol_quadrature(s, alpha, convention, r_hi=1e7):
+def radial_symbol_quadrature(s, alpha, convention):
     """Oscillatory-quadrature evaluation of the radial symbol (test oracle).
 
     Splits at r = 1: plain rules handle the integrable singularity, weighted
-    cosine/sine rules the oscillatory tail, and the non-oscillatory tail
-    pieces are integrated in closed form.
+    cosine/sine rules the oscillatory tail up to r = 1e7, and the
+    non-oscillatory tail pieces are integrated in closed form.
     """
     if s == 0.0:
         return 0.0 + 0.0j
@@ -115,9 +115,9 @@ def radial_symbol_quadrature(s, alpha, convention, r_hi=1e7):
     im_in, _ = quad(lambda r: (math.sin(s * r) - s * r * conv(r))
                     * r ** (-1 - alpha), 0.0, 1.0, limit=400)
     w = abs(s)
-    re_osc, _ = quad(lambda r: r ** (-1 - alpha), 1.0, r_hi, weight="cos",
+    re_osc, _ = quad(lambda r: r ** (-1 - alpha), 1.0, 1e7, weight="cos",
                      wvar=w, limit=800)
-    im_osc, _ = quad(lambda r: r ** (-1 - alpha), 1.0, r_hi, weight="sin",
+    im_osc, _ = quad(lambda r: r ** (-1 - alpha), 1.0, 1e7, weight="sin",
                      wvar=w, limit=800)
     if s < 0:
         im_osc = -im_osc
@@ -180,9 +180,7 @@ def sample_limit(law: LimitLaw, t, n, seed) -> EndpointBatch:
     alpha = 1 (unit-ball compensation), where rescaling S_1(1, 1, 0) by sigma
     adds (2 / pi) sigma log sigma. A law without intensity is all zeros.
     """
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(int(seed) & (2 ** 64 - 1)), np.uint64(0)],
-                     dtype=np.uint64)))
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, 0)))
     if law.kind == "gaussian":
         root = _matrix_sqrt(law.A)
         samples = math.sqrt(t) * gen.standard_normal((n, law.d)) @ root.T
@@ -214,8 +212,7 @@ def exact_symmetric_stable_1d(alpha, scale_exponent, t, n, seed):
     Third-party oracle used only in tests: returns samples with characteristic
     function exp(-t * scale_exponent * |u|^alpha).
     """
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(1)], dtype=np.uint64)))
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, 1)))
     u = (gen.random(n) - 0.5) * math.pi
     w = -np.log(gen.random(n))
     x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
@@ -249,8 +246,7 @@ def predicted_limit(spec: JumpSpec, mu, regime_name) -> LimitLaw:
                         meta={"source": "critical_covariance",
                               "converged": cov.meta.get("converged")})
 
-    psi = solve_recentering_corrector(spec, mu, n=mu.grid.n
-                                      if hasattr(mu, "grid") else 64)
+    psi = solve_recentering_corrector(spec, mu)
     cov = covariance_matrix(spec, mu, psi=psi)
     return LimitLaw(kind="gaussian", A=cov.A,
                     meta={"source": "covariance_with_corrector",

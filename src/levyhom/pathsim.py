@@ -439,6 +439,12 @@ class SnapshotCollector:
 _GENERATORS = []     # this process's Generator(Philox) objects, re-keyed
 
 
+def philox_key(seed, stream):
+    """The Philox key (seed mod 2^64, stream) of every seeded stream of the
+    package; a negative seed keys by its two's complement."""
+    return np.array([int(seed) & (2 ** 64 - 1), stream], dtype=np.uint64)
+
+
 def _path_generators(seed, indices):
     """The cached generators, grown to ``len(indices)`` and re-keyed to the
     state of fresh ``Philox(key=(seed, i))`` objects (module docstring)."""
@@ -449,8 +455,7 @@ def _path_generators(seed, indices):
     state = {"bit_generator": "Philox",
              "state": {"counter": zeros, "key": None}, "buffer": zeros,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    keys = np.empty((len(gens), 2), dtype=np.uint64)
-    keys[:, 0] = int(seed) & (2 ** 64 - 1)
+    keys = np.tile(philox_key(seed, 0), (len(gens), 1))
     keys[:, 1] = indices
     for g, key in zip(gens, keys):
         state["state"]["key"] = key
@@ -810,11 +815,12 @@ def simulate_endpoints(spec: JumpSpec, cfg: SimConfig, x0=None, horizon=None,
 
 
 def simulate_quotient_time_integrals(spec: JumpSpec, cfg: SimConfig, f,
-                                     x0=None, window=None):
-    """Per-path integrals int f(X_t mod 1) dt over [0, T] or a window."""
+                                     window=None):
+    """Per-path integrals int f(X_t mod 1) dt over [0, T] or a window, from
+    X_0 = 0."""
     col = TimeIntegralCollector(lambda pts: np.asarray(f(pts)), cfg.paths,
                                 window=window)
-    simulate_endpoints(spec, cfg, x0, collectors=[col])
+    simulate_endpoints(spec, cfg, collectors=[col])
     return col.acc
 
 

@@ -38,23 +38,20 @@ def log_edges(a, b, per_decade=6, min_panels=4):
     return np.geomspace(a, b, n + 1)
 
 
-def integrate_vec(f, a, b, rtol=1e-10, atol=1e-14, order=16, max_panels=4096,
-                  edges=None, log_spaced=False):
-    """Adaptive composite Gauss-Legendre integration of a vector-valued integrand.
+def integrate_vec(f, edges):
+    """Adaptive composite Gauss-Legendre integration of a vector-valued
+    integrand over the span of the panel ``edges``.
 
     ``f`` maps an array of abscissae (n,) to values of shape (n,) or (n, k).
-    Panels are doubled until two successive refinements agree to the requested
-    tolerance. Deterministic for fixed arguments.
+    Order-16 panels are halved until two successive refinements agree to
+    rtol 1e-9 and atol 1e-14, or 4096 panels are reached. Deterministic for
+    fixed arguments.
     """
-    if edges is None:
-        if log_spaced:
-            edges = log_edges(a, b)
-        else:
-            edges = np.linspace(a, b, 9)
+    rtol, atol = 1e-9, 1e-14
     edges = np.asarray(edges, dtype=float)
 
     def _eval(es):
-        nodes, weights = panel_nodes(es, order)
+        nodes, weights = panel_nodes(es, 16)
         vals = np.asarray(f(nodes))
         return weights @ vals
 
@@ -65,14 +62,13 @@ def integrate_vec(f, a, b, rtol=1e-10, atol=1e-14, order=16, max_panels=4096,
         refined[1::2] = 0.5 * (edges[1:] + edges[:-1])
         cur = _eval(refined)
         err = np.max(np.abs(cur - prev))
-        scale = max(float(np.max(np.abs(cur))), atol / max(rtol, 1e-300))
-        if err <= rtol * scale + atol or len(refined) - 1 >= max_panels:
+        scale = max(float(np.max(np.abs(cur))), atol / rtol)
+        if err <= rtol * scale + atol or len(refined) - 1 >= 4096:
             return cur
         edges, prev = refined, cur
 
 
-def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None,
-                            rtol=1e-11):
+def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None):
     """Compute ``\\int_{r_lo}^{r_hi} e^{2 pi i s r} w(r) / phi(r) dr``.
 
     ``r_hi`` may be ``np.inf``: that case runs QUADPACK's Fourier-transform
@@ -85,7 +81,7 @@ def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None,
     else:
         g = lambda r: weight_fn(r) / phi_fn(r)
     if s == 0.0:
-        val, _ = quad(g, r_lo, r_hi, epsabs=1e-13, epsrel=rtol, limit=400)
+        val, _ = quad(g, r_lo, r_hi, epsabs=1e-13, epsrel=1e-11, limit=400)
         return complex(val, 0.0)
     w = 2.0 * np.pi * abs(s)
     if np.isinf(r_hi):
@@ -99,9 +95,9 @@ def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             re, _ = quad(g, r_lo, r_hi, weight="cos", wvar=w, epsabs=1e-11,
-                         epsrel=max(rtol, 1e-10), limit=800)
+                         epsrel=1e-10, limit=800)
             im, _ = quad(g, r_lo, r_hi, weight="sin", wvar=w, epsabs=1e-11,
-                         epsrel=max(rtol, 1e-10), limit=800)
+                         epsrel=1e-10, limit=800)
     if s < 0:
         im = -im
     return complex(re, im)

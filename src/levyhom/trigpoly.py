@@ -23,7 +23,7 @@ def _as_mode(m, dim):
 class TrigPoly:
     """Finite Fourier sum ``sum_m c_m exp(2 pi i (mx.x + mz.z))`` with real values."""
 
-    def __init__(self, dim_x, dim_z, coeffs, tol=1e-15):
+    def __init__(self, dim_x, dim_z, coeffs):
         self.dim_x = int(dim_x)
         self.dim_z = int(dim_z)
         sym = {}
@@ -37,7 +37,7 @@ class TrigPoly:
             neg = (tuple(-v for v in mx), tuple(-v for v in mz))
             full[(mx, mz)] = full.get((mx, mz), 0.0) + 0.5 * c
             full[neg] = full.get(neg, 0.0) + 0.5 * np.conj(c)
-        self.coeffs = {m: c for m, c in full.items() if abs(c) > tol}
+        self.coeffs = {m: c for m, c in full.items() if abs(c) > 1e-15}
         self._compile()
 
     def _compile(self):

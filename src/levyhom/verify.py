@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .limits import LimitLaw, char_fn, predicted_limit, sample_limit
-from .pathsim import EndpointBatch, SimConfig, scaled_endpoint_batch
+from .pathsim import (EndpointBatch, SimConfig, philox_key,
+                      scaled_endpoint_batch)
 from .regimes import Regime
 from .spec_model import JumpSpec
 
@@ -57,13 +58,11 @@ def ks_projection(batch_a, batch_b, direction):
     return ks_statistic(sa @ direction, sb @ direction)
 
 
-def projection_directions(d, seed, extra=None):
+def projection_directions(d, seed):
     """The d axes plus 2d seeded random unit vectors (Cramer-Wold surrogate)."""
     dirs = [np.eye(d)[a] for a in range(d)]
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(2)], dtype=np.uint64)))
-    count = extra if extra is not None else 2 * d
-    for _ in range(count):
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, 2)))
+    for _ in range(2 * d):
         v = gen.standard_normal(d)
         dirs.append(v / np.linalg.norm(v))
     return dirs
@@ -101,8 +100,9 @@ def ecf_distance(batch, law: LimitLaw, freqs=None, t=None):
     return worst, rows
 
 
-def tail_index(batch, top_fraction=0.05, bootstrap=200, seed=0):
-    """Hill estimate of the tail index from the largest |Y| order statistics.
+def tail_index(batch, seed=0):
+    """Hill estimate of the tail index from the largest 5% of the |Y| order
+    statistics, with a 90% interval from 200 bootstrap resamples.
 
     Gaussian-looking batches drift above 2 and are flagged; constant batches
     have no tail to measure and raise.
@@ -114,7 +114,7 @@ def tail_index(batch, top_fraction=0.05, bootstrap=200, seed=0):
     mags = mags[mags > 0]
     if len(mags) < 100:
         raise ValueError("need at least 100 nonzero samples")
-    k = max(10, int(top_fraction * len(mags)))
+    k = max(10, int(0.05 * len(mags)))
     order = np.sort(mags)
     top = order[-k:]
     threshold = order[-k - 1]
@@ -122,10 +122,9 @@ def tail_index(batch, top_fraction=0.05, bootstrap=200, seed=0):
         raise ValueError("degenerate tail: order statistics carry no spread")
     hill = np.mean(np.log(top / threshold))
     est = 1.0 / hill
-    gen = np.random.Generator(np.random.Philox(
-        key=np.array([np.uint64(seed), np.uint64(3)], dtype=np.uint64)))
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, 3)))
     boots = []
-    for _ in range(bootstrap):
+    for _ in range(200):
         res = gen.choice(mags, size=len(mags), replace=True)
         o = np.sort(res)
         tp = o[-k:]
@@ -196,28 +195,26 @@ class ConvergenceReport:
 
 
 def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
-                  mu=None, drifts=None, law: Optional[LimitLaw] = None,
-                  sim: Optional[SimConfig] = None, t=1.0,
-                  ks_threshold=KS_FINAL_THRESHOLD, slack=MONOTONE_SLACK
+                  law: Optional[LimitLaw] = None,
+                  sim: Optional[SimConfig] = None, t=1.0
                   ) -> ConvergenceReport:
     """Marginal-convergence check of a declared regime on an epsilon ladder.
 
     For each epsilon the scaled recentered batch is compared against a fresh
     sample of the predicted limit (two-sample KS on the projection
     directions, plus the CF gap). PASS requires the final-epsilon KS below
-    the threshold on every direction and a nonincreasing KS sequence within
-    the slack. ``law`` overrides the predicted limit (negative controls).
+    ``KS_FINAL_THRESHOLD`` on every direction and a KS sequence that does
+    not rise by more than ``MONOTONE_SLACK``. ``law`` overrides the
+    predicted limit (negative controls).
     """
     from .ergodic import effective_drifts, stationary_measure
 
     eps_ladder = sorted(eps_ladder, reverse=True)
-    if mu is None:
-        mu = stationary_measure(spec)
+    mu = stationary_measure(spec)
     if law is None:
         law = predicted_limit(spec, mu, regime_name)
-    regime = Regime.from_name(regime_name)
-    if drifts is None and regime.needs_centering():
-        drifts = effective_drifts(spec, mu)
+    drifts = (effective_drifts(spec, mu)
+              if Regime.from_name(regime_name).needs_centering() else None)
 
     sim = sim or SimConfig()
     dirs = projection_directions(spec.d, seed)
@@ -237,22 +234,22 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
         except Exception as exc:             # annotate, keep the ladder going
             rows.append(ConvergenceRow(eps, [], float("nan"), float("nan"),
                                        n, error=f"{type(exc).__name__}: {exc}"))
-    verdict = _verdict(rows, ks_threshold, slack)
+    verdict = _verdict(rows)
     return ConvergenceReport(regime=regime_name, rows=rows, verdict=verdict,
-                             thresholds={"ks_final": ks_threshold,
-                                         "monotone_slack": slack},
+                             thresholds={"ks_final": KS_FINAL_THRESHOLD,
+                                         "monotone_slack": MONOTONE_SLACK},
                              meta={"directions": [list(map(float, v))
                                                   for v in dirs],
                                    "paths": n, "seed": int(seed), "t": t,
                                    "law": law.kind,
-                                   "mu": dict(getattr(mu, "meta", {}))})
+                                   "mu": dict(mu.meta)})
 
 
-def _verdict(rows, ks_threshold, slack):
+def _verdict(rows):
     if any(r.error for r in rows):
         return "ERROR"
     seq = [r.ks_max for r in rows]
-    final_ok = rows[-1].ks_max <= ks_threshold and \
-        all(k <= ks_threshold for k in rows[-1].ks_by_direction)
-    monotone_ok = all(b <= a + slack for a, b in zip(seq, seq[1:]))
+    final_ok = rows[-1].ks_max <= KS_FINAL_THRESHOLD and \
+        all(k <= KS_FINAL_THRESHOLD for k in rows[-1].ks_by_direction)
+    monotone_ok = all(b <= a + MONOTONE_SLACK for a, b in zip(seq, seq[1:]))
     return "PASS" if (final_ok and monotone_ok) else "FAIL"

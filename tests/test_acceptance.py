@@ -113,7 +113,7 @@ def test_acceptance_4_corrector_oracle():
     spec = make_spec(alpha=0.5, alpha0=0.5)
     op = assemble_operator(spec, 128)
     f = lambda pts: np.cos(2 * np.pi * pts[:, 0])
-    fld = solve_poisson(spec, f, operator=op)
+    fld = solve_poisson(op, f)
     m1 = fourier_multiplier(spec, [1.0])
     exact = np.cos(2 * np.pi * op.grid.centers[:, 0]) / m1.real
     rel = float(np.max(np.abs(fld.values - exact)) / np.max(np.abs(exact)))

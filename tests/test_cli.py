@@ -136,6 +136,21 @@ def test_cli_corrector_diffusive(tmp_path):
     assert (out / "covariance.json").exists()
 
 
+def test_cli_verify_negative_seed(tmp_path):
+    # a negative seed keys every stream by its two's complement and runs
+    cfg = tmp_path / "cfg.json"
+    raw = fixture_config("ex4_1_stable")
+    raw["sim"]["paths"] = 200
+    cfg.write_text(dump_config(raw))
+    out = tmp_path / "ver"
+    code = main(["verify", str(cfg), "--out", str(out), "--seed", "-1",
+                 "--ladder", "1/4"])
+    assert code in (0, 3)
+    payload = json.loads((out / "convergence.json").read_text())
+    assert payload["meta"]["seed"] == -1
+    assert not any(row["error"] for row in payload["rows"])
+
+
 def test_cli_verify_smoke(tmp_path):
     cfg = tmp_path / "cfg.json"
     raw = fixture_config("ex4_1_stable")

@@ -7,6 +7,7 @@ from levyhom.corrector import (AtomJumpMeasure, assemble_operator,
                                corrector_rhs, covariance_matrix,
                                critical_covariance, fourier_multiplier,
                                nondegeneracy_check, solve_poisson,
+                               solve_poisson_modes,
                                solve_recentering_corrector)
 from levyhom.spec_model import (DriftField, IntegrabilityError, PeriodicKernel,
                                 ScalingFunction, SmallJumpPart,
@@ -72,14 +73,14 @@ def test_operator_rejects_high_dimension():
 
 def test_solve_zero_rhs(op_1d):
     spec, op = op_1d
-    fld = solve_poisson(spec, np.zeros(op.grid.size), operator=op)
+    fld = solve_poisson(op, np.zeros(op.grid.size))
     assert fld.sup_norm == 0.0
 
 
 def test_solve_matches_multiplier_oracle(op_1d):
     spec, op = op_1d
     f = lambda pts: np.cos(2 * np.pi * pts[:, 0])
-    fld = solve_poisson(spec, f, operator=op)
+    fld = solve_poisson(op, f)
     m1 = fourier_multiplier(spec, [1.0])
     assert abs(m1.imag) < 1e-9
     exact = np.cos(2 * np.pi * op.grid.centers[:, 0]) / m1.real
@@ -92,8 +93,8 @@ def test_solve_matches_multiplier_oracle(op_1d):
 def test_solve_grid_vs_fourier(op_1d):
     spec, op = op_1d
     f = lambda pts: np.cos(2 * np.pi * pts[:, 0]) + 0.3 * np.sin(4 * np.pi * pts[:, 0])
-    g_fld = solve_poisson(spec, f, operator=op)
-    f_fld = solve_poisson(spec, f, method="fourier", n=128)
+    g_fld = solve_poisson(op, f)
+    f_fld = solve_poisson_modes(spec, f, 128)
     rel = (np.max(np.abs(g_fld.values - f_fld.values))
            / np.max(np.abs(f_fld.values)))
     assert rel <= 0.05
@@ -102,13 +103,13 @@ def test_solve_grid_vs_fourier(op_1d):
 def test_solve_rejects_non_mean_free(op_1d):
     spec, op = op_1d
     with pytest.raises(ValueError):
-        solve_poisson(spec, np.ones(op.grid.size) * 0.5, operator=op)
+        solve_poisson(op, np.ones(op.grid.size) * 0.5)
 
 
 def test_gradient_consistent_with_central_differences(op_1d):
     spec, op = op_1d
     f = lambda pts: np.cos(2 * np.pi * pts[:, 0])
-    fld = solve_poisson(spec, f, operator=op)
+    fld = solve_poisson(op, f)
     h = op.grid.h
     vals = fld.values
     diff = (np.roll(vals, -1) - np.roll(vals, 1)) / (2 * h)
@@ -145,8 +146,7 @@ def test_rhs_truncated_family_bound():
     mu = GridMeasure(1, 64, weights=mu_w)
     for eps in (1.0 / 4, 1.0 / 16, 1.0 / 64):
         rhs, _ = corrector_rhs(spec, mu, mode="truncated", R=1.0 / eps)
-        fld = solve_poisson(spec, rhs[:, 0], operator=op, mu_weights=mu_w,
-                            mean_tol=1e-6)
+        fld = solve_poisson(op, rhs[:, 0], mu_weights=mu_w, mean_tol=1e-6)
         bound = 1.0 + spec.phi.inv_integral(1.0, 1.0 / eps)
         assert fld.sup_norm + fld.grad_sup_norm <= 40.0 * bound
 
@@ -195,8 +195,7 @@ def test_covariance_with_corrector_positive_and_psd():
     op = assemble_operator(spec, 64)
     mu_w = op.stationary_weights()
     mu = GridMeasure(1, 64, weights=mu_w)
-    psi = solve_recentering_corrector(spec, mu, mode="full", operator=op,
-                                      mean_tol=1e-5)
+    psi = solve_recentering_corrector(spec, mu, mode="full", mean_tol=1e-5)
     cov = covariance_matrix(spec, mu, psi=psi)
     assert cov.A[0, 0] > 0
     assert cov.is_psd

@@ -1,12 +1,19 @@
-"""Source hygiene: every name a levyhom module imports is used in it."""
+"""Source hygiene: every name a levyhom module imports is used in it, and
+every parameter of a levyhom function is read in its body."""
 
 import ast
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levyhom"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+# functions whose signature is fixed by their callers: the engine passes
+# every collector the same on_step arguments, and the averaging check calls
+# every test function as f(x, z)
+SIGNATURE_PROTOCOLS = ("*.on_step", "default_test_functions.*")
 
 
 def unused_imports(source):
@@ -34,3 +41,53 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_parameters(source, allow=()):
+    """(line, qualified name, parameter) for each parameter, ``self`` and
+    ``cls`` aside, that no name in its function's body reads; functions
+    whose qualified name matches a pattern of ``allow`` are skipped."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                a = child.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                          + [v for v in (a.vararg, a.kwarg) if v]]
+                read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name)}
+                if not any(fnmatchcase(name, pat) for pat in allow):
+                    found.extend((child.lineno, name, p) for p in params
+                                 if p not in read and p not in ("self", "cls"))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+def test_unread_parameters_are_found():
+    source = ("class C:\n"
+              "    def m(self, a, *, b=1):\n"
+              "        def inner(c):\n"
+              "            return a\n"
+              "        return inner\n"
+              "    def hook(self, unused):\n"
+              "        pass\n"
+              "def f(x, *args, **kw):\n"
+              "    return lambda y: x + y\n")
+    assert unread_parameters(source) == [
+        (2, "C.m", "b"), (3, "C.m.inner", "c"), (6, "C.hook", "unused"),
+        (8, "f", "args"), (8, "f", "kw")]
+    assert unread_parameters(source, allow=("*.hook", "C.m.*")) == [
+        (2, "C.m", "b"), (8, "f", "args"), (8, "f", "kw")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(), SIGNATURE_PROTOCOLS) == []

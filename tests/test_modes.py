@@ -10,7 +10,7 @@ from levyhom import corrector
 from levyhom.config import fixture_config, load_config
 from levyhom.corrector import (assemble_operator, critical_covariance,
                                generator_multipliers, jump_nodes, mode_set,
-                               solve_poisson)
+                               solve_poisson, solve_poisson_modes)
 from levyhom.ergodic import (stationary_measure, stationary_measure_grid,
                              stationary_measure_modes)
 from levyhom.grid import TorusGrid
@@ -281,10 +281,8 @@ def test_poisson_fourier_matches_grid_in_d2(coupled_grid):
         g = (np.cos(_TWO_PI * x[:, 0]) + 0.5 * np.sin(_TWO_PI * x[:, 1])
              + 0.3 * np.cos(_TWO_PI * (x[:, 0] + x[:, 1])))
         f = g - mu.weights @ g
-        fld = solve_poisson(spec, f, method="fourier", n=n,
-                            mu_weights=mu.weights)
-        grid = solve_poisson(spec, f, operator=op, mu_weights=mu.weights,
-                             mean_tol=1e-2)
+        fld = solve_poisson_modes(spec, f, n, mu_weights=mu.weights)
+        grid = solve_poisson(op, f, mu_weights=mu.weights, mean_tol=1e-2)
         gaps.append(np.max(np.abs(fld.values - grid.values))
                     / np.max(np.abs(fld.values)))
         assert abs(fld.mu_mean()) <= 1e-12
@@ -299,7 +297,7 @@ def test_poisson_fourier_in_d3_matches_multiplier():
     spec = make_spec(d=3, alpha=0.75, alpha0=1.0,
                      rho0=SphericalMeasure.atoms(3, atoms))
     f = lambda pts: np.cos(_TWO_PI * pts[:, 0])
-    fld = solve_poisson(spec, f, method="fourier", n=8)
+    fld = solve_poisson_modes(spec, f, 8)
     m1 = corrector.fourier_multiplier(spec, [1.0, 0.0, 0.0])
     want = f(fld.grid.centers) / m1.real
     assert abs(m1.imag) <= 1e-12 * abs(m1)

@@ -396,9 +396,19 @@ def test_callback_functionals_bit_identical_to_node_closures():
                            np.broadcast_to(z, (X.shape[0],) + z.shape))
 
     X = np.random.default_rng(8).random((64, 2)) * 3.0 - 1.0
-    assert np.array_equal(drv.gauss_coef(X), kv(X, zq) @ tw)
+    assert np.array_equal(drv.gauss_coef(X), (kv(X, zq) * tw).sum(axis=1))
     assert np.array_equal(drv.drift_fn(X), spec.drift(X).reshape(X.shape)
                           - np.einsum("pq,q,qd->pd", kv(X, zc), wc, zc))
+
+
+def test_callback_kernel_bit_exact_across_workers(pool_always):
+    # the callback node sums round each row alone, so a chunk of paths gives
+    # the bits of any other split of the path range
+    spec = _callback_spec()
+    outs = [simulate_endpoints(spec, SimConfig(paths=30, horizon=0.5,
+                                               seed=11, workers=workers))
+            for workers in (1, 2)]
+    assert np.array_equal(outs[0], outs[1])
 
 
 def test_batch_meta_records_numerics(sym_spec):

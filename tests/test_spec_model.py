@@ -236,7 +236,8 @@ def test_z_functional_callback_is_node_sum():
     rng = np.random.default_rng(2)
     z, w, x = rng.normal(size=(30, 1)), rng.random(30), rng.random((40, 1))
     kv = fn(x[:, None, :], np.broadcast_to(z, (40,) + z.shape))
-    assert np.array_equal(kern.z_functional(z, w)(x), kv @ w)
+    assert np.array_equal(kern.z_functional(z, w)(x),
+                          (kv * w).sum(axis=1))
     assert np.array_equal(kern.z_functional(z, w, z)(x),
                           np.einsum("pq,q,qd->pd", kv, w, z))
 
@@ -320,6 +321,41 @@ def test_validate_idempotent(xdep_spec_1d):
     r1 = validate(xdep_spec_1d).to_dict()
     r2 = validate(xdep_spec_1d).to_dict()
     assert r1 == r2
+
+
+def test_validate_pins_check_names_and_measured_values(xdep_spec_1d):
+    # z-periodicity is recorded, at defect 0, for trig kernels only
+    def fn(x, z):
+        return 1.0 + 0.5 * np.cos(2 * np.pi * (x[..., 0] + z[..., 0] ** 2))
+
+    common = [("angular_mass_positive", {"total_mass": 1.0}),
+              ("phi_strictly_increasing", {}),
+              ("phi_index_probe", {"declared": 0.5, "alpha_hat": 0.5,
+                                   "converged": True}),
+              ("kappa_decay", {"sup": 0.0, "at_r=1e6": 0.0}),
+              ("small_jump_second_moment", {"m2": 1.3333333333333333})]
+    tail = [("drift_bounded", {"sup_norm": 0})]
+    trig = common + [
+        ("kernel_bounds", {"declared": [0.5, 1.5], "measured": [
+            0.5006022718974138, 1.4993977281025863]}),
+        ("kernel_x_periodicity", {"defect": 0.0}),
+        ("kernel_z_periodicity", {"defect": 0.0}),
+        ("kernel_continuity_modulus", {"sampled_modulus": [
+            0.30900896489628815, 0.031406893504280387,
+            0.003141028249670774]})] + tail
+    callback = common + [
+        ("kernel_bounds", {"declared": [0.5, 1.5], "measured": [
+            0.5000000367671411, 1.499999963232859]}),
+        ("kernel_x_periodicity", {"defect": 1.5543122344752192e-15}),
+        ("kernel_continuity_modulus", {"sampled_modulus": [
+            0.30880357174193873, 0.03141062663897898,
+            0.003141519999574127]})] + tail
+    callback_spec = make_spec(kernel=PeriodicKernel.callback(
+        1, fn, kmin=0.5, kmax=1.5))
+    for spec, want in ((xdep_spec_1d, trig), (callback_spec, callback)):
+        report = validate(spec)
+        assert report.passed
+        assert [(c.name, c.measured) for c in report.checks] == want
 
 
 def test_kappa_power_ratio_decay():

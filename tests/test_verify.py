@@ -124,6 +124,20 @@ def test_hill_rejects_constant_batch():
         tail_index(np.ones((2000, 1)))
 
 
+def test_negative_seed_keys_its_twos_complement():
+    # every seeded stream keys seed mod 2^64, so -1 draws what 2^64 - 1 does
+    top = 2 ** 64 - 1
+    assert np.array_equal(projection_directions(2, -1),
+                          projection_directions(2, top))
+    x = exact_symmetric_stable_1d(0.5, 1.0, 1.0, 400, seed=-1)
+    assert np.array_equal(x, exact_symmetric_stable_1d(0.5, 1.0, 1.0, 400,
+                                                       seed=top))
+    assert tail_index(x[:, None], seed=-1) == tail_index(x[:, None], seed=top)
+    law = LimitLaw(kind="gaussian", A=np.eye(1))
+    assert np.array_equal(sample_limit(law, 1.0, 50, -1).samples,
+                          sample_limit(law, 1.0, 50, top).samples)
+
+
 # --------------------------------------------------------------------------
 # theorem-level checks (small smoke versions; the full-size runs live in
 # the acceptance suite)
