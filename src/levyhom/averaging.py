@@ -185,13 +185,6 @@ class AveragingReport:
     decayed: bool
     final_sup: float
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["eps", "sup_discrepancy"])
-            for eps, v in self.rows:
-                w.writerow([f"{eps:.17g}", f"{v:.17g}"])
-
 
 def check_averaging_hypothesis(spec: JumpSpec, eps_ladder=None,
                                x_grid_size=8,

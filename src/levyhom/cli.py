@@ -4,7 +4,8 @@ fixture.
 Every command is a pure function of (config file, flags, seed): outputs land
 in the chosen directory together with a manifest recording the config hash,
 seed, package version and any flag overrides. Exit codes: 0 success or PASS,
-2 validation failure, 3 verification FAIL, 4 malformed configuration.
+2 validation failure, 3 verification FAIL, 4 malformed configuration or a
+spec that no route handles. The regime is read off phi's tail index.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .ergodic import (effective_drifts, kernel_tail_constant, mixing_rate,
                       stationary_measure)
 from .pathsim import (ConfigError, SimConfig, check_workers,
                       scaled_endpoint_batch)
-from .regimes import RegimeError
+from .regimes import CAUCHY_CENTER
 from .spec_model import IntegrabilityError, validate
 from .verify import theorem_check
 
@@ -54,10 +55,7 @@ def _manifest(settings, out_dir, command, artifacts, overrides):
 def _load(path):
     try:
         return load_config(path)
-    except ConfigSchemaError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-    except FileNotFoundError as exc:
+    except (ConfigSchemaError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
@@ -99,7 +97,11 @@ def cmd_effective(args):
     spec = settings.spec
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mu = stationary_measure(spec, args.grid)
+    try:
+        mu = stationary_measure(spec, args.grid)
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     drifts = effective_drifts(spec, mu)
     kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
     k0, k0_cauchy, k0_table = kernel_tail_constant(spec, mu)
@@ -139,16 +141,19 @@ def cmd_corrector(args):
     spec = settings.spec
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mu = stationary_measure(spec, args.grid)
-    mode = "truncated" if settings.regime == "cauchy_center" else "full"
+    mode = "truncated" if settings.regime == CAUCHY_CENTER else "full"
     R = None
     if mode == "truncated":
         R = 1.0 / args.eps if args.eps else 16.0
     try:
+        mu = stationary_measure(spec, args.grid)
         psi = solve_recentering_corrector(spec, mu, mode=mode, R=R)
     except IntegrabilityError as exc:
         print(f"corrector unavailable: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except ValueError as exc:
+        print(f"corrector setup error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     artifacts = []
     for a, comp in enumerate(psi.components):
         name = f"corrector_{a}.csv"
@@ -177,17 +182,13 @@ def cmd_simulate(args):
     out.mkdir(parents=True, exist_ok=True)
     overrides = _apply_overrides(settings.sim, args)
     sim = settings.sim
-    if sim.regime is None:
-        print("config error: simulate needs a regime", file=sys.stderr)
-        return EXIT_CONFIG
     if sim.eps is None:
         print("config error: simulate needs eps (flag --eps)", file=sys.stderr)
         return EXIT_CONFIG
-    mu = stationary_measure(spec, args.grid)
-    drifts = effective_drifts(spec, mu)
     try:
-        batch = scaled_endpoint_batch(spec, sim, drifts)
-    except (ConfigError, RegimeError, IntegrabilityError) as exc:
+        mu = stationary_measure(spec, args.grid)
+        batch = scaled_endpoint_batch(spec, sim, effective_drifts(spec, mu))
+    except (ValueError, IntegrabilityError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     stem = f"batch_eps{sim.eps:g}_seed{sim.seed}"
@@ -205,18 +206,14 @@ def cmd_verify(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     overrides = _apply_overrides(settings.sim, args)
-    regime = settings.regime or settings.sim.regime
-    if regime is None:
-        print("config error: verify needs a regime", file=sys.stderr)
-        return EXIT_CONFIG
     from fractions import Fraction
     ladder = ([float(Fraction(tok.strip())) for tok in args.ladder.split(",")]
               if args.ladder else [1.0 / 8, 1.0 / 32])
     try:
         report = theorem_check(
-            spec, regime, ladder, n=settings.sim.paths,
+            spec, ladder, n=settings.sim.paths,
             seed=settings.sim.seed, sim=settings.sim, t=settings.sim.horizon)
-    except (ConfigError, RegimeError, IntegrabilityError, ValueError) as exc:
+    except (ValueError, IntegrabilityError) as exc:
         print(f"verification setup error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     report.to_json(out / "convergence.json")

@@ -5,6 +5,9 @@ kappa, kernel, drift, regime, sim. Loading produces a JumpSpec plus run
 settings; dumping produces a canonical (sorted-key) document. A canonical
 document round-trips bit-exactly through load/dump.
 
+The regime is read off phi's tail index (``Regime.of``); the optional
+``regime`` key must name that case.
+
 Kernel and drift trig polynomials are sums of product terms::
 
     {"amplitude": 0.5, "x_mode": [1], "x_phase": "cos",
@@ -19,12 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .pathsim import ConfigError, SimConfig
-from .regimes import ALL_REGIMES
+from .regimes import Regime
 from .spec_model import (DriftField, JumpSpec, PeriodicKernel,
                          RadialPerturbation, ScalingFunction, SmallJumpPart,
                          SphericalMeasure)
@@ -35,8 +37,14 @@ class ConfigSchemaError(ValueError):
     """Malformed configuration; the message carries the offending key path."""
 
 
+def _object(obj, path):
+    if not isinstance(obj, dict):
+        raise ConfigSchemaError(f"{path or 'document'}: expected an object")
+    return obj
+
+
 def _need(obj, key, path):
-    if key not in obj:
+    if key not in _object(obj, path):
         raise ConfigSchemaError(f"missing key {path}/{key}")
     return obj[key]
 
@@ -160,8 +168,8 @@ def _parse_drift(obj, d, path="drift"):
 
 def _parse_sim(obj, path="sim"):
     known = {"paths", "horizon", "dt", "delta", "rmax", "seed", "eps",
-             "regime", "workers", "stationary_start", "truncation_budget"}
-    bad = set(obj) - known
+             "workers", "stationary_start", "truncation_budget"}
+    bad = set(_object(obj, path)) - known
     if bad:
         raise ConfigSchemaError(f"{path}: unknown keys {sorted(bad)}")
     try:
@@ -177,7 +185,7 @@ def _parse_sim(obj, path="sim"):
 @dataclass
 class RunSettings:
     spec: JumpSpec
-    regime: Optional[str]
+    regime: str                    # read off spec.phi.index
     sim: SimConfig
     raw: dict = field(repr=False, default_factory=dict)
 
@@ -212,13 +220,13 @@ def load_config(source) -> RunSettings:
         drift=_parse_drift(raw.get("drift", {"variant": "zero"}), d),
         config_dict=raw,
     )
-    regime = raw.get("regime")
-    if regime is not None and regime not in ALL_REGIMES:
-        raise ConfigSchemaError(f"regime: unknown value {regime!r}")
-    sim = _parse_sim(raw.get("sim", {}))
-    if regime is not None and sim.regime is None:
-        sim.regime = regime
-    return RunSettings(spec=spec, regime=regime, sim=sim, raw=raw)
+    regime = Regime.of(spec.phi.index).name
+    if raw.get("regime", regime) != regime:
+        raise ConfigSchemaError(
+            f"regime: {raw['regime']!r} does not match the scaling index "
+            f"{spec.phi.index}, which fixes {regime!r}")
+    return RunSettings(spec=spec, regime=regime,
+                       sim=_parse_sim(raw.get("sim", {})), raw=raw)
 
 
 def dump_config(settings_or_raw) -> str:

@@ -532,9 +532,6 @@ class AtomJumpMeasure:
     def nodes(self):
         return self.z, self.w
 
-    def second_moment_total(self):
-        return float(self.w @ np.sum(self.z ** 2, axis=1))
-
 
 class VectorCorrector:
     """Componentwise corrector field psi: T^d -> R^d."""
@@ -567,7 +564,7 @@ def solve_recentering_corrector(spec: JumpSpec, mu, mode="full", R=None,
                                 mean_tol=1e-6) -> VectorCorrector:
     """Corrector for the recentering drift: solves one Poisson problem per
     axis on the grid operator of mu's own cells (n^d of them)."""
-    op = assemble_operator(spec, round(len(mu.weights) ** (1.0 / spec.d)))
+    op = assemble_operator(spec, mu.grid.n)
     rhs, _ = corrector_rhs(spec, mu, mode=mode, R=R)
     comps = [solve_poisson(op, rhs[:, a], mu_weights=mu.weights,
                            mean_tol=mean_tol)

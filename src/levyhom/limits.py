@@ -23,15 +23,11 @@ from scipy.integrate import quad
 from .corrector import (covariance_matrix, critical_covariance,
                         solve_recentering_corrector)
 from .pathsim import EndpointBatch, philox_key
-from .regimes import (CAUCHY_CENTER, CRITICAL_LOG, STABLE_CENTER,
+from .regimes import (CAUCHY_CENTER, CRITICAL_LOG, DIFFUSIVE,
                       STABLE_NO_CENTER, Regime)
 from .spec_model import JumpSpec, SphericalMeasure
 
 _EULER_GAMMA = 0.5772156649015329
-
-CONVENTION_BY_REGIME = {STABLE_NO_CENTER: "none",
-                        CAUCHY_CENTER: "unit_ball",
-                        STABLE_CENTER: "full"}
 
 
 @dataclass
@@ -40,21 +36,14 @@ class LimitLaw:
     alpha: Optional[float] = None
     rho0: Optional[SphericalMeasure] = None
     kbar0: Optional[np.ndarray] = None      # per rho0 node
-    convention: Optional[str] = None        # none | unit_ball | full
     A: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind == "stable":
-            conv_ok = {"none": 0 < self.alpha < 1,
-                       "unit_ball": self.alpha == 1.0,
-                       "full": 1 < self.alpha < 2}
-            if self.convention not in conv_ok:
-                raise ValueError(f"unknown convention {self.convention!r}")
-            if not conv_ok[self.convention]:
-                raise ValueError(
-                    f"convention {self.convention!r} inconsistent with "
-                    f"alpha={self.alpha}")
+            if not 0 < self.alpha < 2:
+                raise ValueError(f"stable index alpha={self.alpha} outside "
+                                 "(0, 2)")
             self.kbar0 = np.asarray(self.kbar0, dtype=float)
             if np.any(self.kbar0 < 0):
                 raise ValueError("effective intensities must be nonnegative")
@@ -70,6 +59,12 @@ class LimitLaw:
     @property
     def d(self):
         return self.rho0.d if self.kind == "stable" else self.A.shape[0]
+
+    @property
+    def convention(self):
+        """Compensation of the exponent, by alpha: none | unit_ball | full."""
+        return {STABLE_NO_CENTER: "none", CAUCHY_CENTER: "unit_ball"}.get(
+            Regime.of(self.alpha).name, "full")
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +129,10 @@ def char_exponent(law: LimitLaw, u):
     if law.kind == "gaussian":
         return complex(-0.5 * float(u @ law.A @ u), 0.0)
     total = 0.0 + 0.0j
+    conv = law.convention
     for th, w, kb in zip(law.rho0.thetas, law.rho0.weights, law.kbar0):
         s = float(u @ th)
-        total += w * kb * _radial_symbol(s, law.alpha, law.convention)
+        total += w * kb * _radial_symbol(s, law.alpha, conv)
     return total
 
 
@@ -224,23 +220,17 @@ def exact_symmetric_stable_1d(alpha, scale_exponent, t, n, seed):
 # predicted limits from the pipeline
 # ---------------------------------------------------------------------------
 
-def predicted_limit(spec: JumpSpec, mu, regime_name) -> LimitLaw:
-    """Assemble the limit law the theory predicts for the declared regime."""
+def predicted_limit(spec: JumpSpec, mu) -> LimitLaw:
+    """Assemble the limit law the theory predicts for the spec's regime."""
     from .averaging import effective_kernel_table
 
-    regime = Regime.from_name(regime_name)
-    problems = regime.consistency_problems(spec)
-    if problems:
-        raise ValueError("; ".join(problems))
-
-    if regime_name in CONVENTION_BY_REGIME:
+    regime = Regime.of(spec.phi.index)
+    if regime.name not in (CRITICAL_LOG, DIFFUSIVE):
         kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
         return LimitLaw(kind="stable", alpha=spec.phi.index, rho0=spec.rho0,
-                        kbar0=kbar0,
-                        convention=CONVENTION_BY_REGIME[regime_name],
-                        meta={"source": "effective_kernel_table"})
+                        kbar0=kbar0, meta={"source": "effective_kernel_table"})
 
-    if regime_name == CRITICAL_LOG:
+    if regime.name == CRITICAL_LOG:
         cov = critical_covariance(spec, mu)
         return LimitLaw(kind="gaussian", A=cov.A,
                         meta={"source": "critical_covariance",

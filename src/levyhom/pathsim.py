@@ -99,7 +99,6 @@ class SimConfig:
     rmax: Optional[float] = None
     seed: int = 0
     eps: Optional[float] = None
-    regime: Optional[str] = None
     workers: int = 1
     stationary_start: bool = False
     truncation_budget: float = 1e-6
@@ -909,17 +908,15 @@ def scaled_endpoint_batch(spec: JumpSpec, cfg: SimConfig,
                           start_measure=None) -> EndpointBatch:
     """Samples of the scaled recentered endpoint Y_t = eps (X_{rho t} - rho t c).
 
+    The regime, and with it rho and c, is read off the spec's tail index.
     With ``cfg.stationary_start`` the paths start from draws of the supplied
     invariant measure instead of the origin, which removes the start-point
     transient from the comparison (the limit law does not depend on the
     start).
     """
-    if cfg.eps is None or cfg.regime is None:
-        raise ConfigError("scaled batches need eps and regime in the config")
-    regime = Regime.from_name(cfg.regime)
-    problems = regime.consistency_problems(spec)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    if cfg.eps is None:
+        raise ConfigError("scaled batches need eps in the config")
+    regime = Regime.of(spec.phi.index)
     eps = float(cfg.eps)
     rho = regime.time_scale(spec, eps)
     T = rho * float(cfg.horizon)
@@ -938,7 +935,7 @@ def scaled_endpoint_batch(spec: JumpSpec, cfg: SimConfig,
                      start_sampler=sampler, stats=stats)
     wall = _time.monotonic() - t_start
     samples = eps * (ends - T * avg[None, :])
-    return EndpointBatch(samples=samples, regime=cfg.regime, eps=eps,
+    return EndpointBatch(samples=samples, regime=regime.name, eps=eps,
                          seed=cfg.seed, t=float(cfg.horizon),
                          meta={**driver.meta, **stats, "dt": dt,
                                "branch": driver.branch,

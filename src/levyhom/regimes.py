@@ -1,8 +1,16 @@
-"""Scaling regimes: time rescaling and recentering conventions.
+"""Scaling regimes: the paper's five cases, read off the tail index alpha.
 
-Each regime fixes the scaled process Y_t = eps * (X_{rho t} - rho t c) where
-rho is the regime's time scale at the given eps and c the recentering average
-(zero, the truncated-tail average at radius 1/eps, or the full-tail average).
+alpha alone fixes the time scale rho and the recentering average c of the
+scaled process Y_t = eps * (X_{rho t} - rho t c):
+
+    alpha    regime            rho                  c
+    (0, 1)   stable_no_center  phi(1/eps)           0
+    1        cauchy_center     phi(1/eps)           tail truncated at 1/eps
+    (1, 2)   stable_center     phi(1/eps)           full tail
+    2        critical_log      eps^-2 / |log eps|   full tail
+    > 2      diffusive         eps^-2               full tail
+
+Stable limits below alpha = 2, Brownian ones from 2 on; 1 and 2 match exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +26,6 @@ CAUCHY_CENTER = "cauchy_center"
 STABLE_CENTER = "stable_center"
 CRITICAL_LOG = "critical_log"
 DIFFUSIVE = "diffusive"
-
-ALL_REGIMES = (STABLE_NO_CENTER, CAUCHY_CENTER, STABLE_CENTER, CRITICAL_LOG,
-               DIFFUSIVE)
 
 
 @dataclass
@@ -40,19 +45,23 @@ class Regime:
     name: str
 
     @classmethod
-    def from_name(cls, name):
-        if name not in ALL_REGIMES:
-            raise RegimeError(f"unknown regime {name!r}; expected one of "
-                              f"{ALL_REGIMES}")
-        return cls(name)
+    def of(cls, alpha):
+        """The case of the tail index alpha."""
+        if alpha < 1:
+            return cls(STABLE_NO_CENTER)
+        if alpha == 1:
+            return cls(CAUCHY_CENTER)
+        if alpha < 2:
+            return cls(STABLE_CENTER)
+        return cls(CRITICAL_LOG if alpha == 2 else DIFFUSIVE)
 
     def time_scale(self, spec, eps):
         """rho(1/eps): unscaled horizon per unit of scaled time."""
-        if self.name in (STABLE_NO_CENTER, CAUCHY_CENTER, STABLE_CENTER):
-            return float(spec.phi(1.0 / eps))
+        if self.name == DIFFUSIVE:
+            return eps ** -2
         if self.name == CRITICAL_LOG:
             return eps ** -2 / abs(math.log(eps))
-        return eps ** -2
+        return float(spec.phi(1.0 / eps))
 
     def needs_centering(self):
         return self.name != STABLE_NO_CENTER
@@ -70,20 +79,3 @@ class Regime:
             raise RegimeError(f"regime {self.name!r} needs the full tail "
                               "drift average")
         return np.asarray(drifts.b_inf_bar) + drifts.b_bar
-
-    def consistency_problems(self, spec):
-        """Mismatch list between the declared regime and the scaling index."""
-        idx = spec.phi.index
-        problems = []
-        if self.name == STABLE_NO_CENTER and not (0 < idx < 1):
-            problems.append(f"scaling index {idx} outside (0,1)")
-        if self.name == CAUCHY_CENTER and abs(idx - 1.0) > 1e-12:
-            problems.append(f"scaling index {idx} != 1")
-        if self.name == STABLE_CENTER and not (1 < idx < 2):
-            problems.append(f"scaling index {idx} outside (1,2)")
-        if self.name == CRITICAL_LOG and abs(idx - 2.0) > 1e-12:
-            problems.append(f"scaling index {idx} != 2")
-        if self.name == DIFFUSIVE and idx <= 2.0:
-            problems.append(f"scaling index {idx} leaves the second moment "
-                            "infinite")
-        return problems

@@ -194,11 +194,11 @@ class ConvergenceReport:
                             f"{r.ecf_gap:.17g}", r.n, r.error])
 
 
-def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
+def theorem_check(spec: JumpSpec, eps_ladder, n=5000, seed=0,
                   law: Optional[LimitLaw] = None,
                   sim: Optional[SimConfig] = None, t=1.0
                   ) -> ConvergenceReport:
-    """Marginal-convergence check of a declared regime on an epsilon ladder.
+    """Marginal-convergence check of the spec's regime on an epsilon ladder.
 
     For each epsilon the scaled recentered batch is compared against a fresh
     sample of the predicted limit (two-sample KS on the projection
@@ -212,9 +212,9 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
     eps_ladder = sorted(eps_ladder, reverse=True)
     mu = stationary_measure(spec)
     if law is None:
-        law = predicted_limit(spec, mu, regime_name)
-    drifts = (effective_drifts(spec, mu)
-              if Regime.from_name(regime_name).needs_centering() else None)
+        law = predicted_limit(spec, mu)
+    regime = Regime.of(spec.phi.index)
+    drifts = effective_drifts(spec, mu) if regime.needs_centering() else None
 
     sim = sim or SimConfig()
     dirs = projection_directions(spec.d, seed)
@@ -222,7 +222,7 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
     for i, eps in enumerate(eps_ladder):
         try:
             cfg = replace(sim, paths=n, horizon=t, seed=seed + 1009 * i,
-                          eps=eps, regime=regime_name)
+                          eps=eps)
             batch = scaled_endpoint_batch(spec, cfg, drifts,
                                           start_measure=mu)
             ref = sample_limit(law, t, n, seed + 1009 * i + 499)
@@ -235,7 +235,7 @@ def theorem_check(spec: JumpSpec, regime_name, eps_ladder, n=5000, seed=0,
             rows.append(ConvergenceRow(eps, [], float("nan"), float("nan"),
                                        n, error=f"{type(exc).__name__}: {exc}"))
     verdict = _verdict(rows)
-    return ConvergenceReport(regime=regime_name, rows=rows, verdict=verdict,
+    return ConvergenceReport(regime=regime.name, rows=rows, verdict=verdict,
                              thresholds={"ks_final": KS_FINAL_THRESHOLD,
                                          "monotone_slack": MONOTONE_SLACK},
                              meta={"directions": [list(map(float, v))

@@ -1,28 +1,11 @@
 """Shared fixture specs used across the test suite."""
 
-import numpy as np
 import pytest
 
 from levyhom.spec_model import (DriftField, JumpSpec, PeriodicKernel,
                                 RadialPerturbation, ScalingFunction,
                                 SmallJumpPart, SphericalMeasure)
 from levyhom.trigpoly import TrigPoly
-
-
-class GridMeasure:
-    """Minimal torus measure stand-in: uniform weights on grid centers."""
-
-    def __init__(self, d, n, weights=None):
-        g = np.arange(n) / n
-        if d == 1:
-            self.centers = g[:, None]
-        else:
-            mesh = np.meshgrid(*([g] * d), indexing="ij")
-            self.centers = np.stack([m.ravel() for m in mesh], axis=-1)
-        if weights is None:
-            self.weights = np.full(len(self.centers), 1.0 / len(self.centers))
-        else:
-            self.weights = np.asarray(weights, dtype=float)
 
 
 def make_spec(d=1, alpha=0.5, alpha0=0.5, kernel=None, drift=None,

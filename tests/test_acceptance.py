@@ -28,7 +28,7 @@ from levyhom.spec_model import (IntegrabilityError, PeriodicKernel,
 from levyhom.trigpoly import TrigPoly
 from levyhom.verify import ecf_distance, theorem_check
 
-from conftest import GridMeasure, make_spec
+from conftest import make_spec
 
 
 def _report(num, ok, detail=""):
@@ -62,7 +62,7 @@ def test_acceptance_1_fourier_mean_exactness():
 def test_acceptance_2_effective_kernel_constants():
     th = np.array([1.0, math.sqrt(2.0)])
     th = th / np.linalg.norm(th)
-    mu = GridMeasure(2, 16)
+    mu = TorusMeasure.uniform(2, 16)
     checks = []
     for poly, want in [
         (TrigPoly.const(2, 2, 1.0) +
@@ -127,7 +127,7 @@ def test_acceptance_4_corrector_oracle():
 # --------------------------------------------------------------------------
 
 def test_acceptance_5_covariance_degeneracy():
-    mu = GridMeasure(2, 8)
+    mu = TorusMeasure.uniform(2, 8)
     atoms = AtomJumpMeasure(2, [((1.0, 0.0), 1.0)])
     cov_atom = covariance_matrix(atoms, mu, psi=None)
     e2 = np.array([0.0, 1.0])
@@ -151,7 +151,7 @@ def test_acceptance_5_covariance_degeneracy():
 # --------------------------------------------------------------------------
 
 def test_acceptance_6_critical_covariance():
-    mu = GridMeasure(2, 4)
+    mu = TorusMeasure.uniform(2, 4)
     spec_u = make_spec(d=2, alpha=2.0, alpha0=1.0,
                        rho0=SphericalMeasure.uniform(2, 1.0, 32))
     cov_u = critical_covariance(spec_u, mu)
@@ -209,13 +209,13 @@ def test_acceptance_8_stable_limit_ladder():
     settings = load_config(fixture_config("ex4_1_stable"))
     spec = settings.spec
     ladder = [1.0 / 8, 1.0 / 32, 1.0 / 128]
-    rep = theorem_check(spec, "stable_no_center", ladder, n=5000,
+    rep = theorem_check(spec, ladder, n=5000,
                         seed=settings.sim.seed, sim=settings.sim)
     mu = stationary_measure(spec, 128)
-    law = predicted_limit(spec, mu, "stable_no_center")
+    law = predicted_limit(spec, mu)
     wrong = LimitLaw(kind="stable", alpha=0.5, rho0=spec.rho0,
-                     kbar0=2.0 * law.kbar0, convention="none")
-    rep_neg = theorem_check(spec, "stable_no_center", [1.0 / 8, 1.0 / 32],
+                     kbar0=2.0 * law.kbar0)
+    rep_neg = theorem_check(spec, [1.0 / 8, 1.0 / 32],
                             n=5000, seed=settings.sim.seed, law=wrong,
                             sim=settings.sim)
     ks_seq = [round(r.ks_max, 4) for r in rep.rows]
@@ -231,13 +231,13 @@ def test_acceptance_9_diffusive_limit_with_corrector():
     settings = load_config(fixture_config("ex4_1_diffusive"))
     spec = settings.spec
     mu = stationary_measure(spec, 128)
-    law = predicted_limit(spec, mu, "diffusive")
+    law = predicted_limit(spec, mu)
     assert law.meta["corrector_sup"] >= 0.1
-    rep = theorem_check(spec, "diffusive", [1.0 / 64], n=5000,
+    rep = theorem_check(spec, [1.0 / 64], n=5000,
                         seed=settings.sim.seed, sim=settings.sim)
     wrong = LimitLaw(kind="gaussian",
                      A=covariance_matrix(spec, mu, psi=None).A)
-    rep_neg = theorem_check(spec, "diffusive", [1.0 / 64], n=5000,
+    rep_neg = theorem_check(spec, [1.0 / 64], n=5000,
                             seed=settings.sim.seed, law=wrong,
                             sim=settings.sim)
     ok = rep.verdict == "PASS" and rep_neg.verdict == "FAIL"

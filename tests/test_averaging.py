@@ -6,10 +6,11 @@ import pytest
 from levyhom.averaging import (cesaro_average, check_averaging_hypothesis,
                                effective_directional_kernel, fourier_mean,
                                rationality)
+from levyhom.ergodic import TorusMeasure
 from levyhom.spec_model import PeriodicKernel, SphericalMeasure
 from levyhom.trigpoly import TrigPoly
 
-from conftest import GridMeasure, make_spec
+from conftest import make_spec
 
 
 def poly_2d_checker():
@@ -123,7 +124,7 @@ def test_rationality_dimension_one():
 
 def test_effective_kernel_x_independent():
     kern = PeriodicKernel.trig(poly_2d_checker())
-    mu = GridMeasure(2, 8)
+    mu = TorusMeasure.uniform(2, 8)
     th = np.array([1.0, 1.0]) / np.sqrt(2.0)
     got = effective_directional_kernel(kern, mu, th)
     assert got == pytest.approx(1.25, abs=1e-12)
@@ -134,7 +135,7 @@ def test_effective_kernel_equals_space_mean_for_irrational_direction():
     poly = (TrigPoly.const(2, 2, 1.0) +
             TrigPoly.cos_x(2, 2, (1, 0), 0.25) * TrigPoly.cos_z(2, 2, (1, 1), 1.0))
     kern = PeriodicKernel.trig(poly)
-    mu = GridMeasure(2, 16)
+    mu = TorusMeasure.uniform(2, 16)
     th = np.array([1.0, np.sqrt(2.0)])
     th = th / np.linalg.norm(th)
     got = effective_directional_kernel(kern, mu, th)
@@ -146,13 +147,13 @@ def test_effective_kernel_axes_atoms():
     # k = 1 + 0.5 cos(2 pi z1): average along e1 is 1, along e2 is 1.5
     poly = TrigPoly.const(2, 2, 1.0) + TrigPoly.cos_z(2, 2, (1, 0), 0.5)
     kern = PeriodicKernel.trig(poly)
-    mu = GridMeasure(2, 8)
+    mu = TorusMeasure.uniform(2, 8)
     assert effective_directional_kernel(kern, mu, (1.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
     assert effective_directional_kernel(kern, mu, (0.0, 1.0)) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_effective_kernel_monotone():
-    mu = GridMeasure(2, 8)
+    mu = TorusMeasure.uniform(2, 8)
     th = np.array([1.0, 1.0]) / np.sqrt(2.0)
     k1 = PeriodicKernel.trig(poly_2d_checker())
     k2 = PeriodicKernel.trig(poly_2d_checker() + TrigPoly.const(2, 2, 0.1))

@@ -41,6 +41,88 @@ def test_config_rejects_bad_documents():
         load_config(raw)
 
 
+def test_fixture_regimes_are_read_off_the_index():
+    # each fixture document loads unchanged, and the regime the loader reads
+    # off phi's index is the one the document's optional key names
+    for name in FIXTURES:
+        raw = fixture_config(name)
+        settings = load_config(raw)
+        assert settings.regime == raw["regime"]
+        assert dump_config(settings) == dump_config(fixture_config(name))
+
+
+def test_config_rejects_a_mismatched_regime():
+    raw = fixture_config("ex4_1_stable")
+    raw["regime"] = "diffusive"
+    with pytest.raises(ConfigSchemaError, match="stable_no_center"):
+        load_config(raw)
+
+
+def test_config_rejects_sim_regime():
+    raw = fixture_config("ex4_1_stable")
+    raw["sim"]["regime"] = "stable_no_center"
+    with pytest.raises(ConfigSchemaError, match="regime"):
+        load_config(raw)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _number_document(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("5\n")
+    return cfg
+
+
+def _number_small(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    raw = fixture_config("ex4_1_stable")
+    raw["small"] = 5
+    cfg.write_text(dump_config(raw))
+    return cfg
+
+
+@pytest.mark.parametrize("make", [_number_document, _number_small,
+                                  lambda tmp_path: tmp_path],
+                         ids=["number_document", "number_small", "directory"])
+def test_cli_malformed_config_exits_4(tmp_path, capsys, make):
+    assert _exit_code(["validate", str(make(tmp_path))]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def _d3_config(tmp_path, x_mode):
+    raw = fixture_config("ex4_1_critical")
+    raw.update(dimension=3, phi={"variant": "power", "alpha": 3.0},
+               rho0={"variant": "uniform", "total_mass": 1.0},
+               regime="diffusive")
+    raw["kernel"]["terms"].append({"amplitude": 0.3, "x_mode": x_mode})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(raw))
+    return cfg
+
+
+@pytest.mark.parametrize("argv, x_mode", [
+    (["effective", "--grid", "4", "--paths", "20"], [3, 0, 0]),
+    (["simulate", "--eps", "0.5"], [3, 0, 0]),
+    (["corrector"], [3, 0, 0]),
+    (["corrector", "--grid", "4"], [1, 0, 0])],
+    ids=["effective", "simulate", "corrector_measure", "corrector_assembly"])
+def test_cli_d3_specs_without_a_route_exit_4(tmp_path, capsys, argv, x_mode):
+    # an x-mode longer than 2 leaves d = 3 without an invariant measure, and
+    # the grid corrector has no d = 3 assembly
+    cfg = _d3_config(tmp_path, x_mode)
+    code = _exit_code([argv[0], str(cfg), "--out", str(tmp_path / "out")]
+                      + argv[1:])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: " in err and err.count("\n") == 1
+
+
 def test_config_kernel_terms_evaluate():
     settings = load_config(fixture_config("ex4_1_stable"))
     k = settings.spec.kernel
@@ -167,3 +249,22 @@ def test_cli_verify_smoke(tmp_path):
         assert 0 <= row["meta"]["accepted"] <= row["meta"]["candidates"]
         assert row["meta"]["accept"] == {"route": "x_modes",
                                          "envelope": False}
+
+
+def test_cli_verify_reads_the_regime_off_the_index(tmp_path):
+    # the top-level regime key is optional: without it verify runs the case
+    # phi's index fixes and writes the same report
+    payloads = []
+    for keep in (True, False):
+        raw = fixture_config("ex4_1_stable")
+        raw["sim"]["paths"] = 200
+        if not keep:
+            del raw["regime"]
+        cfg = tmp_path / f"cfg_{keep}.json"
+        cfg.write_text(dump_config(raw))
+        out = tmp_path / f"ver_{keep}"
+        assert main(["verify", str(cfg), "--out", str(out),
+                     "--ladder", "1/4"]) in (0, 3)
+        payloads.append((out / "convergence.json").read_bytes())
+    assert payloads[0] == payloads[1]
+    assert json.loads(payloads[0])["regime"] == "stable_no_center"

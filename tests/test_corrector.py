@@ -9,12 +9,14 @@ from levyhom.corrector import (AtomJumpMeasure, assemble_operator,
                                nondegeneracy_check, solve_poisson,
                                solve_poisson_modes,
                                solve_recentering_corrector)
+from levyhom.ergodic import TorusMeasure
+from levyhom.grid import TorusGrid
 from levyhom.spec_model import (DriftField, IntegrabilityError, PeriodicKernel,
                                 ScalingFunction, SmallJumpPart,
                                 SphericalMeasure)
 from levyhom.trigpoly import TrigPoly
 
-from conftest import GridMeasure, make_spec
+from conftest import make_spec
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +124,7 @@ def test_gradient_consistent_with_central_differences(op_1d):
 
 def test_rhs_vanishes_for_symmetric_spec():
     spec = make_spec(alpha=3.0)
-    mu = GridMeasure(1, 32)
+    mu = TorusMeasure.uniform(1, 32)
     rhs, info = corrector_rhs(spec, mu, mode="full")
     assert np.max(np.abs(rhs)) < 1e-10
 
@@ -130,7 +132,7 @@ def test_rhs_vanishes_for_symmetric_spec():
 def test_rhs_is_minus_periodic_drift():
     drift = DriftField.trig([TrigPoly.cos_x(1, 0, (1,), 0.1)])
     spec = make_spec(alpha=3.0, drift=drift)
-    mu = GridMeasure(1, 64)
+    mu = TorusMeasure.uniform(1, 64)
     rhs, info = corrector_rhs(spec, mu, mode="full")
     want = -0.1 * np.cos(2 * np.pi * mu.centers[:, 0])
     assert np.max(np.abs(rhs[:, 0] - want)) < 1e-8
@@ -143,7 +145,7 @@ def test_rhs_truncated_family_bound():
                      rho0=SphericalMeasure.atoms(1, [((1.0,), 1.0)]))
     op = assemble_operator(spec, 64)
     mu_w = op.stationary_weights()
-    mu = GridMeasure(1, 64, weights=mu_w)
+    mu = TorusMeasure(TorusGrid(1, 64), mu_w)
     for eps in (1.0 / 4, 1.0 / 16, 1.0 / 64):
         rhs, _ = corrector_rhs(spec, mu, mode="truncated", R=1.0 / eps)
         fld = solve_poisson(op, rhs[:, 0], mu_weights=mu_w, mean_tol=1e-6)
@@ -153,7 +155,7 @@ def test_rhs_truncated_family_bound():
 
 def test_rhs_propagates_integrability_error():
     spec = make_spec(alpha=0.5, rho0=SphericalMeasure.atoms(1, [((1.0,), 1.0)]))
-    mu = GridMeasure(1, 16)
+    mu = TorusMeasure.uniform(1, 16)
     with pytest.raises(IntegrabilityError):
         corrector_rhs(spec, mu, mode="full")
 
@@ -168,14 +170,14 @@ def test_covariance_without_corrector_closed_form():
     # which is 2 + 1 in d=1 and (4 pi + 1)/3 in d=3
     for d, n, want in [(1, 16, 3.0), (3, 2, (4 * np.pi + 1.0) / 3.0)]:
         spec = make_spec(d=d, alpha=3.0, alpha0=1.0)
-        mu = GridMeasure(d, n)
+        mu = TorusMeasure.uniform(d, n)
         cov = covariance_matrix(spec, mu, psi=None)
         assert cov.A[0, 0] == pytest.approx(want, rel=1e-6)
 
 
 def test_covariance_single_atom_degenerate():
     atoms = AtomJumpMeasure(2, [((1.0, 0.0), 1.0)])
-    mu = GridMeasure(2, 8)
+    mu = TorusMeasure.uniform(2, 8)
     cov = covariance_matrix(atoms, mu, psi=None)
     e2 = np.array([0.0, 1.0])
     assert abs(e2 @ cov.A @ e2) <= 1e-12
@@ -184,7 +186,7 @@ def test_covariance_single_atom_degenerate():
 
 def test_covariance_moment_condition_enforced():
     spec = make_spec(alpha=1.5)
-    mu = GridMeasure(1, 8)
+    mu = TorusMeasure.uniform(1, 8)
     with pytest.raises(IntegrabilityError):
         covariance_matrix(spec, mu)
 
@@ -194,7 +196,7 @@ def test_covariance_with_corrector_positive_and_psd():
     spec = make_spec(alpha=3.0, alpha0=1.0, drift=drift)
     op = assemble_operator(spec, 64)
     mu_w = op.stationary_weights()
-    mu = GridMeasure(1, 64, weights=mu_w)
+    mu = TorusMeasure(TorusGrid(1, 64), mu_w)
     psi = solve_recentering_corrector(spec, mu, mode="full", mean_tol=1e-5)
     cov = covariance_matrix(spec, mu, psi=psi)
     assert cov.A[0, 0] > 0
@@ -205,7 +207,7 @@ def test_covariance_exchange_symmetry():
     # exchange-symmetric 2d spec: swapping axes leaves A invariant
     spec = make_spec(d=2, alpha=3.0, alpha0=1.0,
                      rho0=SphericalMeasure.uniform(2, 1.0, 32))
-    mu = GridMeasure(2, 8)
+    mu = TorusMeasure.uniform(2, 8)
     cov = covariance_matrix(spec, mu)
     P = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(P @ cov.A @ P, cov.A, atol=1e-10)
@@ -218,7 +220,7 @@ def test_covariance_exchange_symmetry():
 def test_critical_covariance_uniform_circle():
     spec = make_spec(d=2, alpha=2.0, alpha0=1.0,
                      rho0=SphericalMeasure.uniform(2, 1.0, 32))
-    mu = GridMeasure(2, 4)
+    mu = TorusMeasure.uniform(2, 4)
     cov = critical_covariance(spec, mu)
     assert cov.meta["converged"]
     assert np.allclose(cov.A, 0.5 * np.eye(2), atol=1e-3)
@@ -227,7 +229,7 @@ def test_critical_covariance_uniform_circle():
 def test_critical_covariance_axes_atoms():
     rho = SphericalMeasure.atoms(2, [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
     spec = make_spec(d=2, alpha=2.0, alpha0=1.0, rho0=rho)
-    mu = GridMeasure(2, 4)
+    mu = TorusMeasure.uniform(2, 4)
     cov = critical_covariance(spec, mu)
     assert np.allclose(cov.A, np.eye(2), atol=1e-3)
 
@@ -235,7 +237,7 @@ def test_critical_covariance_axes_atoms():
 def test_critical_covariance_rank_one():
     rho = SphericalMeasure.atoms(2, [((1.0, 0.0), 1.0)])
     spec = make_spec(d=2, alpha=2.0, alpha0=1.0, rho0=rho)
-    mu = GridMeasure(2, 4)
+    mu = TorusMeasure.uniform(2, 4)
     cov = critical_covariance(spec, mu)
     assert cov.A[0, 0] == pytest.approx(1.0, abs=1e-3)
     assert abs(cov.A[1, 1]) <= 1e-3
@@ -250,7 +252,7 @@ def test_nondegeneracy_stable_small_part():
                      rho0=SphericalMeasure.uniform(2, 1.0, 16))
     verdict = nondegeneracy_check(spec)
     assert verdict.predicted_nondegenerate
-    mu = GridMeasure(2, 8)
+    mu = TorusMeasure.uniform(2, 8)
     cov = covariance_matrix(spec, mu)
     assert cov.eigenvalues.min() >= 1e-8
 
@@ -259,7 +261,7 @@ def test_degenerate_atom_measure_flagged():
     atoms = AtomJumpMeasure(2, [((1.0, 0.0), 1.0)])
     verdict = nondegeneracy_check(atoms)
     assert not verdict.predicted_nondegenerate
-    mu = GridMeasure(2, 4)
+    mu = TorusMeasure.uniform(2, 4)
     cov = covariance_matrix(atoms, mu)
     degenerate = cov.eigenvalues.min() < 1e-8
     assert degenerate == (not verdict.predicted_nondegenerate)

@@ -1,11 +1,15 @@
-"""Source hygiene: every name a levyhom module imports is used in it, and
-every parameter of a levyhom function is read in its body."""
+"""Source hygiene: every name a levyhom module imports is used in it, every
+parameter of a levyhom function is read in its body, and the regime names
+are spelled out only where the regime is defined."""
 
 import ast
 from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
+
+from levyhom.regimes import (CAUCHY_CENTER, CRITICAL_LOG, DIFFUSIVE,
+                             STABLE_CENTER, STABLE_NO_CENTER)
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "levyhom"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -91,3 +95,42 @@ def test_unread_parameters_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text(), SIGNATURE_PROTOCOLS) == []
+
+
+REGIME_NAMES = {STABLE_NO_CENTER, CAUCHY_CENTER, STABLE_CENTER, CRITICAL_LOG,
+                DIFFUSIVE}
+
+
+def regime_literals(source):
+    """(line, name) for each string literal that names a regime, outside the
+    bodies of functions decorated with ``_fixture`` (config documents)."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef) and any(
+                    isinstance(dec, ast.Call) and getattr(dec.func, "id", "")
+                    == "_fixture" for dec in child.decorator_list):
+                continue
+            if isinstance(child, ast.Constant) and child.value in REGIME_NAMES:
+                found.append((child.lineno, child.value))
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_regime_literals_are_found():
+    source = ("@_fixture('a')\n"
+              "def doc():\n"
+              "    return {'regime': 'diffusive'}\n"
+              "def mode(r):\n"
+              "    return r == 'cauchy_center' or r == 'cauchy'\n")
+    assert regime_literals(source) == [(5, "cauchy_center")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "regimes.py"],
+                         ids=lambda p: p.name)
+def test_regimes_are_spelled_out_only_in_regimes(path):
+    assert regime_literals(path.read_text()) == []

@@ -4,21 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from levyhom.ergodic import TorusMeasure
 from levyhom.limits import (LimitLaw, _radial_symbol, char_exponent, char_fn,
                             exact_symmetric_stable_1d, predicted_limit,
                             radial_symbol_quadrature, sample_limit)
+from levyhom.regimes import Regime
 from levyhom.spec_model import PeriodicKernel, ScalingFunction, SphericalMeasure
 from levyhom.trigpoly import TrigPoly
 from levyhom.verify import ecf_distance, ks_statistic
 
-from conftest import GridMeasure, make_spec
+from conftest import make_spec
 
 
 def sym_stable_law_1d(alpha, mass=1.0, kbar=1.0):
     rho = SphericalMeasure.uniform(1, mass)
-    conv = "none" if alpha < 1 else ("unit_ball" if alpha == 1 else "full")
     return LimitLaw(kind="stable", alpha=alpha, rho0=rho,
-                    kbar0=np.full(2, kbar), convention=conv)
+                    kbar0=np.full(2, kbar))
 
 
 # --------------------------------------------------------------------------
@@ -129,8 +130,7 @@ def test_stable_self_similarity():
 def test_asymmetric_cauchy_drift_correction():
     # one-sided alpha=1 law: simulated batch still matches its own char fn
     rho = SphericalMeasure.atoms(1, [((1.0,), 1.0)])
-    law = LimitLaw(kind="stable", alpha=1.0, rho0=rho, kbar0=np.array([1.0]),
-                   convention="unit_ball")
+    law = LimitLaw(kind="stable", alpha=1.0, rho0=rho, kbar0=np.array([1.0]))
     batch = sample_limit(law, 1.0, 10_000, seed=31)
     worst, rows = ecf_distance(batch, law, freqs=[np.array([u])
                                                   for u in (0.4, 1.0, 2.0)])
@@ -138,10 +138,10 @@ def test_asymmetric_cauchy_drift_correction():
     assert not bad
 
 
-def _atoms_law(alpha, conv, atoms, kbar):
+def _atoms_law(alpha, atoms, kbar):
     rho = SphericalMeasure.atoms(len(atoms[0][0]), atoms)
     return LimitLaw(kind="stable", alpha=alpha, rho0=rho,
-                    kbar0=np.asarray(kbar, dtype=float), convention=conv)
+                    kbar0=np.asarray(kbar, dtype=float))
 
 
 def _ecf_freqs(d):
@@ -153,18 +153,16 @@ def _ecf_freqs(d):
 
 _UNIFORM_2D = SphericalMeasure.uniform(2, 1.0)      # 64 nodes
 EXACT_LAWS = {
-    "none_one_sided": _atoms_law(0.6, "none", [((1.0,), 1.0)], [1.0]),
-    "none_axes": _atoms_law(0.75, "none", [((1.0, 0.0), 1.0),
-                                           ((0.0, 1.0), 1.0)], [1.0, 1.5]),
-    "unit_ball_atoms": _atoms_law(1.0, "unit_ball", [((1.0,), 0.5),
-                                                     ((-1.0,), 0.25)],
+    "none_one_sided": _atoms_law(0.6, [((1.0,), 1.0)], [1.0]),
+    "none_axes": _atoms_law(0.75, [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)],
+                            [1.0, 1.5]),
+    "unit_ball_atoms": _atoms_law(1.0, [((1.0,), 0.5), ((-1.0,), 0.25)],
                                   [1.0, 1.0]),
-    "full_atoms": _atoms_law(1.5, "full", [((1.0,), 1.0), ((-1.0,), 0.5)],
+    "full_atoms": _atoms_law(1.5, [((1.0,), 1.0), ((-1.0,), 0.5)],
                              [1.0, 1.0]),
     "full_uniform_2d": LimitLaw(kind="stable", alpha=1.5,
                                 rho0=_UNIFORM_2D,
-                                kbar0=np.ones(len(_UNIFORM_2D.weights)),
-                                convention="full"),
+                                kbar0=np.ones(len(_UNIFORM_2D.weights))),
 }
 
 
@@ -208,11 +206,17 @@ def test_numpy_integer_seed_matches_python_int(law):
                               want)
 
 
-def test_convention_consistency_enforced():
-    rho = SphericalMeasure.uniform(1, 1.0)
-    with pytest.raises(ValueError):
-        LimitLaw(kind="stable", alpha=0.5, rho0=rho, kbar0=np.ones(2),
-                 convention="full")
+@pytest.mark.parametrize("alpha, name, conv", [
+    (0.5, "stable_no_center", "none"), (1.0, "cauchy_center", "unit_ball"),
+    (1.5, "stable_center", "full"), (2.0, "critical_log", None),
+    (3.0, "diffusive", None)])
+def test_regime_and_convention_read_off_alpha(alpha, name, conv):
+    assert Regime.of(alpha).name == name
+    if conv is None:
+        with pytest.raises(ValueError, match="outside"):
+            sym_stable_law_1d(alpha)
+    else:
+        assert sym_stable_law_1d(alpha).convention == conv
 
 
 # --------------------------------------------------------------------------
@@ -221,8 +225,8 @@ def test_convention_consistency_enforced():
 
 def test_predicted_limit_constant_kernel():
     spec = make_spec(alpha=0.5)
-    mu = GridMeasure(1, 32)
-    law = predicted_limit(spec, mu, "stable_no_center")
+    mu = TorusMeasure.uniform(1, 32)
+    law = predicted_limit(spec, mu)
     assert law.kind == "stable" and law.convention == "none"
     assert np.allclose(law.kbar0, 1.0, atol=1e-12)
 
@@ -232,8 +236,8 @@ def test_predicted_limit_axes_kernel():
     rho = SphericalMeasure.atoms(2, [((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
     spec = make_spec(d=2, alpha=0.75, kernel=PeriodicKernel.trig(poly),
                      rho0=rho)
-    mu = GridMeasure(2, 8)
-    law = predicted_limit(spec, mu, "stable_no_center")
+    mu = TorusMeasure.uniform(2, 8)
+    law = predicted_limit(spec, mu)
     assert law.kbar0 == pytest.approx([1.0, 1.5], abs=1e-12)
 
 
@@ -245,8 +249,8 @@ def test_predicted_limit_mixed_scaling_full_mean():
     spec = make_spec(kernel=PeriodicKernel.trig(poly),
                      phi=ScalingFunction.mixed([(0.5, 1.0), (1.5, 1.0)]),
                      alpha0=1.2)
-    mu = GridMeasure(1, 32)
-    law = predicted_limit(spec, mu, "stable_center")
+    mu = TorusMeasure.uniform(1, 32)
+    law = predicted_limit(spec, mu)
     # d=1 directions are rationally independent: kbar0 = int int k dz dmu = 1
     assert np.allclose(law.kbar0, 1.0, atol=1e-12)
     assert law.alpha == 1.5 and law.convention == "full"

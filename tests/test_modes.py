@@ -11,8 +11,8 @@ from levyhom.config import fixture_config, load_config
 from levyhom.corrector import (assemble_operator, critical_covariance,
                                generator_multipliers, jump_nodes, mode_set,
                                solve_poisson, solve_poisson_modes)
-from levyhom.ergodic import (stationary_measure, stationary_measure_grid,
-                             stationary_measure_modes)
+from levyhom.ergodic import (TorusMeasure, stationary_measure,
+                             stationary_measure_grid, stationary_measure_modes)
 from levyhom.grid import TorusGrid
 from levyhom.quadrature import radial_fourier_integral
 from levyhom.spec_model import (DriftField, PeriodicKernel,
@@ -20,7 +20,7 @@ from levyhom.spec_model import (DriftField, PeriodicKernel,
                                 SphericalMeasure)
 from levyhom.trigpoly import TrigPoly
 
-from conftest import GridMeasure, make_spec
+from conftest import make_spec
 
 _TWO_PI = 2.0 * np.pi
 
@@ -348,11 +348,11 @@ def test_second_moment_contraction_matches_cell_loop(rho0, x_dependent):
     # the acceptance-6 specs, and the same with an x-dependent kernel under
     # a nonuniform measure
     kernel = None
-    mu = GridMeasure(2, 4)
+    mu = TorusMeasure.uniform(2, 4)
     if x_dependent:
         kernel = PeriodicKernel.trig(_coupled_spec_2d().kernel.poly)
         w = np.random.default_rng(0).random(64)
-        mu = GridMeasure(2, 8, weights=w / w.sum())
+        mu = TorusMeasure(TorusGrid(2, 8), w / w.sum())
     spec = make_spec(d=2, alpha=2.0, alpha0=1.0, rho0=rho0, kernel=kernel)
     for eps in (1e-2, 1e-6):
         zq, wq, _ = jump_nodes(spec, 1e-7, 1.0 / eps, 6, 8, 8)

@@ -272,8 +272,7 @@ def test_driver_mixed_fixture_raises_no_integration_warning():
 # --------------------------------------------------------------------------
 
 def test_scaled_batch_no_centering_region(sym_spec):
-    cfg = SimConfig(paths=100, horizon=1.0, delta=0.25, seed=1, eps=0.25,
-                    regime="stable_no_center")
+    cfg = SimConfig(paths=100, horizon=1.0, delta=0.25, seed=1, eps=0.25)
     batch = scaled_endpoint_batch(sym_spec, cfg)
     assert batch.n == 100
     # horizon arithmetic: unscaled horizon is phi(1/eps) * t = eps^{-1/2}
@@ -283,14 +282,9 @@ def test_scaled_batch_no_centering_region(sym_spec):
 def test_scaled_batch_symmetric_centering_is_noop():
     spec = make_spec(alpha=1.5, alpha0=1.2)
     drifts = EffectiveDrifts(b_bar=np.zeros(1), b_inf_bar=np.zeros(1))
-    cfg = SimConfig(paths=64, horizon=1.0, delta=0.25, seed=4, eps=0.125,
-                    regime="stable_center")
+    cfg = SimConfig(paths=64, horizon=1.0, delta=0.25, seed=4, eps=0.125)
     batch = scaled_endpoint_batch(spec, cfg, drifts)
-    cfg2 = SimConfig(paths=64, horizon=1.0, delta=0.25, seed=4, eps=0.125,
-                     regime="stable_no_center")
-    spec_nc = make_spec(alpha=1.5, alpha0=1.2)
-    # bypass the regime-index consistency check by comparing raw endpoints
-    ends = simulate_endpoints_scaled_raw(spec_nc, cfg2)
+    ends = simulate_endpoints_scaled_raw(spec, cfg)
     assert np.allclose(batch.samples, ends, atol=1e-12)
 
 
@@ -301,24 +295,14 @@ def simulate_endpoints_scaled_raw(spec, cfg):
 
 def test_scaled_batch_missing_averages_raises():
     spec = make_spec(alpha=1.5, alpha0=1.2)
-    cfg = SimConfig(paths=8, horizon=1.0, delta=0.25, seed=4, eps=0.125,
-                    regime="stable_center")
+    cfg = SimConfig(paths=8, horizon=1.0, delta=0.25, seed=4, eps=0.125)
     from levyhom.regimes import RegimeError
     with pytest.raises(RegimeError):
         scaled_endpoint_batch(spec, cfg, None)
 
 
-def test_scaled_batch_regime_consistency():
-    spec = make_spec(alpha=0.5)
-    cfg = SimConfig(paths=8, horizon=1.0, seed=0, eps=0.25, regime="diffusive")
-    with pytest.raises(ConfigError):
-        scaled_endpoint_batch(spec, cfg, EffectiveDrifts(np.zeros(1),
-                                                         np.zeros(1)))
-
-
 def test_batch_save_load_roundtrip(tmp_path, sym_spec):
-    cfg = SimConfig(paths=32, horizon=1.0, delta=0.25, seed=1, eps=0.25,
-                    regime="stable_no_center")
+    cfg = SimConfig(paths=32, horizon=1.0, delta=0.25, seed=1, eps=0.25)
     batch = scaled_endpoint_batch(sym_spec, cfg)
     p = tmp_path / "batch.npz"
     batch.save(p)
@@ -412,8 +396,7 @@ def test_callback_kernel_bit_exact_across_workers(pool_always):
 
 
 def test_batch_meta_records_numerics(sym_spec):
-    cfg = SimConfig(paths=16, horizon=1.0, delta=0.25, seed=1, eps=0.25,
-                    regime="stable_no_center")
+    cfg = SimConfig(paths=16, horizon=1.0, delta=0.25, seed=1, eps=0.25)
     meta = scaled_endpoint_batch(sym_spec, cfg).meta
     assert 1.0 <= meta["rmax"] < np.inf and meta["delta"] == 0.25
     assert 0 < meta["dt"] <= 0.01 and meta["branch"] == "levy"
@@ -765,7 +748,7 @@ def test_compiled_functions_match_spec_calls(name):
     assert driver.meta.get("gauss_coef", {}).get("route") == gauss_route
     # the routes flow into the batch meta
     cfg = SimConfig(paths=4, horizon=1.0, delta=settings.sim.delta, seed=1,
-                    eps=0.5, regime=settings.regime)
+                    eps=0.5)
     meta = scaled_endpoint_batch(spec, cfg, EffectiveDrifts(
         b_bar=np.zeros(spec.d), b_inf_bar=np.zeros(spec.d),
         b_trunc_bar=lambda R: np.zeros(spec.d))).meta
@@ -832,7 +815,7 @@ def test_batch_counters_identical_across_workers():
     metas = []
     for workers in (1, 2, 3, 7):
         cfg = SimConfig(paths=120, horizon=1.0, delta=1.0, seed=3, eps=0.25,
-                        regime="diffusive", workers=workers)
+                        workers=workers)
         batch = scaled_endpoint_batch(spec, cfg, EffectiveDrifts(
             b_bar=np.zeros(1), b_inf_bar=np.zeros(1)))
         metas.append(batch.meta)
@@ -855,7 +838,7 @@ def test_pool_runs_batches_above_the_work_threshold():
     batches = []
     for workers in (1, 2, 7):
         cfg = SimConfig(paths=2000, horizon=1.0, delta=1.0, seed=3,
-                        eps=1 / 16, regime="diffusive", workers=workers)
+                        eps=1 / 16, workers=workers)
         batches.append(scaled_endpoint_batch(spec, cfg, EffectiveDrifts(
             b_bar=np.zeros(1), b_inf_bar=np.zeros(1))))
     assert batches[0].meta["candidates"] >= _POOL_WORK

@@ -20,7 +20,7 @@ from conftest import make_spec
 def stable_law(alpha=0.5, kbar=1.0):
     rho = SphericalMeasure.uniform(1, 1.0)
     return LimitLaw(kind="stable", alpha=alpha, rho0=rho,
-                    kbar0=np.full(2, kbar), convention="none")
+                    kbar0=np.full(2, kbar))
 
 
 # --------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_ecf_gaussian_matches_within_3se():
 def test_ecf_negative_control_mismatched_index():
     rho = SphericalMeasure.uniform(1, 1.0)
     law_wrong = LimitLaw(kind="stable", alpha=1.5, rho0=rho,
-                         kbar0=np.full(2, 1.0), convention="full")
+                         kbar0=np.full(2, 1.0))
     batch = sample_limit(stable_law(alpha=0.5), 1.0, 5000, seed=4)
     _, rows = ecf_distance(batch, law_wrong)
     z_scores = [r["gap"] / max(r["se"], 1e-12) for r in rows]
@@ -145,7 +145,7 @@ def test_negative_seed_keys_its_twos_complement():
 
 def test_theorem_check_pure_stable_passes():
     spec = make_spec(alpha=0.5, alpha0=0.5)
-    report = theorem_check(spec, "stable_no_center", [1.0 / 8, 1.0 / 32],
+    report = theorem_check(spec, [1.0 / 8, 1.0 / 32],
                            n=2000, seed=3, sim=SimConfig(delta=0.1))
     assert report.verdict == "PASS", report.to_json()
 
@@ -154,8 +154,8 @@ def test_theorem_check_negative_control_fails():
     spec = make_spec(alpha=0.5, alpha0=0.5)
     rho = spec.rho0
     wrong = LimitLaw(kind="stable", alpha=0.5, rho0=rho,
-                     kbar0=np.full(len(rho.weights), 2.0), convention="none")
-    report = theorem_check(spec, "stable_no_center", [1.0 / 8, 1.0 / 32],
+                     kbar0=np.full(len(rho.weights), 2.0))
+    report = theorem_check(spec, [1.0 / 8, 1.0 / 32],
                            n=2000, seed=3, law=wrong,
                            sim=SimConfig(delta=0.1))
     assert report.verdict == "FAIL"
@@ -173,7 +173,7 @@ def test_theorem_check_fixture_defaults(name, verdict):
     # halve the wall time.
     settings = load_config(fixture_config(name))
     settings.sim.workers = 2
-    report = theorem_check(settings.spec, settings.regime, [1.0 / 8, 1.0 / 32],
+    report = theorem_check(settings.spec, [1.0 / 8, 1.0 / 32],
                            n=settings.sim.paths, seed=settings.sim.seed,
                            sim=settings.sim, t=settings.sim.horizon)
     assert not any(r.error for r in report.rows)
@@ -192,7 +192,7 @@ def test_theorem_check_numpy_integer_seed_matches_python_int():
     # a NumPy integer seed keys the same streams, the Gaussian reference
     # included, and the report serializes as for the Python int
     settings = load_config(fixture_config("ex4_1_diffusive"))
-    reports = [theorem_check(settings.spec, settings.regime, [1.0 / 8], n=300,
+    reports = [theorem_check(settings.spec, [1.0 / 8], n=300,
                              seed=seed, sim=settings.sim).to_json()
                for seed in (5, np.int64(5))]
     assert reports[0]["verdict"] != "ERROR"
@@ -211,7 +211,7 @@ def _check_row_meta(meta):
 
 def test_theorem_check_annotates_upstream_errors():
     spec = make_spec(alpha=0.5, alpha0=0.5)
-    report = theorem_check(spec, "stable_no_center", [0.25], n=50, seed=1,
+    report = theorem_check(spec, [0.25], n=50, seed=1,
                            sim=SimConfig(delta=0.1, rmax=2.0))
     assert report.verdict == "ERROR"
     assert report.rows[0].error and report.rows[0].meta == {}
@@ -219,14 +219,14 @@ def test_theorem_check_annotates_upstream_errors():
 
 def test_report_serialization(tmp_path):
     spec = make_spec(alpha=0.5, alpha0=0.5)
-    report = theorem_check(spec, "stable_no_center", [0.25], n=500, seed=2,
+    report = theorem_check(spec, [0.25], n=500, seed=2,
                            sim=SimConfig(delta=0.1))
     payload = report.to_json(tmp_path / "report.json")
     assert "marginal" in payload["scope"]
     _check_row_meta(payload["rows"][0]["meta"])
     assert payload["rows"][0]["meta"]["accept"] == {"route": "constant",
                                                     "envelope": False}
-    again = theorem_check(spec, "stable_no_center", [0.25], n=500, seed=2,
+    again = theorem_check(spec, [0.25], n=500, seed=2,
                           sim=SimConfig(delta=0.1))
     assert json.dumps(again.to_json(), sort_keys=True) == \
         json.dumps(payload, sort_keys=True)
