@@ -194,7 +194,8 @@ class RunSettings:
 
 
 def load_config(source) -> RunSettings:
-    """Parse a config document (dict, JSON string, or file path)."""
+    """Parse a config document (dict, JSON string, or file path); a value
+    that its parser or constructor rejects raises ConfigSchemaError."""
     if isinstance(source, dict):
         raw = source
     else:
@@ -206,6 +207,15 @@ def load_config(source) -> RunSettings:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigSchemaError(f"not valid JSON: {exc}") from exc
+    try:
+        return _parse_document(raw)
+    except ConfigSchemaError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigSchemaError(f"malformed value: {exc}") from exc
+
+
+def _parse_document(raw):
     d = int(_need(raw, "dimension", ""))
     if d not in (1, 2, 3):
         raise ConfigSchemaError("dimension: must be 1, 2 or 3")

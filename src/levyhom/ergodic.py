@@ -6,6 +6,13 @@ the kernel and the drift are trig polys, in any d <= 3. The left null vector
 of the assembled grid generator (d <= 2) is the route for callback kernels
 and the oracle of the mode route. The Monte Carlo occupation histogram (time
 average of simulated quotient paths) validates both.
+
+The Monte Carlo estimators read simulated paths only as states at given
+times (``simulate_snapshots``). The occupation histogram and the windowed
+time integrals of ``ergodic_average_decay`` take them at the starts j dt of
+the engine's Euler steps on [0, horizon], the left-point rule of those
+steps: the states a stepped run passes through, and on the levy branch
+exact states at the same times.
 """
 
 from __future__ import annotations
@@ -22,8 +29,7 @@ from .corrector import (MODE_BOX, assemble_operator, density_weights,
                         fits_mode_box, mode_operator, mode_set, mode_solvers,
                         modes_on_grid, x_mode_steps)
 from .grid import TorusGrid
-from .pathsim import (SimConfig, occupation_counts,
-                      simulate_quotient_time_integrals, simulate_snapshots)
+from .pathsim import SimConfig, simulate_snapshots
 from .regimes import EffectiveDrifts
 from .spec_model import (IntegrabilityError, JumpSpec, full_drift,
                          truncated_drift)
@@ -84,6 +90,33 @@ def default_grid_n(d):
 # estimators
 # ---------------------------------------------------------------------------
 
+def _step_starts(spec: JumpSpec, cfg: SimConfig):
+    """Starts t0 = j dt of the engine's Euler steps on [0, cfg.horizon],
+    their lengths min(dt, horizon - t0), and dt."""
+    dt = cfg.resolved_dt(spec.small.alpha0)
+    T = float(cfg.horizon)
+    t0 = np.arange(max(1, math.ceil(T / dt - 1e-12))) * dt
+    return t0, np.minimum(dt, T - t0), dt
+
+
+def _states_before_horizon(spec: JumpSpec, cfg: SimConfig, times, x0=None):
+    """States (paths, len(times), d) at ascending ``times`` below
+    cfg.horizon, from a run to cfg.horizon."""
+    return simulate_snapshots(spec, cfg, np.append(times, cfg.horizon),
+                              x0)[:, :-1]
+
+
+def _occupation_counts(spec: JumpSpec, cfg: SimConfig, grid: TorusGrid,
+                       burn_in, x0):
+    """Integer counts per grid cell of the quotient states at the starts of
+    the full Euler steps from ``burn_in`` on."""
+    t0, length, dt = _step_starts(spec, cfg)
+    states = _states_before_horizon(
+        spec, cfg, t0[(length == dt) & (t0 >= burn_in)], x0)
+    return np.bincount(grid.cell_of(states - np.floor(states)).ravel(),
+                       minlength=grid.size)
+
+
 def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None
                                ) -> TorusMeasure:
     """Occupation-histogram estimate of the invariant measure, counted after
@@ -99,11 +132,11 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None
     cfg_a = replace(cfg, paths=half)
     cfg_b = replace(cfg, paths=cfg.paths - half,
                     seed=cfg.seed ^ 0x9E3779B97F4A7C15)
-    x_a = np.zeros(spec.d)
-    x_b = np.full(spec.d, 0.5)
-    counts_a = occupation_counts(spec, cfg_a, n, burn_in=burn, x0=x_a)
-    counts_b = occupation_counts(spec, cfg_b, n, burn_in=burn, x0=x_b)
     grid = TorusGrid(spec.d, n)
+    counts_a = _occupation_counts(spec, cfg_a, grid, burn,
+                                  np.zeros(spec.d))
+    counts_b = _occupation_counts(spec, cfg_b, grid, burn,
+                                  np.full(spec.d, 0.5))
     mu_a = TorusMeasure.from_counts(grid, counts_a)
     mu_b = TorusMeasure.from_counts(grid, counts_b)
     gap = mu_a.tv_distance(mu_b)
@@ -307,8 +340,16 @@ def ergodic_average_decay(spec: JumpSpec, f, eps_ladder, cfg: SimConfig):
     for eps in eps_ladder:
         rho = float(spec.phi(1.0 / eps))
         sub = replace(cfg, horizon=rho * t)
-        acc = simulate_quotient_time_integrals(
-            spec, sub, f, window=(rho * s, rho * t))
+        # left-point rule on each step's overlap with the window
+        t0, length, _ = _step_starts(spec, sub)
+        lo = np.maximum(t0, rho * s)
+        hi = np.minimum(t0 + length, rho * t)
+        keep = hi > lo
+        states = _states_before_horizon(spec, sub, t0[keep])
+        acc = np.zeros(sub.paths)
+        for k, weight in enumerate((hi - lo)[keep]):
+            X = states[:, k]
+            acc += np.asarray(f(X - np.floor(X))) * weight
         scaled = acc / rho
         moment = float(np.mean(scaled ** 2))
         rows.append({"eps": eps, "moment": moment,

@@ -33,32 +33,33 @@ records the routes: ``accept`` ("constant", "x_modes", "z_modes", "joint" or
 "callback", and whether the envelope factor applies) and ``drift`` ("none",
 "constant", "x_modes" or "callback").
 
-The engine cuts the path range into chunks, and ``workers > 1`` runs the
-chunks of a batch without observers in a pool of forked processes. It has
-three branches (``JumpDriver.branch``):
+A run returns the endpoints of its paths, or their states at an ascending
+list of times: that is the engine's one observation. The engine cuts the path
+range into chunks, and ``workers > 1`` runs the chunks of a batch in a pool of
+forked processes. It has three branches (``JumpDriver.branch``):
 
 * "levy", for a driver whose accept fraction, drift and Gaussian coefficient
   do not depend on x: the process is a Levy process, so a path at time t is
   its start plus its accepted jumps up to t, one Gaussian increment and t
-  times the constant drift. It has no time grid: it serves endpoints and
-  snapshots at exact times, one block of packets at a time;
+  times the constant drift. It has no time grid: it gives the states at the
+  exact times asked for, one block of packets at a time;
 * "thinning", for the other drivers without a Gaussian part or an
   x-dependent drift: it draws each chunk's candidates once into a compact
   tape (jump vector, accept uniform and time per candidate) and reads it
-  round by round, with the chunk's paths ordered by candidate count;
-* "stepped": Euler-Heun steps over the same tape. Runs with occupation or
-  time-integral observers always step.
+  round by round, with the chunk's paths ordered by candidate count. It
+  serves runs that ask for the endpoints only;
+* "stepped": Euler-Heun steps over the same tape. A state at time t is the
+  state at the first step boundary at or past t.
 
 Reproducibility contract: every random number consumed by path i comes from a
 counter-based stream keyed by (seed, i) in a fixed order, so results are
 bit-identical for any chunk partition of the path range and any number of
-processes. Occupation histograms accumulate integer step counts, which keeps
-the reduction exactly associative. The streams are Generator(Philox) objects
-cached per process (a forked worker inherits the cache) and re-keyed for each
-chunk to key (seed, i), counter 0, an empty buffer and no stored 32-bit half,
-the state of a fresh ``Philox(key=(seed, i))``. Re-keying overwrites the
-previous chunk's streams, which is safe because a chunk's generators live
-only inside ``_run_chunk``: chunks never nest, and no thread runs one.
+processes. The streams are Generator(Philox) objects cached per process (a
+forked worker inherits the cache) and re-keyed for each chunk to key (seed,
+i), counter 0, an empty buffer and no stored 32-bit half, the state of a
+fresh ``Philox(key=(seed, i))``. Re-keying overwrites the previous chunk's
+streams, which is safe because a chunk's generators live only inside
+``_run_chunk``: chunks never nest, and no thread runs one.
 """
 
 from __future__ import annotations
@@ -66,14 +67,12 @@ from __future__ import annotations
 import json
 import math
 import os
-import time as _time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .grid import TorusGrid
 from .quadrature import power_law_radii
 from .regimes import EffectiveDrifts, Regime
 from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
@@ -105,6 +104,11 @@ class SimConfig:
 
     def __post_init__(self):
         check_workers(self.workers)
+        if not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
+            raise ConfigError(
+                f"paths must be a positive integer, got {self.paths!r}")
+        if not 0 < self.delta <= 1:
+            raise ConfigError(f"delta must lie in (0, 1], got {self.delta!r}")
 
     def resolved_dt(self, alpha0=None):
         if self.dt is not None:
@@ -188,7 +192,7 @@ class JumpDriver:
 
     @property
     def branch(self):
-        """Branch of run_paths without observers.
+        """Branch of run_paths.
 
         "levy" when neither the accept fraction, the drift nor the Gaussian
         coefficient depends on x (``x_independent``, set by
@@ -196,7 +200,8 @@ class JumpDriver:
         time t is its start plus its accepted jumps up to t, a Gaussian
         increment of variance c t and the drift times t, with no time grid.
         Otherwise "thinning" when there is no Gaussian part and no
-        x-dependent drift, else "stepped".
+        x-dependent drift, else "stepped"; a thinning driver steps when the
+        run asks for states at given times.
         """
         if self.x_independent:
             return "levy"
@@ -223,8 +228,6 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
     """Simulation mechanics for the generator of a JumpSpec."""
     d = spec.d
     delta = float(cfg.delta)
-    if not (0 < delta <= 1):
-        raise ConfigError("delta must lie in (0, 1]")
     kmax = spec.kernel.kmax
     rmax = cfg.rmax if cfg.rmax is not None else \
         choose_rmax(spec, horizon, cfg.truncation_budget, kmax)
@@ -370,68 +373,6 @@ def _envelope_thinned(spec, kernel_fn, kmax, c, b, ghat):
 
 
 # ---------------------------------------------------------------------------
-# collectors
-# ---------------------------------------------------------------------------
-
-class OccupationCollector:
-    """Integer step counts per torus cell, after a burn-in time."""
-
-    def __init__(self, grid: TorusGrid, burn_in=0.0):
-        self.grid = grid
-        self.burn_in = burn_in
-        self.counts = np.zeros(grid.size, dtype=np.int64)
-
-    def on_step(self, t0, dt_j, full_step, X_start, X_end, rows):
-        if not full_step or t0 < self.burn_in:
-            return
-        idx = self.grid.cell_of(X_start - np.floor(X_start))
-        np.add.at(self.counts, idx, 1)
-
-
-class TimeIntegralCollector:
-    """Per-path integral of f(X mod 1) over a time window."""
-
-    def __init__(self, f, n_paths, window=None):
-        self.f = f
-        self.window = window
-        self.acc = np.zeros(n_paths)
-
-    def on_step(self, t0, dt_j, full_step, X_start, X_end, rows):
-        t_end = t0 + dt_j
-        if self.window is not None:
-            w0, w1 = self.window
-            lo, hi = max(t0, w0), min(t_end, w1)
-            if hi <= lo:
-                return
-            weight = hi - lo
-        else:
-            weight = dt_j
-        vals = self.f(X_start - np.floor(X_start))
-        self.acc[rows] += vals * weight
-
-
-class SnapshotCollector:
-    """States at each requested time: on the levy branch the exact states at
-    those times, on the stepped branch the states at the first step boundary
-    past them."""
-
-    def __init__(self, times, n_paths, dim):
-        self.times = np.asarray(sorted(times), dtype=float)
-        self.states = np.zeros((n_paths, len(self.times), dim))
-        self._next = 0
-
-    def reset_chunk(self):
-        self._next = 0
-
-    def on_step(self, t0, dt_j, full_step, X_start, X_end, rows):
-        t_end = t0 + dt_j
-        while self._next < len(self.times) and \
-                self.times[self._next] <= t_end + 1e-12:
-            self.states[rows, self._next] = X_end
-            self._next += 1
-
-
-# ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
 
@@ -439,9 +380,12 @@ _GENERATORS = []     # this process's Generator(Philox) objects, re-keyed
 
 
 def philox_key(seed, stream):
-    """The Philox key (seed mod 2^64, stream) of every seeded stream of the
-    package; a negative seed keys by its two's complement."""
-    return np.array([int(seed) & (2 ** 64 - 1), stream], dtype=np.uint64)
+    """The Philox key (seed, stream) mod 2^64 of every seeded stream of the
+    package; a negative seed or stream keys by its two's complement. Path i
+    of a batch reads stream i, so a stream that no path may share takes a
+    negative id: 2^64 + stream is past every path index."""
+    return np.array([int(seed) & (2 ** 64 - 1), int(stream) & (2 ** 64 - 1)],
+                    dtype=np.uint64)
 
 
 def _path_generators(seed, indices):
@@ -468,17 +412,19 @@ def check_workers(workers):
         raise ConfigError(f"workers must be at least 1, got {workers}")
 
 
-def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
-              collectors=(), workers=1, start_sampler=None, stats=None):
-    """Advance ``n_paths`` paths to time T; returns endpoints (n_paths, d).
+def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None, times=None,
+              workers=1, start_sampler=None, stats=None):
+    """Advance ``n_paths`` paths to time T; returns their endpoints
+    (n_paths, d), or with ``times`` (ascending, in [0, T]) their states
+    (n_paths, len(times), d) at those times.
 
     The path range is cut into chunks whose candidate tapes fit
     ``_TAPE_BYTES``; on the levy branch, which holds one packet block at a
-    time, into chunks of up to 4096 paths. Without collectors, ``workers >
-    1`` runs the chunks in a pool of at most ``min(workers, os.cpu_count())``
-    forked processes when the batch's expected work, candidates ``rate T
-    n_paths`` plus Euler steps times paths (none off the stepped branch),
-    reaches ``_POOL_WORK``; otherwise they run here, one after another.
+    time, into chunks of up to 4096 paths. ``workers > 1`` runs the chunks
+    in a pool of at most ``min(workers, os.cpu_count())`` forked processes
+    when the batch's expected work, candidates ``rate T n_paths`` plus Euler
+    steps times paths (none off the stepped branch), reaches
+    ``_POOL_WORK``; otherwise they run here, one after another.
     Outputs are bit-identical for every ``workers`` value because each path
     consumes exclusively its own counter-based stream. ``start_sampler``,
     when given, maps per-path uniforms (P, 2) to start points (P, d); those
@@ -490,11 +436,16 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     check_workers(workers)
     d = driver.dim
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
-    branch = _run_branch(driver, T, collectors)
+    branch = driver.branch
+    if times is not None:
+        times = np.asarray(times, dtype=float)
+        if not (0 <= times[0] and np.all(np.diff(times) >= 0)
+                and times[-1] <= T):
+            raise ValueError("times must ascend within [0, T]")
+        branch = "stepped" if branch == "thinning" else branch
     procs = 1
     steps = 0 if branch != "stepped" else math.ceil(T / dt - 1e-12)
-    if (workers > 1 and not collectors
-            and n_paths * (driver.rate * T + steps) >= _POOL_WORK):
+    if workers > 1 and n_paths * (driver.rate * T + steps) >= _POOL_WORK:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             procs = min(workers, os.cpu_count() or 1)
@@ -510,12 +461,12 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     procs = min(procs, len(ranges))
 
     chunk = partial(_run_chunk, driver, branch, T, seed, dt, x0,
-                    start_sampler, tuple(collectors))
+                    start_sampler, times)
     if procs > 1:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
         # fork: the driver holds closures, which cannot be pickled; only
-        # the ranges and the endpoint arrays cross the pipe
+        # the ranges and the state arrays cross the pipe
         with ProcessPoolExecutor(procs, mp_context=get_context("fork"),
                                  initializer=_adopt_chunk,
                                  initargs=(chunk,)) as pool:
@@ -523,15 +474,15 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None,
     else:
         results = [chunk(c0, c1) for c0, c1 in ranges]
 
-    endpoints = np.empty((n_paths, d))
+    states = np.empty((n_paths,) + results[0][0].shape[1:])
     for (c0, c1), (X, _, _) in zip(ranges, results):
-        endpoints[c0:c1] = X
+        states[c0:c1] = X
     if stats is not None:
         stats.update(candidates=sum(r[1] for r in results),
                      accepted=sum(r[2] for r in results),
                      chunk_paths=chunk_paths,
                      pool_processes=procs if procs > 1 else 0)
-    return endpoints
+    return states
 
 
 _pool_chunk_fn = None
@@ -547,24 +498,11 @@ def _pool_chunk(c0, c1):
     return _pool_chunk_fn(c0, c1)
 
 
-def _run_branch(driver, T, collectors):
-    """The branch a run takes: the driver's, unless its observers need the
-    Euler steps. The levy branch serves one SnapshotCollector whose times do
-    not pass T; occupation and time-integral runs step."""
-    if not collectors:
-        return driver.branch
-    snapshots = (len(collectors) == 1
-                 and isinstance(collectors[0], SnapshotCollector)
-                 and collectors[0].times[-1] <= T)
-    return "levy" if driver.branch == "levy" and snapshots else "stepped"
-
-
-def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, collectors,
-               c0, c1):
-    """Endpoints of paths c0..c1-1, their candidate count and accepted count."""
+def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, times, c0, c1):
+    """Endpoints of paths c0..c1-1, or their states at ``times``; their
+    candidate count and accepted count."""
     d = driver.dim
-    rows = np.arange(c0, c1)
-    gens = _path_generators(seed, rows)
+    gens = _path_generators(seed, np.arange(c0, c1))
     P = len(gens)
     if start_sampler is not None:
         u = np.stack([g.random(2) for g in gens])
@@ -575,25 +513,15 @@ def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, collectors,
     if driver.has_jumps:
         rate = driver.rate
         counts = np.array([g.poisson(rate * T) for g in gens], dtype=np.int64)
-    for col in collectors:
-        if hasattr(col, "reset_chunk"):
-            col.reset_chunk()
 
     # no time grid: thinning against the exact pre-jump state is exact, and
     # an x-independent driver needs no state at all
     if branch == "thinning":
         X, accepted = _thin(driver, gens, counts, X, T)
     elif branch == "levy":
-        snap = collectors[0] if collectors else None
-        times = np.array([T]) if snap is None else snap.times
-        if times[-1] < T:
-            times = np.append(times, T)
-        states, accepted = _levy(driver, gens, counts, X, T, times)
-        if snap is not None:
-            snap.states[rows] = states[:, :len(snap.times)]
-        X = states[:, -1]
+        X, accepted = _levy(driver, gens, counts, X, T, times)
     else:
-        X, accepted = _step(driver, gens, counts, X, T, dt, rows, collectors)
+        X, accepted = _step(driver, gens, counts, X, T, dt, times)
     return X, int(counts.sum()), accepted
 
 
@@ -690,17 +618,20 @@ def _thin(driver, gens, counts, X, T):
 
 
 def _levy(driver, gens, counts, X, T, times):
-    """States (P, K, d) of an x-independent driver at ``times`` (ascending,
-    the last one T), and the accepted count.
+    """Endpoints (P, d) of an x-independent driver, or its states (P, K, d)
+    at ``times``; and the accepted count.
 
     Per path, after the counts: its candidates (``_candidate_blocks``, in
     path order, times unsorted), then ``standard_normal((K, d))`` when there
-    is a Gaussian part. A state at t_k is the start plus the accepted jumps
-    whose times do not pass t_k, summed in candidate order (the j-th packet
-    holds the j-th smallest time, so those are the first packets), plus the
-    normals of rows 1..k scaled by sqrt(c (t_k - t_{k-1})), plus t_k times
-    the constant drift.
+    is a Gaussian part (K = 1 for endpoints). A state at t_k is the start
+    plus the accepted jumps whose times do not pass t_k, summed in candidate
+    order (the j-th packet holds the j-th smallest time, so those are the
+    first packets), plus the normals of rows 1..k scaled by sqrt(c (t_k -
+    t_{k-1})), plus t_k times the constant drift. The jumps before each t_k
+    are counted from one bin per candidate: the first t_k it does not pass.
     """
+    endpoints = times is None
+    times = np.array([T]) if endpoints else times
     P, d = X.shape
     K = len(times)
     states = np.empty((P, K, d))
@@ -720,10 +651,10 @@ def _levy(driver, gens, counts, X, T, times):
         grid[:, 1:][live] = z
         np.cumsum(grid, axis=1, out=grid)
         if times[0] < T:
-            tg = np.full(live.shape, np.inf)
-            tg[live] = tb
-            idx = np.stack([np.count_nonzero(tg <= t, axis=1) for t in times],
-                           axis=1)
+            bins = np.repeat(np.arange(len(blk)) * (K + 1), c) \
+                + np.searchsorted(times, tb)
+            idx = np.bincount(bins, minlength=len(blk) * (K + 1)).reshape(
+                len(blk), K + 1)[:, :K].cumsum(axis=1)
         else:
             idx = np.broadcast_to(c[:, None], (len(blk), K))
         states[blk] = np.take_along_axis(grid, idx[:, :, None], axis=1)
@@ -734,14 +665,23 @@ def _levy(driver, gens, counts, X, T, times):
         states += np.cumsum(scale[None, :, None] * normals, axis=1)
     if driver.constant_drift is not None:
         states += times[None, :, None] * driver.constant_drift[None, None, :]
-    return states, accepted
+    return (states[:, -1] if endpoints else states), accepted
 
 
-def _step(driver, gens, counts, X, T, dt, rows, collectors):
-    """Euler-Heun steps of one chunk with thinned jumps inside each step."""
+def _step(driver, gens, counts, X, T, dt, times):
+    """Euler-Heun steps of one chunk with thinned jumps inside each step.
+
+    Returns the endpoints, or the states (P, K, d) at ``times``: at the
+    first step boundary at or past each time (the start serves times not
+    past 0); and the accepted count.
+    """
     d = driver.dim
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     accepted = 0
+    if times is not None:
+        states = np.empty((len(X), len(times), d))
+        col = int(np.searchsorted(times, 1e-12, side="right"))
+        states[:, :col] = X[:, None]
     if driver.has_jumps:
         # path-major tape, one slot per path past its last candidate
         first = np.concatenate([[0], np.cumsum(counts + 1)])
@@ -752,7 +692,6 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors):
         ptr = first[:-1].copy()
         next_t = t[ptr]
 
-    need_start = bool(collectors) or driver.has_gauss
     step = 0
     while step < n_steps:
         blk = min(_BLOCK, n_steps - step)
@@ -764,7 +703,9 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors):
             dt_j = min(dt, T - t0)
             if dt_j <= 0:
                 break
-            X_start = X.copy() if need_start else X
+            t_end = t0 + dt_j
+            # drift and noise rebind X, so X_start keeps the left state
+            X_start = X
             # drift, Heun for a second-order ODE step between jumps
             if driver.has_drift:
                 b0 = driver.drift(X)
@@ -779,7 +720,6 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors):
             # candidate jumps in (t0, t0 + dt_j]; thinning evaluates the
             # kernel at the state just before each jump
             if driver.has_jumps:
-                t_end = t0 + dt_j
                 while True:
                     m = next_t <= t_end
                     if not m.any():
@@ -792,10 +732,12 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors):
                     accepted += int(np.count_nonzero(ok))
                     ptr[hit] += 1
                     next_t[hit] = t[ptr[hit]]
-            for col in collectors:
-                col.on_step(t0, dt_j, dt_j == dt, X_start, X, rows)
+            if times is not None:
+                while col < len(times) and times[col] <= t_end + 1e-12:
+                    states[:, col] = X
+                    col += 1
         step += blk
-    return X, accepted
+    return (X if times is None else states), accepted
 
 
 # ---------------------------------------------------------------------------
@@ -803,40 +745,27 @@ def _step(driver, gens, counts, X, T, dt, rows, collectors):
 # ---------------------------------------------------------------------------
 
 def simulate_endpoints(spec: JumpSpec, cfg: SimConfig, x0=None, horizon=None,
-                       collectors=()):
+                       times=None):
     """Raw unscaled endpoints X_T for cfg.paths paths at T = ``horizon``
-    (default cfg.horizon); ``collectors`` observe every step."""
+    (default cfg.horizon), or their states at ``times`` (``run_paths``)."""
     T = float(cfg.horizon if horizon is None else horizon)
     dt = cfg.resolved_dt(spec.small.alpha0)
     driver = driver_from_spec(spec, cfg, T)
-    return run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0,
-                     collectors=collectors, workers=cfg.workers)
-
-
-def simulate_quotient_time_integrals(spec: JumpSpec, cfg: SimConfig, f,
-                                     window=None):
-    """Per-path integrals int f(X_t mod 1) dt over [0, T] or a window, from
-    X_0 = 0."""
-    col = TimeIntegralCollector(lambda pts: np.asarray(f(pts)), cfg.paths,
-                                window=window)
-    simulate_endpoints(spec, cfg, collectors=[col])
-    return col.acc
+    return run_paths(driver, T, cfg.paths, cfg.seed, dt, x0=x0, times=times,
+                     workers=cfg.workers)
 
 
 def simulate_snapshots(spec: JumpSpec, cfg: SimConfig, times, x0=None):
-    """States at the given unscaled times, shape (paths, len(times), d), with
-    the columns in the order of ``times``."""
-    col = SnapshotCollector(times, cfg.paths, spec.d)
-    simulate_endpoints(spec, cfg, x0, horizon=max(times), collectors=[col])
-    return col.states[:, np.searchsorted(col.times, times)]
-
-
-def occupation_counts(spec: JumpSpec, cfg: SimConfig, grid_n, burn_in=0.0,
-                      x0=None):
-    """Integer occupation counts of the quotient process on a torus grid."""
-    col = OccupationCollector(TorusGrid(spec.d, grid_n), burn_in=burn_in)
-    simulate_endpoints(spec, cfg, x0, collectors=[col])
-    return col.counts
+    """States at the given unscaled times, from a run to the last of them,
+    shape (paths, len(times), d), with the columns in the order of
+    ``times``."""
+    times = np.asarray(times, dtype=float)
+    ascending = np.sort(times)
+    states = simulate_endpoints(spec, cfg, x0, horizon=ascending[-1],
+                                times=ascending)
+    if np.array_equal(ascending, times):
+        return states
+    return states[:, np.searchsorted(ascending, times)]
 
 
 # ---------------------------------------------------------------------------
@@ -927,19 +856,17 @@ def scaled_endpoint_batch(spec: JumpSpec, cfg: SimConfig,
             raise ConfigError("stationary_start needs an invariant measure")
         sampler = measure_start_sampler(start_measure)
 
-    t_start = _time.monotonic()
     dt = cfg.resolved_dt(spec.small.alpha0)
     driver = driver_from_spec(spec, cfg, T)
     stats = {}
     ends = run_paths(driver, T, cfg.paths, cfg.seed, dt, workers=cfg.workers,
                      start_sampler=sampler, stats=stats)
-    wall = _time.monotonic() - t_start
     samples = eps * (ends - T * avg[None, :])
     return EndpointBatch(samples=samples, regime=regime.name, eps=eps,
                          seed=cfg.seed, t=float(cfg.horizon),
                          meta={**driver.meta, **stats, "dt": dt,
                                "branch": driver.branch,
-                               "unscaled_horizon": T, "wall_seconds": wall,
+                               "unscaled_horizon": T,
                                "centering_average": avg.tolist(),
                                "paths": cfg.paths,
                                "stationary_start": bool(cfg.stationary_start)})

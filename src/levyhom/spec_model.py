@@ -641,6 +641,15 @@ def jump_nodes(spec: JumpSpec, lo, hi, per_decade, min_panels, order):
     return np.concatenate(zs), np.concatenate(ws), np.concatenate(comp)
 
 
+def _angular_mass_bound(spec: JumpSpec, R):
+    """|rho0| + |base| sup_{r>=R} |g|: a bound on the angular mass of
+    rho0 + kappa at every radius past R."""
+    mass = spec.rho0.total_mass
+    if not spec.kappa.is_none:
+        mass = mass + spec.kappa.base.total_mass * spec.kappa.sup_abs(R)
+    return mass
+
+
 def tail_mass_bound(spec: JumpSpec, R):
     """Closed-form upper bound on Pi({|z| > R}) for R >= 1.
 
@@ -648,10 +657,7 @@ def tail_mass_bound(spec: JumpSpec, R):
     envelope phi >= c r^b; exact for power phi without kappa.
     """
     c, b = spec.phi.envelope()
-    mass = spec.rho0.total_mass
-    if not spec.kappa.is_none:
-        mass = mass + spec.kappa.base.total_mass * spec.kappa.sup_abs(R)
-    return mass * (R ** (-b) / (c * b))
+    return _angular_mass_bound(spec, R) * (R ** (-b) / (c * b))
 
 
 def tail_radius(spec: JumpSpec, limit, cap=1e18):
@@ -683,10 +689,9 @@ def _drift_trig(spec: JumpSpec, x, R):
                                           ).sum(axis=-1))
         re = c.real * xphase.real - c.imag * xphase.imag
         im = c.real * xphase.imag + c.imag * xphase.real
-        for measure, weight in [(spec.rho0, False)] + (
-                [] if spec.kappa.is_none else [(spec.kappa.base, True)]):
+        for measure, g in spec.angular_terms():
             svals = measure.thetas @ np.asarray(mz, dtype=float)
-            radial = np.array([spec.radial_integral(s, R, weight)
+            radial = np.array([spec.radial_integral(s, R, g is not None)
                                for s in svals])
             angular = (measure.weights * radial) @ measure.thetas
             out = out + re[..., None] * np.real(angular) \
@@ -708,11 +713,10 @@ def _drift_callback(spec: JumpSpec, x, R):
 
     def angular_sum(r):
         vals = np.zeros((len(r), spec.d))
-        for measure, weight in [(spec.rho0, False)] + (
-                [] if spec.kappa.is_none else [(spec.kappa.base, True)]):
+        for measure, g in spec.angular_terms():
             w = measure.weights
-            if weight:
-                w = w[None, :] * np.asarray(spec.kappa.g(r))[:, None]
+            if g is not None:
+                w = w[None, :] * np.asarray(g(r))[:, None]
             else:
                 w = np.broadcast_to(w, (len(r), len(w)))
             zpts = r[:, None, None] * measure.thetas[None, :, :]
@@ -760,10 +764,8 @@ def full_drift(spec: JumpSpec, x):
 
 def drift_tail_bound(spec: JumpSpec, R):
     """Upper bound on |b_R - b_inf| per component: kmax |rho0+kappa| int_R^inf dr/phi."""
-    mass = spec.rho0.total_mass
-    if not spec.kappa.is_none:
-        mass += spec.kappa.base.total_mass * spec.kappa.sup_abs(R)
-    return spec.kernel.kmax * mass * spec.phi.inv_integral(R, np.inf)
+    return (spec.kernel.kmax * _angular_mass_bound(spec, R)
+            * spec.phi.inv_integral(R, np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,10 @@ def ks_projection(batch_a, batch_b, direction):
 
 
 def projection_directions(d, seed):
-    """The d axes plus 2d seeded random unit vectors (Cramer-Wold surrogate)."""
+    """The d axes plus 2d seeded random unit vectors (Cramer-Wold surrogate),
+    drawn from a stream that no path of a batch seeded with ``seed`` reads."""
     dirs = [np.eye(d)[a] for a in range(d)]
-    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, 2)))
+    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, -1)))
     for _ in range(2 * d):
         v = gen.standard_normal(d)
         dirs.append(v / np.linalg.norm(v))

@@ -86,9 +86,35 @@ def _number_small(tmp_path):
     return cfg
 
 
-@pytest.mark.parametrize("make", [_number_document, _number_small,
-                                  lambda tmp_path: tmp_path],
-                         ids=["number_document", "number_small", "directory"])
+def _edited(path, value):
+    """A maker of the ex4_1_stable document with ``value`` at ``path``."""
+    def make(tmp_path):
+        cfg = tmp_path / "cfg.json"
+        raw = fixture_config("ex4_1_stable")
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg.write_text(dump_config(raw))
+        return cfg
+    return make
+
+
+_MALFORMED_VALUES = {
+    "dimension": (("dimension",), "x"),
+    "alpha_string": (("phi", "alpha"), "x"),
+    "alpha_negative": (("phi", "alpha"), -1),
+    "atoms_number": (("rho0",), {"variant": "atoms", "atoms": [5]}),
+    "terms_number": (("kernel", "terms"), 5),
+    "paths_string": (("sim", "paths"), "x"),
+    "delta_zero": (("sim", "delta"), 0),
+}
+
+
+@pytest.mark.parametrize(
+    "make", [_number_document, _number_small, lambda tmp_path: tmp_path]
+    + [_edited(*edit) for edit in _MALFORMED_VALUES.values()],
+    ids=["number_document", "number_small", "directory", *_MALFORMED_VALUES])
 def test_cli_malformed_config_exits_4(tmp_path, capsys, make):
     assert _exit_code(["validate", str(make(tmp_path))]) == 4
     err = capsys.readouterr().err
@@ -206,6 +232,20 @@ def test_cli_simulate_reproducible(tmp_path):
     assert np.array_equal(a.samples, b.samples)
     manifest = json.loads((out1 / "manifest_simulate.json").read_text())
     assert manifest["flag_overrides"]["eps"] == 0.25
+
+
+def test_cli_simulate_writes_the_same_bytes_twice(tmp_path):
+    # every output of a run is a function of its config, flags and seed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(fixture_config("ex4_1_cauchy")))
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["simulate", str(cfg), "--out", str(out), "--eps", "0.25",
+                     "--paths", "400"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_cli_corrector_diffusive(tmp_path):

@@ -14,10 +14,9 @@ from levyhom.regimes import (CAUCHY_CENTER, CRITICAL_LOG, DIFFUSIVE,
 SRC = Path(__file__).resolve().parent.parent / "src" / "levyhom"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
-# functions whose signature is fixed by their callers: the engine passes
-# every collector the same on_step arguments, and the averaging check calls
-# every test function as f(x, z)
-SIGNATURE_PROTOCOLS = ("*.on_step", "default_test_functions.*")
+# functions whose signature is fixed by their callers: the averaging check
+# calls every test function as f(x, z)
+SIGNATURE_PROTOCOLS = ("default_test_functions.*",)
 
 
 def unused_imports(source):

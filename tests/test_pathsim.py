@@ -12,8 +12,8 @@ from scipy.integrate import quad
 from levyhom.config import FIXTURES, fixture_config, load_config
 from levyhom.corrector import operator_radius
 from levyhom.pathsim import (ConfigError, EndpointBatch, SimConfig,
-                             choose_rmax, driver_from_spec, occupation_counts,
-                             run_paths, scaled_endpoint_batch,
+                             choose_rmax, driver_from_spec, run_paths,
+                             scaled_endpoint_batch,
                              simulate_endpoints, simulate_snapshots)
 from levyhom.quadrature import panel_nodes
 from levyhom.regimes import EffectiveDrifts
@@ -121,6 +121,24 @@ def test_bit_exact_reproducibility_across_workers(sym_spec, pool_always):
     assert np.array_equal(outs[0], outs[2])
 
 
+@pytest.mark.parametrize("name, branch", [("ex4_1_critical", "levy"),
+                                          ("ex4_1_centered", "stepped")],
+                         ids=["levy", "stepped"])
+def test_snapshots_bit_exact_across_workers(name, branch, pool_always):
+    # snapshot runs reach the pool; a chunk's states are its paths' alone
+    spec = load_config(fixture_config(name)).spec
+    times = [0.0, 0.3, 0.3, 1.7, 2.0]
+    outs = []
+    for workers in (1, 2, 3):
+        cfg = SimConfig(paths=41, horizon=2.0, delta=0.25, seed=13,
+                        workers=workers)
+        assert driver_from_spec(spec, cfg, 2.0).branch == branch
+        outs.append(simulate_snapshots(spec, cfg, times))
+    assert np.array_equal(outs[0][:, 0], np.zeros((41, spec.d)))
+    assert np.array_equal(outs[0], outs[1])
+    assert np.array_equal(outs[0], outs[2])
+
+
 def test_seed_reproducibility(sym_spec):
     cfg = SimConfig(paths=64, horizon=1.0, delta=0.25, seed=5)
     a = simulate_endpoints(sym_spec, cfg)
@@ -129,8 +147,15 @@ def test_seed_reproducibility(sym_spec):
 
 
 def test_quotient_uniform_marginal(sym_spec):
+    # occupation of 16 cells by the states at the step starts j dt in
+    # [5, 100), the last column being the horizon
     cfg = SimConfig(paths=400, horizon=100.0, delta=0.25, seed=2)
-    counts = occupation_counts(sym_spec, cfg, grid_n=16, burn_in=5.0)
+    dt = cfg.resolved_dt(sym_spec.small.alpha0)
+    times = np.append(np.arange(round(5.0 / dt), round(100.0 / dt)) * dt,
+                      100.0)
+    snaps = simulate_snapshots(sym_spec, cfg, times)[:, :-1]
+    counts = np.bincount(np.floor(snaps % 1.0 * 16).astype(int).ravel(),
+                         minlength=16)
     w = counts / counts.sum()
     tv = 0.5 * np.abs(w - 1.0 / 16).sum()
     assert tv <= 0.05

@@ -8,7 +8,7 @@ import pytest
 
 from levyhom.config import fixture_config, load_config
 from levyhom.limits import LimitLaw, exact_symmetric_stable_1d, sample_limit
-from levyhom.pathsim import SimConfig
+from levyhom.pathsim import SimConfig, philox_key
 from levyhom.spec_model import SphericalMeasure
 from levyhom.verify import (ROW_META_KEYS, ecf_distance, ks_projection,
                             ks_statistic, projection_directions, tail_index,
@@ -59,6 +59,17 @@ def test_projection_directions_deterministic():
     assert len(d1) == 2 + 4
     for u, v in zip(d1, d2):
         assert np.array_equal(u, v)
+
+
+def test_projection_directions_share_no_path_stream():
+    # theorem_check's first batch is seeded like the directions; none of
+    # its paths may draw the directions' normals
+    seed, d = 7, 2
+    first = projection_directions(d, seed)[d]
+    for i in range(64):
+        gen = np.random.Generator(np.random.Philox(key=philox_key(seed, i)))
+        v = gen.standard_normal(d)
+        assert not np.allclose(v / np.linalg.norm(v), first), i
 
 
 # --------------------------------------------------------------------------
