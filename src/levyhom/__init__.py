@@ -6,13 +6,12 @@ __version__ = "0.1.0"
 from .spec_model import (DriftField, IntegrabilityError, JumpSpec,
                          PeriodicKernel, RadialPerturbation, ScalingFunction,
                          SmallJumpPart, SphericalMeasure, full_drift,
-                         limit_jump_measure, scaling_index_probe,
-                         truncated_drift, validate)
+                         scaling_index_probe, truncated_drift, validate)
 from .trigpoly import TrigPoly
 
 __all__ = [
     "DriftField", "IntegrabilityError", "JumpSpec", "PeriodicKernel",
     "RadialPerturbation", "ScalingFunction", "SmallJumpPart",
-    "SphericalMeasure", "TrigPoly", "full_drift", "limit_jump_measure",
-    "scaling_index_probe", "truncated_drift", "validate",
+    "SphericalMeasure", "TrigPoly", "full_drift", "scaling_index_probe",
+    "truncated_drift", "validate",
 ]

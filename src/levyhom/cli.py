@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,7 @@ from .config import (ConfigSchemaError, FIXTURES, dump_config, fixture_config,
 from .corrector import covariance_matrix, solve_recentering_corrector
 from .ergodic import (effective_drifts, kernel_tail_constant, mixing_rate,
                       stationary_measure)
-from .pathsim import (ConfigError, SimConfig, check_workers,
-                      scaled_endpoint_batch)
+from .pathsim import ConfigError, SimConfig, scaled_endpoint_batch
 from .regimes import CAUCHY_CENTER
 from .spec_model import IntegrabilityError, validate
 from .verify import theorem_check
@@ -61,18 +61,25 @@ def _load(path):
 
 
 def _apply_overrides(sim: SimConfig, args):
-    overrides = {}
-    for name in ("eps", "paths", "seed", "workers"):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-            setattr(sim, name, val)
+    overrides = {name: getattr(args, name)
+                 for name in ("eps", "paths", "seed", "workers")
+                 if getattr(args, name, None) is not None}
     try:
-        check_workers(sim.workers)
+        replace(sim, **overrides)          # validates the overridden values
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
+    for name, val in overrides.items():
+        setattr(sim, name, val)
     return overrides
+
+
+def _ladder(text):
+    """The eps values of a comma separated list such as '1/8,1/32'."""
+    ladder = [float(Fraction(tok.strip())) for tok in text.split(",")]
+    if min(ladder) <= 0:
+        raise ValueError("eps values must be positive")
+    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +210,15 @@ def cmd_simulate(args):
 def cmd_verify(args):
     settings = _load(args.config)
     spec = settings.spec
+    overrides = _apply_overrides(settings.sim, args)
+    try:
+        ladder = _ladder(args.ladder) if args.ladder else [1.0 / 8, 1.0 / 32]
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"config error: --ladder {args.ladder!r}: {exc}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    overrides = _apply_overrides(settings.sim, args)
-    from fractions import Fraction
-    ladder = ([float(Fraction(tok.strip())) for tok in args.ladder.split(",")]
-              if args.ladder else [1.0 / 8, 1.0 / 32])
     try:
         report = theorem_check(
             spec, ladder, n=settings.sim.paths,

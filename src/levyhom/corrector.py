@@ -51,9 +51,6 @@ class AssembledOperator:
     _weights: Optional[np.ndarray] = field(default=None, init=False,
                                            repr=False)
 
-    def apply(self, values):
-        return self.matrix @ values
-
     def stationary_weights(self):
         """Left null vector of the generator matrix, normalized to mass one.
 
@@ -506,10 +503,6 @@ class CovarianceMatrix:
     @property
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.A)
-
-    @property
-    def is_psd(self):
-        return bool(self.eigenvalues.min() >= -1e-10)
 
     def to_json(self, path=None):
         evals, evecs = np.linalg.eigh(self.A)

@@ -103,11 +103,18 @@ class SimConfig:
     truncation_budget: float = 1e-6
 
     def __post_init__(self):
+        for name in ("paths", "seed", "workers"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {val!r}")
         check_workers(self.workers)
-        if not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
-            raise ConfigError(
-                f"paths must be a positive integer, got {self.paths!r}")
-        if not 0 < self.delta <= 1:
+        if self.paths < 1:
+            raise ConfigError(f"paths must be positive, got {self.paths!r}")
+        for name in ("horizon", "dt", "eps", "truncation_budget"):
+            val = getattr(self, name)
+            if val is not None and not (_is_real(val) and val > 0):
+                raise ConfigError(f"{name} must be positive, got {val!r}")
+        if not (_is_real(self.delta) and 0 < self.delta <= 1):
             raise ConfigError(f"delta must lie in (0, 1], got {self.delta!r}")
 
     def resolved_dt(self, alpha0=None):
@@ -120,6 +127,11 @@ class SimConfig:
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_real(val):
+    return (isinstance(val, (int, float, np.integer, np.floating))
+            and not isinstance(val, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +243,12 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
     kmax = spec.kernel.kmax
     rmax = cfg.rmax if cfg.rmax is not None else \
         choose_rmax(spec, horizon, cfg.truncation_budget, kmax)
-    tail_mass = tail_mass_bound(spec, rmax)
-    if tail_mass * horizon * kmax > cfg.truncation_budget * (1 + 1e-9):
+    # bound on the expected number of jumps past rmax over the horizon
+    dropped = tail_mass_bound(spec, rmax) * horizon * kmax
+    if dropped > cfg.truncation_budget * (1 + 1e-9):
         raise ConfigError(
             f"radial cap {rmax} violates the truncation budget "
-            f"({tail_mass * horizon * kmax:.2e} > {cfg.truncation_budget:.2e})")
+            f"({dropped:.2e} > {cfg.truncation_budget:.2e})")
 
     components = []
     # small-jump annulus delta < |z| <= 1
@@ -279,7 +292,7 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
 
     # the Gaussian coefficient of the sub-delta activity and the compensator
     # drift of the (delta, 1] annulus are x-functions sum_q w_q k(x, z_q) f_q
-    meta = {"rmax": rmax, "delta": delta,
+    meta = {"rmax": rmax, "delta": delta, "dropped_tail_mass": dropped,
             "accept": {"route": route, "envelope": envelope}}
     gauss_coef = None
     drift = spec.drift

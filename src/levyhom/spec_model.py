@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .quadrature import (integrate_vec, log_edges, panel_nodes,
-                         power_law_radii, radial_fourier_integral)
+                         radial_fourier_integral)
 from .trigpoly import TrigPoly
 
 
@@ -114,18 +114,6 @@ class SphericalMeasure:
         return cls(d, "atoms", thetas, weights,
                    meta={"atoms": [(list(map(float, t)), float(w))
                                    for t, w in zip(thetas, weights)]})
-
-    # -- queries -----------------------------------------------------------
-    def integrate(self, fn):
-        """Integrate a (possibly vector-valued) function of theta."""
-        vals = np.asarray(fn(self.thetas))
-        return np.tensordot(self.weights, vals, axes=(0, 0))
-
-    def mass(self, predicate=None):
-        if predicate is None:
-            return self.total_mass
-        mask = np.asarray([bool(predicate(t)) for t in self.thetas])
-        return float(self.weights[mask].sum())
 
     def sample_from_uniforms(self, u1, u2=None):
         """Map uniforms in [0,1) to directions; fixed draw budget of two."""
@@ -760,50 +748,6 @@ def full_drift(spec: JumpSpec, x):
     if spec.kernel.is_trig:
         return _drift_trig(spec, x, np.inf)
     return _drift_callback(spec, x, np.inf)
-
-
-def drift_tail_bound(spec: JumpSpec, R):
-    """Upper bound on |b_R - b_inf| per component: kmax |rho0+kappa| int_R^inf dr/phi."""
-    return (spec.kernel.kmax * _angular_mass_bound(spec, R)
-            * spec.phi.inv_integral(R, np.inf))
-
-
-# ---------------------------------------------------------------------------
-# self-similar limit jump measure
-# ---------------------------------------------------------------------------
-
-class SelfSimilarJumpMeasure:
-    """The scale-covariant measure rho0(dtheta) r^{-1-alpha} dr on r > 0."""
-
-    def __init__(self, alpha, rho0: SphericalMeasure):
-        if not (0 < alpha < 2):
-            raise ValueError("alpha must lie in (0, 2)")
-        self.alpha = float(alpha)
-        self.rho0 = rho0
-        self.d = rho0.d
-
-    def radial_mass(self, r1, r2):
-        a = self.alpha
-        if r1 <= 0:
-            return math.inf
-        upper = 0.0 if np.isinf(r2) else r2 ** (-a)
-        return (r1 ** (-a) - upper) / a
-
-    def mass(self, r1, r2, angular_predicate=None):
-        """Measure of {r1 <= |z| <= r2, z/|z| in B}."""
-        return self.rho0.mass(angular_predicate) * self.radial_mass(r1, r2)
-
-    def sample(self, rng, n, r_min=1.0):
-        """Draw (radius, direction) pairs from the normalized restriction to
-        r >= r_min."""
-        r = power_law_radii(rng.random(n), r_min, np.inf, self.alpha)
-        th = self.rho0.sample_from_uniforms(rng.random(n), rng.random(n))
-        return r, th
-
-
-def limit_jump_measure(spec: JumpSpec) -> SelfSimilarJumpMeasure:
-    """Scale-covariant tail measure obtained by replacing phi(r) with r^alpha."""
-    return SelfSimilarJumpMeasure(spec.phi.index, spec.rho0)
 
 
 # ---------------------------------------------------------------------------

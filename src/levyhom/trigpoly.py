@@ -202,15 +202,6 @@ class TrigPoly:
             out[(mx, ())] = out.get((mx, ()), 0.0) + c * weight(mz)
         return TrigPoly(self.dim_x, 0, out)
 
-    def mollify_z(self, width):
-        """Gaussian mollification in z: damp mode mz by exp(-2 pi^2 w^2 |mz|^2)."""
-        out = {}
-        for (mx, mz), c in self.coeffs.items():
-            damp = np.exp(-2.0 * np.pi ** 2 * width ** 2 *
-                          sum(v * v for v in mz))
-            out[(mx, mz)] = c * damp
-        return TrigPoly(self.dim_x, self.dim_z, out)
-
     def bounds_exact(self):
         """Crude certified bounds: mean +/- sum of |nonzero-mode coefficients|."""
         z0 = ((0,) * self.dim_x, (0,) * self.dim_z)

@@ -101,44 +101,6 @@ def ecf_distance(batch, law: LimitLaw, freqs=None, t=None):
     return worst, rows
 
 
-def tail_index(batch, seed=0):
-    """Hill estimate of the tail index from the largest 5% of the |Y| order
-    statistics, with a 90% interval from 200 bootstrap resamples.
-
-    Gaussian-looking batches drift above 2 and are flagged; constant batches
-    have no tail to measure and raise.
-    """
-    samples = np.asarray(batch.samples if isinstance(batch, EndpointBatch)
-                         else batch)
-    mags = np.linalg.norm(np.atleast_2d(samples.T).T, axis=1) \
-        if samples.ndim > 1 else np.abs(samples)
-    mags = mags[mags > 0]
-    if len(mags) < 100:
-        raise ValueError("need at least 100 nonzero samples")
-    k = max(10, int(0.05 * len(mags)))
-    order = np.sort(mags)
-    top = order[-k:]
-    threshold = order[-k - 1]
-    if threshold <= 0 or np.all(top == top[0]):
-        raise ValueError("degenerate tail: order statistics carry no spread")
-    hill = np.mean(np.log(top / threshold))
-    est = 1.0 / hill
-    gen = np.random.Generator(np.random.Philox(key=philox_key(seed, 3)))
-    boots = []
-    for _ in range(200):
-        res = gen.choice(mags, size=len(mags), replace=True)
-        o = np.sort(res)
-        tp = o[-k:]
-        th = o[-k - 1]
-        if th > 0 and np.any(tp > th):
-            boots.append(1.0 / max(np.mean(np.log(tp / th)), 1e-12))
-    lo, hi = np.percentile(boots, [5.0, 95.0])
-    return {"estimate": float(est), "ci90": [float(lo), float(hi)],
-            "heavy_tailed": bool(est < 2.0),
-            "note": "" if est < 2.0 else
-            "estimate above 2: sample looks light-tailed"}
-
-
 # ---------------------------------------------------------------------------
 # theorem-level convergence report
 # ---------------------------------------------------------------------------

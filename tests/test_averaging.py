@@ -1,16 +1,13 @@
-"""Directional averaging: exact mode oracles and decay of the sup-discrepancy."""
+"""Directional averaging: exact mode oracles against Cesaro quadrature."""
 
 import numpy as np
 import pytest
 
-from levyhom.averaging import (cesaro_average, check_averaging_hypothesis,
-                               effective_directional_kernel, fourier_mean,
-                               rationality)
+from levyhom.averaging import (cesaro_average, effective_directional_kernel,
+                               fourier_mean)
 from levyhom.ergodic import TorusMeasure
-from levyhom.spec_model import PeriodicKernel, SphericalMeasure
+from levyhom.spec_model import PeriodicKernel
 from levyhom.trigpoly import TrigPoly
-
-from conftest import make_spec
 
 
 def poly_2d_checker():
@@ -86,39 +83,6 @@ def test_cesaro_fourier_agreement_generic_direction():
 
 
 # --------------------------------------------------------------------------
-# rationality verdicts
-# --------------------------------------------------------------------------
-
-def test_rationality_diagonal():
-    th = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    v = rationality(th)
-    assert v.is_dependent
-    assert tuple(sorted(np.abs(v.witness))) == (1, 1)
-
-
-def test_rationality_axis():
-    v = rationality(np.array([1.0, 0.0]))
-    assert v.is_dependent and v.witness == (0, 1)
-
-
-def test_rationality_undecided_for_irrational():
-    th = np.array([1.0, np.sqrt(2.0)]) / np.sqrt(3.0)
-    v = rationality(th, M=50)
-    assert v.kind == "undecided" and v.search_bound == 50
-
-
-def test_rationality_exact_rational_coordinates():
-    v = rationality(np.array([0.6, 0.8]), exact=("3/5", "4/5"))
-    assert v.is_dependent
-    m = np.array(v.witness, dtype=float)
-    assert abs(m @ np.array([0.6, 0.8])) < 1e-12
-
-
-def test_rationality_dimension_one():
-    assert rationality(np.array([1.0])).kind == "independent"
-
-
-# --------------------------------------------------------------------------
 # effective directional kernel
 # --------------------------------------------------------------------------
 
@@ -160,54 +124,3 @@ def test_effective_kernel_monotone():
     assert (effective_directional_kernel(k2, mu, th)
             >= effective_directional_kernel(k1, mu, th))
 
-
-# --------------------------------------------------------------------------
-# averaging hypothesis
-# --------------------------------------------------------------------------
-
-def test_hypothesis_constant_kernel_zero_discrepancy():
-    spec = make_spec(d=2, alpha=0.5, rho0=SphericalMeasure.uniform(2, 1.0, 16))
-    rep = check_averaging_hypothesis(spec, eps_ladder=[0.5, 0.25],
-                                     x_grid_size=4)
-    assert rep.final_sup <= 1e-12
-    assert rep.decayed
-
-
-def test_hypothesis_decay_z_periodic_kernel():
-    kern = PeriodicKernel.trig(poly_2d_checker())
-    spec = make_spec(d=2, alpha=0.5, kernel=kern,
-                     rho0=SphericalMeasure.uniform(2, 1.0, 16))
-    ladder = [2.0 ** -k for k in range(1, 9)]
-    rep = check_averaging_hypothesis(spec, eps_ladder=ladder, x_grid_size=4)
-    assert rep.decayed
-    assert rep.final_sup <= 0.05 * spec.kernel.kmax
-
-
-def test_hypothesis_negative_control_flags_wrong_average():
-    kern = PeriodicKernel.trig(poly_2d_checker())
-    spec = make_spec(d=2, alpha=0.5, kernel=kern,
-                     rho0=SphericalMeasure.uniform(2, 1.0, 16))
-    rep = check_averaging_hypothesis(spec, eps_ladder=[0.5, 0.25, 0.125],
-                                     x_grid_size=4,
-                                     kbar_override=lambda x, th: 0.0)
-    assert not rep.decayed
-
-
-def test_hypothesis_mollification_consistency():
-    # z-mollification moves the discrepancy by at most kmax * L1 distance
-    poly = poly_2d_checker()
-    kern = PeriodicKernel.trig(poly)
-    dens = SphericalMeasure.density(2, lambda th: 1.0 / (2 * np.pi), n_nodes=16)
-    spec = make_spec(d=2, alpha=0.5, kernel=kern, rho0=dens)
-    width = 0.05
-    kern_m = PeriodicKernel.trig(poly.mollify_z(width))
-    spec_m = make_spec(d=2, alpha=0.5, kernel=kern_m, rho0=dens)
-    ladder = [0.25, 0.125]
-    rep = check_averaging_hypothesis(spec, eps_ladder=ladder, x_grid_size=4)
-    rep_m = check_averaging_hypothesis(spec_m, eps_ladder=ladder, x_grid_size=4)
-    # L1 distance bounded by the total damped coefficient mass
-    l1 = sum(abs(poly.coeffs[m] - poly.mollify_z(width).coeffs.get(m, 0.0))
-             for m in poly.coeffs)
-    bound = spec.kernel.kmax * l1 + 1e-9
-    for (e1, v1), (e2, v2) in zip(rep.rows, rep_m.rows):
-        assert abs(v1 - v2) <= bound

@@ -107,6 +107,14 @@ _MALFORMED_VALUES = {
     "atoms_number": (("rho0",), {"variant": "atoms", "atoms": [5]}),
     "terms_number": (("kernel", "terms"), 5),
     "paths_string": (("sim", "paths"), "x"),
+    "paths_bool": (("sim", "paths"), True),
+    "seed_fraction": (("sim", "seed"), 1.5),
+    "workers_fraction": (("sim", "workers"), 2.5),
+    "horizon_zero": (("sim", "horizon"), 0),
+    "horizon_string": (("sim", "horizon"), "x"),
+    "dt_zero": (("sim", "dt"), 0),
+    "eps_zero": (("sim", "eps"), 0),
+    "truncation_budget_zero": (("sim", "truncation_budget"), 0),
     "delta_zero": (("sim", "delta"), 0),
 }
 
@@ -289,6 +297,22 @@ def test_cli_verify_smoke(tmp_path):
         assert 0 <= row["meta"]["accepted"] <= row["meta"]["candidates"]
         assert row["meta"]["accept"] == {"route": "x_modes",
                                          "envelope": False}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--ladder", "abc"], ["--ladder", "1/0"], ["--ladder", "-1"],
+    ["--ladder", "1/8,0"], ["--ladder", "1/8,"], ["--paths", "0"]],
+    ids=["ladder_word", "ladder_one_over_zero", "ladder_negative",
+         "ladder_zero", "ladder_empty_entry", "paths_zero"])
+def test_cli_verify_malformed_flags_exit_4(tmp_path, capsys, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(fixture_config("ex4_1_stable")))
+    code = _exit_code(["verify", str(cfg), "--out", str(tmp_path / "ver")]
+                      + flags)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not (tmp_path / "ver").exists()
 
 
 def test_cli_verify_reads_the_regime_off_the_index(tmp_path):

@@ -32,7 +32,7 @@ def op_1d():
 def test_operator_kills_constants(op_1d):
     _, op = op_1d
     ones = np.ones(op.grid.size)
-    assert np.max(np.abs(op.apply(ones))) < 1e-9
+    assert np.max(np.abs(op.matrix @ ones)) < 1e-9
 
 
 def test_operator_matches_multiplier(op_1d):
@@ -200,7 +200,7 @@ def test_covariance_with_corrector_positive_and_psd():
     psi = solve_recentering_corrector(spec, mu, mode="full", mean_tol=1e-5)
     cov = covariance_matrix(spec, mu, psi=psi)
     assert cov.A[0, 0] > 0
-    assert cov.is_psd
+    assert cov.eigenvalues.min() >= -1e-10
 
 
 def test_covariance_exchange_symmetry():

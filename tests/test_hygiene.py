@@ -1,6 +1,7 @@
 """Source hygiene: every name a levyhom module imports is used in it, every
-parameter of a levyhom function is read in its body, and the regime names
-are spelled out only where the regime is defined."""
+parameter of a levyhom function is read in its body, every top-level
+definition is read by the package, the benchmark or the acceptance criteria,
+and the regime names are spelled out only where the regime is defined."""
 
 import ast
 from fnmatch import fnmatchcase
@@ -11,12 +12,9 @@ import pytest
 from levyhom.regimes import (CAUCHY_CENTER, CRITICAL_LOG, DIFFUSIVE,
                              STABLE_CENTER, STABLE_NO_CENTER)
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "levyhom"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "levyhom"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-
-# functions whose signature is fixed by their callers: the averaging check
-# calls every test function as f(x, z)
-SIGNATURE_PROTOCOLS = ("default_test_functions.*",)
 
 
 def unused_imports(source):
@@ -93,7 +91,73 @@ def test_unread_parameters_are_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_parameter_is_read(path):
-    assert unread_parameters(path.read_text(), SIGNATURE_PROTOCOLS) == []
+    assert unread_parameters(path.read_text()) == []
+
+
+def top_level_definitions(source):
+    """(line, name) of each top-level class and undecorated function."""
+    return [(node.lineno, node.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.decorator_list)]
+
+
+def names_read(source):
+    """(owner, name) for each name ``source`` reads as a Name, an Attribute
+    or an imported name; owner is the enclosing top-level definition, None
+    for module-level code."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            if isinstance(node, ast.Name):
+                found.add((owner, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.add((owner, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                found.update((owner, alias.name) for alias in node.names)
+    return found
+
+
+def unread_definitions(definers, readers):
+    """(file name, line, name) for each top-level definition of a file in
+    ``definers`` that no file in ``readers`` reads outside the definition's
+    own body. Both map a path to its source."""
+    reads = {path: names_read(source) for path, source in readers.items()}
+    return sorted(
+        (path.name, line, name)
+        for path, source in definers.items()
+        for line, name in top_level_definitions(source)
+        if not any(read == name and not (other == path and owner == name)
+                   for other, found in reads.items()
+                   for owner, read in found))
+
+
+def test_unread_definitions_are_found():
+    mod, bench = Path("mod.py"), Path("bench.py")
+    definers = {mod: ("class Used:\n    pass\n"
+                      "def helper():\n    return helper()\n"
+                      "def tested_only():\n    pass\n"
+                      "@register\ndef fixture():\n    return Used\n"
+                      "def public():\n    return 1\n")}
+    readers = {**definers, bench: "from mod import public\n"}
+    assert unread_definitions(definers, readers) == [
+        ("mod.py", 3, "helper"), ("mod.py", 5, "tested_only")]
+
+
+# read only by the tests: the mode-space Poisson solve is cross-checked
+# against the grid solve and is the planned route of the diffusive corrector
+UNREAD_BY_DESIGN = {("corrector.py", "solve_poisson_modes")}
+
+
+def test_every_definition_is_read_by_the_pipeline():
+    readers = [*MODULES, *sorted((ROOT / "levybench").rglob("*.py")),
+               ROOT / "tests" / "test_acceptance.py"]
+    unread = unread_definitions({p: p.read_text() for p in MODULES},
+                                {p: p.read_text() for p in readers})
+    assert [(f, name) for f, _, name in unread] == sorted(UNREAD_BY_DESIGN)
 
 
 REGIME_NAMES = {STABLE_NO_CENTER, CAUCHY_CENTER, STABLE_CENTER, CRITICAL_LOG,

@@ -6,14 +6,14 @@ import pytest
 
 from levyhom.ergodic import TorusMeasure
 from levyhom.limits import (LimitLaw, _radial_symbol, char_exponent, char_fn,
-                            exact_symmetric_stable_1d, predicted_limit,
-                            radial_symbol_quadrature, sample_limit)
+                            predicted_limit, sample_limit)
 from levyhom.regimes import Regime
 from levyhom.spec_model import PeriodicKernel, ScalingFunction, SphericalMeasure
 from levyhom.trigpoly import TrigPoly
 from levyhom.verify import ecf_distance, ks_statistic
 
 from conftest import make_spec
+from oracles import exact_symmetric_stable_1d, radial_symbol_quadrature
 
 
 def sym_stable_law_1d(alpha, mass=1.0, kbar=1.0):

@@ -176,6 +176,19 @@ def test_truncation_budget_enforced(sym_spec):
         simulate_endpoints(sym_spec, cfg)
 
 
+def test_batch_meta_records_the_dropped_tail_mass(sym_spec):
+    # the cap keeps the expected number of dropped jumps within the budget
+    cfg = SimConfig(paths=4, horizon=1.0, delta=0.25, seed=0, eps=0.25)
+    meta = scaled_endpoint_batch(sym_spec, cfg).meta
+    assert 0 < meta["dropped_tail_mass"] <= cfg.truncation_budget
+    # power phi: Pi(|z| > R) = |rho0| R^-alpha / alpha, over T = 0.25^-0.5
+    cfg = SimConfig(paths=4, horizon=1.0, delta=0.25, seed=0, eps=0.25,
+                    rmax=1e16, truncation_budget=1.0)
+    meta = scaled_endpoint_batch(sym_spec, cfg).meta
+    assert meta["dropped_tail_mass"] == pytest.approx(2 * 1e-8 * 2.0,
+                                                      rel=1e-12)
+
+
 def test_choose_rmax_meets_budget(sym_spec):
     r = choose_rmax(sym_spec, horizon=10.0, budget=1e-6,
                     kmax=sym_spec.kernel.kmax)

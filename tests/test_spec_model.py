@@ -2,15 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from levyhom.spec_model import (IntegrabilityError, PeriodicKernel,
                                 RadialPerturbation, ScalingFunction,
                                 SmallJumpPart, SphericalMeasure, full_drift,
-                                jump_nodes, limit_jump_measure,
-                                scaling_index_probe, truncated_drift, validate)
+                                jump_nodes, scaling_index_probe,
+                                truncated_drift, validate)
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
@@ -31,7 +29,8 @@ def test_uniform_second_angular_moment():
     # int theta_i theta_j over the unit-mass uniform measure is I/d
     for d in (2, 3):
         m = SphericalMeasure.uniform(d, total_mass=1.0)
-        M = m.integrate(lambda th: th[:, :, None] * th[:, None, :])
+        M = np.tensordot(m.weights, m.thetas[:, :, None]
+                         * m.thetas[:, None, :], axes=1)
         assert np.allclose(M, np.eye(d) / d, atol=1e-10)
 
 
@@ -148,9 +147,11 @@ def test_truncated_drift_monotone_and_tail_bound(one_sided_spec_1d):
     vals = [truncated_drift(spec, x, R)[0] for R in (2.0, 4.0, 8.0, 16.0)]
     assert np.all(np.diff(vals) > 0)
     binf = full_drift(spec, x)[0]
-    from levyhom.spec_model import drift_tail_bound
+    # |b_R - b_inf| <= kmax |rho0| int_R^inf dr / phi(r) (no kappa here)
     for R, v in zip((2.0, 4.0, 8.0, 16.0), vals):
-        assert abs(v - binf) <= drift_tail_bound(spec, R) + 1e-12
+        bound = (spec.kernel.kmax * spec.rho0.total_mass
+                 * spec.phi.inv_integral(R, np.inf))
+        assert abs(v - binf) <= bound + 1e-12
 
 
 def test_drift_with_z_mode_kernel():
@@ -240,47 +241,6 @@ def test_z_functional_callback_is_node_sum():
                           (kv * w).sum(axis=1))
     assert np.array_equal(kern.z_functional(z, w, z)(x),
                           np.einsum("pq,q,qd->pd", kv, w, z))
-
-
-# --------------------------------------------------------------------------
-# self-similar limit measure
-# --------------------------------------------------------------------------
-
-def test_limit_measure_annulus_mass():
-    spec = make_spec(alpha=1.0)
-    pz = limit_jump_measure(spec)
-    assert pz.mass(1.0, 2.0) == pytest.approx(0.5, rel=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.floats(0.25, 4.0), st.floats(0.1, 1.9),
-       st.floats(0.1, 10.0), st.floats(1.1, 10.0))
-def test_limit_measure_exact_scaling(s, alpha, r1, ratio):
-    rho = SphericalMeasure.uniform(1, 1.0)
-    pz = limit_jump_measure(make_spec(
-        alpha=alpha, rho0=rho, phi=ScalingFunction.power(alpha)))
-    r2 = r1 * ratio
-    m = pz.mass(r1, r2)
-    ms = pz.mass(s * r1, s * r2)
-    assert ms * s ** alpha == pytest.approx(m, rel=1e-12)
-
-
-def test_limit_measure_atoms_angular():
-    spec = make_spec(rho0=SphericalMeasure.atoms(2, [((1.0, 0.0), 3.0)]), d=2,
-                     phi=ScalingFunction.power(0.5))
-    pz = limit_jump_measure(spec)
-    on_axis = pz.mass(1.0, 2.0, lambda th: th[0] > 0.99)
-    assert on_axis == pytest.approx(pz.mass(1.0, 2.0), rel=1e-12)
-
-
-def test_limit_measure_sampling_law():
-    spec = make_spec(alpha=0.5)
-    pz = limit_jump_measure(spec)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
-    r, th = pz.sample(rng, 20000, r_min=1.0)
-    # empirical survival at radius 4 matches 4^{-1/2}
-    assert np.mean(r > 4.0) == pytest.approx(0.5, abs=0.02)
-    assert set(np.unique(th)) <= {-1.0, 1.0}
 
 
 # --------------------------------------------------------------------------
