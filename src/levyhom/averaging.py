@@ -1,8 +1,9 @@
 """Directional long-run averages of periodic jump kernels.
 
 The effective jump intensity in direction theta is the Cesaro average of
-k(x, r theta) in r. For trig-poly kernels this average has an exact closed
-form: only the z-modes orthogonal to theta survive. Averaged against the
+k(x, r theta) in r. For the trig kernel this average has an exact closed
+form, ``fourier_mean``: only the z-modes orthogonal to theta survive;
+``cesaro_average`` computes it by quadrature, as a reference. Averaged against the
 invariant measure over the angular nodes of rho0, it gives the table k̄0 of
 the limit jump measure.
 """
@@ -65,16 +66,10 @@ def fourier_mean(poly: TrigPoly, theta, x=None):
 # ---------------------------------------------------------------------------
 
 def effective_directional_kernel(kernel, mu, theta):
-    """Invariant-measure average of the directional mean: sum_cells mu k̄(x, theta).
-
-    A trig-poly kernel has the exact Fourier mean, a callback kernel the
-    Cesaro average over the default horizon of ``cesaro_average``.
-    """
-    if kernel.is_trig:
-        poly = fourier_mean(kernel.poly, theta)
-        return float(mu.weights @ poly(mu.centers))
-    vals = np.array([cesaro_average(kernel, x, theta) for x in mu.centers])
-    return float(mu.weights @ vals)
+    """Invariant-measure average of the exact directional mean:
+    sum_cells mu k̄(x, theta)."""
+    poly = fourier_mean(kernel.poly, theta)
+    return float(mu.weights @ poly(mu.centers))
 
 
 def effective_kernel_table(kernel, mu, rho0: SphericalMeasure):

@@ -139,8 +139,8 @@ def _parse_kernel(obj, d, path="kernel"):
     v = _need(obj, "variant", path)
     if v != "trig":
         raise ConfigSchemaError(
-            f"{path}/variant: only 'trig' kernels are serializable "
-            "(callbacks are library-only)")
+            f"{path}/variant: {v!r} is not a kernel variant; only 'trig' "
+            "kernels exist")
     poly = TrigPoly.const(d, d, 0.0)
     for i, term in enumerate(_need(obj, "terms", path)):
         poly = poly + _term_to_poly(term, d, d, f"{path}/terms[{i}]")

@@ -1,16 +1,17 @@
 """Nonlocal Poisson solves on the torus and the diffusive covariance matrix.
 
-The generator has two discretizations. For trig-poly kernels and drifts it
-acts on Fourier modes through exact multipliers (``mode_operator``, a
-Fourier-Galerkin truncation in any d <= 3); this is the route of the
-invariant measure and of ``solve_poisson_modes``. The grid route
+The generator has two discretizations. On Fourier modes the trig kernel and
+drift act through exact multipliers (``mode_operator``, a Fourier-Galerkin
+truncation in any d <= 3); this is the route of the invariant measure and
+of ``solve_poisson_modes``. The grid route
 (``assemble_operator``, dense, d in {1, 2}; ``solve_poisson``) replaces the
 singular part of the small-jump integral inside one grid cell by its
 second-order Taylor proxy (a scaled discrete Laplacian with the exact radial
 coefficient), the remaining jump integral by log-spaced Gauss-Legendre
 quadrature with multilinear interpolation, the compensator by central
-differences, and the drift by upwind differences. It serves callback
-kernels, the default corrector solves, and as the oracle of the mode route.
+differences, and the drift by upwind differences. It serves the default
+corrector solves, the invariant measure of specs whose x-modes fall outside
+the mode box, and as the oracle of the mode route.
 """
 
 from __future__ import annotations
@@ -220,8 +221,7 @@ def fourier_multiplier(spec: JumpSpec, mode):
     the grid discretization."""
     if spec.kernel.depends_on_x() or spec.kernel.depends_on_z():
         raise ValueError("multiplier defined for constant-in-(x,z) kernels only")
-    if spec.drift.is_trig and any(c.depends_on_x()
-                                  for c in spec.drift.components):
+    if any(c.depends_on_x() for c in spec.drift.components):
         raise ValueError("multiplier requires a constant drift")
     mode, d = np.asarray(mode, dtype=float), spec.d
     kval = spec.kernel(np.zeros((1, d)), np.zeros((1, d)))[0]
@@ -272,8 +272,6 @@ def mode_operator(spec: JumpSpec, modes):
     L e_l = sum c_(mx,mz) m_mz(l) e_{l+mx} + 2 pi i sum_j <b_j, l> e_{l+j}
     (``generator_multipliers``); L e_0 = 0 needs no multiplier.
     """
-    if not (spec.kernel.is_trig and spec.drift.is_trig):
-        raise ValueError("the mode operator needs a trig kernel and drift")
     K, box = len(modes), int(np.abs(modes).max())
     lookup = np.full((2 * box + 1,) * spec.d, -1)
     lookup[tuple((modes + box).T)] = np.arange(K)

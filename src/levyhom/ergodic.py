@@ -1,10 +1,9 @@
 """Invariant measure of the quotient process and ergodic averages.
 
 Three estimators are provided. ``stationary_measure``, which the prediction
-pipeline uses, solves L* mu = 0 in mode space (Fourier-Galerkin) whenever
-the kernel and the drift are trig polys, in any d <= 3. The left null vector
-of the assembled grid generator (d <= 2) is the route for callback kernels
-and the oracle of the mode route. The Monte Carlo occupation histogram (time
+pipeline uses, solves L* mu = 0 in mode space (Fourier-Galerkin) in any
+d <= 3. The left null vector of the assembled grid generator (d <= 2) is the
+route for x-modes past the mode box and the oracle of the mode route. The Monte Carlo occupation histogram (time
 average of simulated quotient paths) validates both.
 
 The Monte Carlo estimators read simulated paths only as states at given
@@ -149,8 +148,8 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None
 def stationary_measure_grid(spec: JumpSpec, n=None) -> TorusMeasure:
     """Invariant measure of the discretized generator (deterministic, d <= 2).
 
-    The oracle for the mode route, and the route for callback kernels or
-    drifts.
+    The oracle for the mode route, and the route for x-modes past the mode
+    box.
     """
     n = n or default_grid_n(spec.d)
     op = assemble_operator(spec, n)
@@ -161,7 +160,7 @@ def stationary_measure_grid(spec: JumpSpec, n=None) -> TorusMeasure:
 
 def stationary_measure_modes(spec: JumpSpec, n=None, box=None
                              ) -> TorusMeasure:
-    """Invariant measure of a trig-poly spec from its mode operator
+    """Invariant measure of the spec from its mode operator
     (Fourier-Galerkin) on the modes of |l|_inf <= box coupled to 0.
 
     Weights are point values of the density on the grid (n = 128 in d = 1),
@@ -189,16 +188,15 @@ def stationary_measure_modes(spec: JumpSpec, n=None, box=None
 
 
 def stationary_measure(spec: JumpSpec, n=None) -> TorusMeasure:
-    """Deterministic invariant measure: the mode route for trig kernels and
-    drifts whose x-modes are at most a quarter of the default mode box
+    """Deterministic invariant measure: the mode route when the x-modes of
+    the kernel and drift are at most a quarter of the default mode box
     long, the grid adjoint (d <= 2) otherwise."""
-    if (spec.kernel.is_trig and spec.drift.is_trig
-            and fits_mode_box(spec, MODE_BOX[spec.d])):
+    if fits_mode_box(spec, MODE_BOX[spec.d]):
         return stationary_measure_modes(spec, n)
     if spec.d > 2:
         raise ValueError(
             f"no deterministic invariant measure in d={spec.d}: the mode "
-            f"route needs a trig kernel and drift with x-modes of length "
+            f"route needs a kernel and drift with x-modes of length "
             f"<= {MODE_BOX[spec.d] // 4}")
     return stationary_measure_grid(spec, n)
 

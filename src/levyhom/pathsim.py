@@ -18,10 +18,9 @@ Gaussian substitution for the sub-delta activity:
   generator's unit-ball compensation with uncompensated jump simulation.
 
 The Gaussian coefficient and the compensator are functionals sum_q w_q f_q
-k(x, z_q) over fixed nodes (PeriodicKernel.z_functional). For a trig kernel
-they are x-only trig polys built once per driver from F(mz) = sum_q w_q f_q
-e^{2 pi i mz.z_q}, and a drift without x-modes folds into constant_drift; for
-a callback kernel they are node sums evaluated at every step.
+k(x, z_q) over fixed nodes (PeriodicKernel.z_functional): x-only trig polys
+built once per driver from F(mz) = sum_q w_q f_q e^{2 pi i mz.z_q}. A drift
+without x-modes folds into constant_drift.
 
 Each trig poly the engine evaluates per round or per step, the kernel of the
 accept fraction, a drift with x-modes and the Gaussian coefficient, is
@@ -29,9 +28,9 @@ compiled once per driver by ``TrigPoly.evaluator``: the arithmetic of
 ``TrigPoly.__call__``, bit for bit, without its broadcasting, and with the
 x-phase (z-phase) only for a poly with x-modes (z-modes). A constant kernel
 at kmax has no kernel function: its accept fraction is one. The driver's meta
-records the routes: ``accept`` ("constant", "x_modes", "z_modes", "joint" or
-"callback", and whether the envelope factor applies) and ``drift`` ("none",
-"constant", "x_modes" or "callback").
+records the routes: ``accept`` ("constant", "x_modes", "z_modes" or "joint",
+and whether the envelope factor applies) and ``drift`` ("none", "constant"
+or "x_modes").
 
 A run returns the endpoints of its paths, or their states at an ascending
 list of times: that is the engine's one observation. The engine cuts the path
@@ -77,7 +76,6 @@ from .quadrature import power_law_radii
 from .regimes import EffectiveDrifts, Regime
 from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
                          tail_mass_bound, tail_radius)
-from .trigpoly import TrigPoly
 
 _BLOCK = 2048
 _TAPE_BYTES = 96e6         # candidate-tape bytes per chunk
@@ -277,11 +275,10 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
         partial(power_law_radii, lo=1.0, hi=rmax, a=b),
         spec.rho0.sample_from_uniforms))
 
-    # trig kernels, drifts and coefficients are compiled once per driver
+    # the kernel, drift and coefficients are compiled once per driver
     # (TrigPoly.evaluator); a constant kernel at kmax accepts every candidate
     route = _kernel_route(spec.kernel)
-    keval = spec.kernel.poly.evaluator() if spec.kernel.is_trig else None
-    kernel_fn = spec.kernel if keval is None else keval
+    kernel_fn = keval = spec.kernel.poly.evaluator()
     if route == "constant":
         kconst = float(spec.kernel(np.zeros((1, d)), np.zeros((1, d)))[0])
         if abs(kconst - kmax) <= 1e-14 * kmax:
@@ -303,29 +300,23 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
         meta["gauss_coef"] = _route_meta(spec.kernel.poly, 0, "closed_form")
     elif spec.small.kind == "stable":
         zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
-        gauss_coef = spec.kernel.z_functional(
+        gauss_poly = spec.kernel.z_functional(
             zq, wq * np.sum(zq * zq, axis=1) / d)
-        meta["gauss_coef"] = _route_meta(gauss_coef, len(wq))
-        if isinstance(gauss_coef, TrigPoly):
-            gauss_coef = gauss_coef.evaluator()
+        meta["gauss_coef"] = _route_meta(gauss_poly, len(wq))
+        gauss_coef = gauss_poly.evaluator()
         if delta < 1.0:
             zq, wq, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
             comp = spec.kernel.z_functional(zq, wq, zq)
             meta["compensator"] = _route_meta(comp, len(wq))
-            if drift.is_trig and isinstance(comp, DriftField):
-                drift = DriftField.trig([p - q for p, q in zip(
-                    drift.components, comp.components)])
-            else:
-                drift = DriftField(d, fn=lambda X: spec.drift(X).reshape(
-                    X.shape) - comp(X))
+            drift = DriftField.trig([p - q for p, q in zip(
+                drift.components, comp.components)])
 
     drift_fn = constant_drift = None
-    if drift.is_trig and all(c.max_mode_order() == 0
-                             for c in drift.components):
+    if all(c.max_mode_order() == 0 for c in drift.components):
         meta["drift"] = {"route": "none" if drift.is_zero() else "constant"}
         if not drift.is_zero():
             constant_drift = drift(np.zeros((1, d))).reshape(d)
-    elif drift.is_trig:
+    else:
         meta["drift"] = {"route": "x_modes"}
         parts = [comp.evaluator() for comp in drift.components]
         def drift_fn(X):
@@ -333,10 +324,6 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
             for j, f in enumerate(parts):
                 out[:, j] = f(X)
             return out
-    else:
-        meta["drift"] = {"route": "callback"}
-        def drift_fn(X):
-            return drift(X).reshape(X.shape)
 
     # the envelope factor depends on r alone, so it keeps "levy" open
     x_independent = (route in ("constant", "z_modes")
@@ -349,9 +336,7 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
 
 def _kernel_route(kernel):
     """Which modes the accept fraction evaluates: "constant", "x_modes",
-    "z_modes", "joint" (both), or "callback" for a callback kernel."""
-    if not kernel.is_trig:
-        return "callback"
+    "z_modes" or "joint" (both)."""
     on_x, on_z = kernel.depends_on_x(), kernel.depends_on_z()
     return {(False, False): "constant", (True, False): "x_modes",
             (False, True): "z_modes", (True, True): "joint"}[(on_x, on_z)]
@@ -360,8 +345,6 @@ def _kernel_route(kernel):
 def _route_meta(f, nodes, route="modes"):
     """Route, node count and number of x-modes (0: constant) of a functional."""
     polys = f.components if isinstance(f, DriftField) else [f]
-    if not hasattr(polys[0], "coeffs"):
-        return {"route": "nodes", "nodes": nodes, "x_modes": None}
     return {"route": route, "nodes": nodes, "x_modes": len(
         {mx for p in polys for mx, _ in p.coeffs if any(mx)})}
 

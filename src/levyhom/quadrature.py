@@ -38,36 +38,6 @@ def log_edges(a, b, per_decade=6, min_panels=4):
     return np.geomspace(a, b, n + 1)
 
 
-def integrate_vec(f, edges):
-    """Adaptive composite Gauss-Legendre integration of a vector-valued
-    integrand over the span of the panel ``edges``.
-
-    ``f`` maps an array of abscissae (n,) to values of shape (n,) or (n, k).
-    Order-16 panels are halved until two successive refinements agree to
-    rtol 1e-9 and atol 1e-14, or 4096 panels are reached. Deterministic for
-    fixed arguments.
-    """
-    rtol, atol = 1e-9, 1e-14
-    edges = np.asarray(edges, dtype=float)
-
-    def _eval(es):
-        nodes, weights = panel_nodes(es, 16)
-        vals = np.asarray(f(nodes))
-        return weights @ vals
-
-    prev = _eval(edges)
-    while True:
-        refined = np.empty(2 * (len(edges) - 1) + 1)
-        refined[0::2] = edges
-        refined[1::2] = 0.5 * (edges[1:] + edges[:-1])
-        cur = _eval(refined)
-        err = np.max(np.abs(cur - prev))
-        scale = max(float(np.max(np.abs(cur))), atol / rtol)
-        if err <= rtol * scale + atol or len(refined) - 1 >= 4096:
-            return cur
-        edges, prev = refined, cur
-
-
 def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None):
     """Compute ``\\int_{r_lo}^{r_hi} e^{2 pi i s r} w(r) / phi(r) dr``.
 

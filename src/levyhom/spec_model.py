@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .quadrature import (integrate_vec, log_edges, panel_nodes,
-                         radial_fourier_integral)
+from .quadrature import log_edges, panel_nodes, radial_fourier_integral
 from .trigpoly import TrigPoly
 
 
@@ -46,12 +45,11 @@ class SphericalMeasure:
     by all quadratures; for atoms the table is exact.
     """
 
-    def __init__(self, d, variant, thetas, weights, density_fn=None, meta=None):
+    def __init__(self, d, variant, thetas, weights, meta=None):
         self.d = int(d)
         self.variant = variant
         self.thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         self.weights = np.asarray(weights, dtype=float)
-        self.density_fn = density_fn
         self.meta = meta or {}
         if self.weights.ndim != 1 or len(self.weights) != len(self.thetas):
             raise ValueError("node/weight shape mismatch")
@@ -102,7 +100,7 @@ class SphericalMeasure:
         if np.any(vals < 0):
             raise ValueError("density must be nonnegative")
         return cls(d, "density", base.thetas, base.weights * vals,
-                   density_fn=fn, meta={"n_nodes": len(base.weights)})
+                   meta={"n_nodes": len(base.weights)})
 
     @classmethod
     def atoms(cls, d, pairs):
@@ -193,23 +191,6 @@ class ScalingFunction:
     def tail_integrable(self) -> bool:
         """Whether int_1^inf dr/phi(r) converges."""
         return self.index > 1.0
-
-    def inv_integral(self, a, b):
-        """int_a^b dr / phi(r); b may be inf (requires tail integrability)."""
-        if np.isinf(b) and not self.tail_integrable():
-            raise IntegrabilityError(
-                "int_1^inf dr/phi diverges for scaling index <= 1")
-        if self.kind == "power":
-            al = self.index
-            if al == 1.0:
-                if np.isinf(b):
-                    raise IntegrabilityError("log divergence")
-                return math.log(b / a)
-            upper = 0.0 if np.isinf(b) else b ** (1 - al)
-            return (upper - a ** (1 - al)) / (1 - al)
-        val, _ = quad(lambda r: 1.0 / self(r), a, b,
-                      epsabs=1e-14, epsrel=1e-12, limit=400)
-        return val
 
     def radial_tail_mass(self, a, b):
         """int_a^b dr / (r phi(r)), the radial factor of the large-jump mass."""
@@ -376,70 +357,36 @@ def surface_measure(d):
 # ---------------------------------------------------------------------------
 
 class PeriodicKernel:
-    """Bounded kernel k(x, z), 1-periodic in x (a trig kernel also in z)."""
+    """Bounded kernel k(x, z) given by a trig poly, so 1-periodic in x and
+    in z; ``kmin``/``kmax`` default to the poly's exact bounds."""
 
-    def __init__(self, d, fn=None, poly: Optional[TrigPoly] = None,
-                 kmin=None, kmax=None):
-        self.d = int(d)
+    def __init__(self, poly: TrigPoly, kmin=None, kmax=None):
+        self.d = poly.dim_x
         self.poly = poly
-        self.fn = fn
-        if poly is not None:
-            lo, hi = poly.bounds_exact()
-            self.kmin = float(lo if kmin is None else kmin)
-            self.kmax = float(hi if kmax is None else kmax)
-        else:
-            if kmin is None or kmax is None:
-                raise ValueError("callback kernels must declare kmin and kmax")
-            self.kmin = float(kmin)
-            self.kmax = float(kmax)
+        lo, hi = poly.bounds_exact()
+        self.kmin = float(lo if kmin is None else kmin)
+        self.kmax = float(hi if kmax is None else kmax)
         if self.kmin < 0:
             raise ValueError("kernels must be nonnegative")
 
     @classmethod
-    def constant(cls, d, value=1.0):
-        return cls(d, poly=TrigPoly.const(d, d, value))
-
-    @classmethod
     def trig(cls, poly, kmin=None, kmax=None):
-        return cls(poly.dim_x, poly=poly, kmin=kmin, kmax=kmax)
-
-    @classmethod
-    def callback(cls, d, fn, kmin, kmax):
-        return cls(d, fn=fn, kmin=kmin, kmax=kmax)
-
-    @property
-    def is_trig(self):
-        return self.poly is not None
+        return cls(poly, kmin=kmin, kmax=kmax)
 
     def depends_on_z(self):
-        if self.is_trig:
-            return self.poly.depends_on_z()
-        return True  # assume the worst for callbacks
+        return self.poly.depends_on_z()
 
     def depends_on_x(self):
-        if self.is_trig:
-            return self.poly.depends_on_x()
-        return True
+        return self.poly.depends_on_x()
 
     def __call__(self, x, z):
-        if self.is_trig:
-            return self.poly(x, z)
-        return self.fn(x, z)
+        return self.poly(x, z)
 
     def z_functional(self, z, w, f=None):
         """x -> sum_q w_q f_q k(x, z_q) over nodes z (Q, d), ``f`` None or
-        (Q, m). A trig kernel gives the x-only TrigPoly (m of them in a
-        DriftField with ``f``) of coefficients sum_mz c_(mx,mz) F(mz), where
-        F(mz) = sum_q w_q f_q e^{2 pi i mz.z_q}; a callback, the node sum."""
-        if not self.is_trig:
-            def node_sum(x):
-                # each row summed alone: the bits of a matmul depend on the
-                # row count, so a chunk of paths would differ from its split
-                kv = self(x[:, None, :],
-                          np.broadcast_to(z, (len(x),) + z.shape))
-                return (kv * w).sum(axis=1) if f is None else \
-                    np.einsum("pq,q,qd->pd", kv, w, f)
-            return node_sum
+        (Q, m): the x-only TrigPoly (m of them in a DriftField with ``f``)
+        of coefficients sum_mz c_(mx,mz) F(mz), where
+        F(mz) = sum_q w_q f_q e^{2 pi i mz.z_q}."""
         wf = w[:, None] if f is None else w[:, None] * f
         mz = sorted({m for _, m in self.poly.coeffs})
         phase = np.asarray(mz, dtype=float).reshape(-1, self.d) @ z.T
@@ -450,8 +397,8 @@ class PeriodicKernel:
 
     def refine_bounds(self):
         """Measured kmin/kmax from a sample grid (64^2 points in d = 1, 65536
-        seeded points otherwise); exact modes for trig polys."""
-        if self.is_trig and self.poly.max_mode_order() == 0:
+        seeded points otherwise); exact for a constant poly."""
+        if self.poly.max_mode_order() == 0:
             c = self.poly.mean
             return c, c
         if self.d == 1:
@@ -464,22 +411,6 @@ class PeriodicKernel:
             zs = rng.random((65536, self.d)) * 4.0 - 2.0
             vals = self(xs, zs)
         return float(np.min(vals)), float(np.max(vals))
-
-    def x_periodicity_defect(self):
-        """Largest change of a callback under a unit shift of x along an
-        axis, at 32 seeded points; 0 for trig kernels."""
-        if self.is_trig:
-            return 0.0
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(1)))
-        xs = rng.random((32, self.d))
-        zs = rng.random((32, self.d)) * 4.0 - 2.0
-        defect = 0.0
-        for axis in range(self.d):
-            shift = np.zeros(self.d)
-            shift[axis] = 1.0
-            defect = max(defect, float(np.max(np.abs(
-                self(xs + shift, zs) - self(xs, zs)))))
-        return defect
 
     def continuity_modulus(self):
         """Sampled sup_z |k(x+h, z) - k(x, z)| at 64 seeded points, per step
@@ -497,46 +428,32 @@ class PeriodicKernel:
 
 
 class DriftField:
-    """Bounded 1-periodic vector field b(x)."""
+    """Bounded 1-periodic vector field b(x): one x-only trig poly per
+    component."""
 
-    def __init__(self, d, components=None, fn=None, bound=None):
-        self.d = int(d)
-        self.components = components
-        self.fn = fn
-        self.bound = bound
+    def __init__(self, components):
+        self.components = list(components)
+        self.d = self.components[0].dim_x
 
     @classmethod
     def zero(cls, d):
-        return cls(d, components=[TrigPoly.const(d, 0, 0.0) for _ in range(d)])
+        return cls([TrigPoly.const(d, 0, 0.0) for _ in range(d)])
 
     @classmethod
     def trig(cls, components):
-        d = components[0].dim_x
-        return cls(d, components=list(components))
-
-    @classmethod
-    def callback(cls, d, fn, bound):
-        return cls(d, fn=fn, bound=bound)
-
-    @property
-    def is_trig(self):
-        return self.components is not None
+        return cls(components)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.is_trig:
-            vals = [comp(x) for comp in self.components]
-            return np.stack(np.broadcast_arrays(*vals), axis=-1)
-        return self.fn(x)
+        vals = [comp(x) for comp in self.components]
+        return np.stack(np.broadcast_arrays(*vals), axis=-1)
 
     def is_zero(self):
-        return self.is_trig and all(not comp.coeffs for comp in self.components)
+        return all(not comp.coeffs for comp in self.components)
 
     def sup_norm_estimate(self):
-        if self.is_trig:
-            return max(sum(abs(c) for c in comp.coeffs.values())
-                       for comp in self.components)
-        return self.bound
+        return max(sum(abs(c) for c in comp.coeffs.values())
+                   for comp in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +584,7 @@ def tail_radius(spec: JumpSpec, limit, cap=1e18):
 
 
 def _drift_trig(spec: JumpSpec, x, R):
-    """Mode-by-mode drift integral for trig-poly kernels at x (..., d), in
+    """Mode-by-mode drift integral of the trig kernel at x (..., d), in
     elementwise real arithmetic: a matmul or complex array product may fuse
     operations and round a row apart from the same point alone."""
     x = np.asarray(x, dtype=float)
@@ -687,44 +604,6 @@ def _drift_trig(spec: JumpSpec, x, R):
     return out
 
 
-def _drift_callback(spec: JumpSpec, x, R):
-    """Direct radial-angular quadrature; assumes k varies slowly in |z|.
-
-    Rapidly oscillating z-dependence is only supported through the trig-poly
-    representation, where each mode gets a dedicated oscillatory integral.
-    Points ``x`` (..., d) are integrated one row at a time.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        return np.array([_drift_callback(spec, p, R)
-                         for p in x.reshape(-1, spec.d)]).reshape(x.shape)
-
-    def angular_sum(r):
-        vals = np.zeros((len(r), spec.d))
-        for measure, g in spec.angular_terms():
-            w = measure.weights
-            if g is not None:
-                w = w[None, :] * np.asarray(g(r))[:, None]
-            else:
-                w = np.broadcast_to(w, (len(r), len(w)))
-            zpts = r[:, None, None] * measure.thetas[None, :, :]
-            kv = spec.kernel(np.broadcast_to(x, zpts.shape), zpts)
-            vals += np.einsum("rn,rn,nd->rd", w, kv, measure.thetas)
-        return vals
-
-    def integrand(r):
-        return angular_sum(r) / spec.phi(r)[:, None]
-
-    hi = min(R, 1e6)
-    val = integrate_vec(integrand, log_edges(1.0, hi, per_decade=8))
-    if np.isinf(R):
-        # replace the dropped tail by its long-run radial average
-        rs = np.geomspace(hi / 10, hi, 64)
-        tail_avg = angular_sum(rs).mean(axis=0)
-        val = val + tail_avg * spec.phi.inv_integral(hi, np.inf)
-    return val
-
-
 def truncated_drift(spec: JumpSpec, x, R):
     """Drift of jumps with 1 < |z| <= R: int_{1<|z|<=R} z k(x,z) Pi(dz).
 
@@ -732,9 +611,7 @@ def truncated_drift(spec: JumpSpec, x, R):
     ``x``, and each row equals the call on that row alone, bit for bit."""
     if R <= 1.0:
         raise ValueError("R must exceed 1")
-    if spec.kernel.is_trig:
-        return _drift_trig(spec, x, float(R))
-    return _drift_callback(spec, x, float(R))
+    return _drift_trig(spec, x, float(R))
 
 
 def full_drift(spec: JumpSpec, x):
@@ -745,9 +622,7 @@ def full_drift(spec: JumpSpec, x):
         raise IntegrabilityError(
             "full drift undefined: int_1^inf dr/phi(r) diverges "
             f"(scaling index {spec.phi.index})")
-    if spec.kernel.is_trig:
-        return _drift_trig(spec, x, np.inf)
-    return _drift_callback(spec, x, np.inf)
+    return _drift_trig(spec, x, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +709,9 @@ def validate(spec: JumpSpec, require_positive_kmin=False) -> ValidationReport:
          "measured": [kmin_m, kmax_m]},
         "strictly positive lower bound required" if require_positive_kmin else ""))
 
-    xdef = spec.kernel.x_periodicity_defect()
-    checks.append(CheckResult("kernel_x_periodicity", bool(xdef <= 1e-10),
-                              {"defect": xdef}))
-
-    if spec.kernel.is_trig:         # z-periodic by construction
-        checks.append(CheckResult("kernel_z_periodicity", True,
-                                  {"defect": 0.0}))
+    # a trig kernel is periodic in x and z by construction
+    for name in ("kernel_x_periodicity", "kernel_z_periodicity"):
+        checks.append(CheckResult(name, True, {"defect": 0.0}))
 
     modulus = spec.kernel.continuity_modulus()
     cont_ok = all(b <= a + 1e-12 for a, b in zip(modulus, modulus[1:]))
@@ -848,8 +719,7 @@ def validate(spec: JumpSpec, require_positive_kmin=False) -> ValidationReport:
                               {"sampled_modulus": modulus}))
 
     bsup = spec.drift.sup_norm_estimate()
-    checks.append(CheckResult("drift_bounded",
-                              bool(bsup is not None and np.isfinite(bsup)),
+    checks.append(CheckResult("drift_bounded", bool(np.isfinite(bsup)),
                               {"sup_norm": bsup}))
 
     if require_positive_kmin:

@@ -10,7 +10,8 @@ from levyhom.trigpoly import TrigPoly
 
 def make_spec(d=1, alpha=0.5, alpha0=0.5, kernel=None, drift=None,
               rho0=None, phi=None, kappa=None, small=None):
-    kernel = kernel if kernel is not None else PeriodicKernel.constant(d)
+    kernel = kernel if kernel is not None else PeriodicKernel.trig(
+        TrigPoly.const(d, d, 1.0))
     drift = drift if drift is not None else DriftField.zero(d)
     rho0 = rho0 if rho0 is not None else SphericalMeasure.uniform(d, 1.0)
     phi = phi if phi is not None else ScalingFunction.power(alpha)

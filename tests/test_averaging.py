@@ -55,7 +55,7 @@ def test_fourier_mean_linear_in_poly():
 # --------------------------------------------------------------------------
 
 def test_cesaro_constant_kernel():
-    kern = PeriodicKernel.constant(2, 0.75)
+    kern = PeriodicKernel.trig(TrigPoly.const(2, 2, 0.75))
     got = cesaro_average(kern, np.zeros(2), (1.0, 0.0), T=25.0)
     assert got == pytest.approx(0.75, abs=1e-12)
 

@@ -9,8 +9,7 @@ from levyhom.config import FIXTURES, fixture_config, load_config
 from levyhom.corrector import corrector_rhs
 from levyhom.ergodic import effective_drifts, mu_average, stationary_measure
 from levyhom.spec_model import (IntegrabilityError, PeriodicKernel,
-                                SphericalMeasure, full_drift,
-                                truncated_drift)
+                                full_drift, truncated_drift)
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
@@ -54,15 +53,6 @@ def _complex_coupled_spec(d):
                      kernel=PeriodicKernel.trig(poly))
 
 
-def _callback_spec():
-    return make_spec(
-        alpha=1.5, kernel=PeriodicKernel.callback(
-            1, lambda x, z: (1.0 + 0.5 * np.cos(2 * np.pi * x[..., 0])
-                             * np.cos(2 * np.pi * z[..., 0])),
-            kmin=0.5, kmax=1.5),
-        rho0=SphericalMeasure.atoms(1, [((1.0,), 1.0), ((-1.0,), 0.5)]))
-
-
 def _fixture_spec(name):
     return load_config(fixture_config(name)).spec
 
@@ -85,12 +75,6 @@ def test_coupled_d2_drifts_match_per_point():
 def test_complex_modes_match_per_point_off_the_grid(d):
     pts = np.random.default_rng(d).random((64, d)) * 7.0 - 3.0
     _assert_rows_match_points(_complex_coupled_spec(d), pts)
-
-
-def test_callback_drifts_match_per_point():
-    spec = _callback_spec()
-    pts = np.array([[0.0], [0.3], [0.55]])
-    _assert_rows_match_points(spec, pts, (20.0, np.inf))
 
 
 # --------------------------------------------------------------------------

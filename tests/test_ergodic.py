@@ -12,7 +12,7 @@ from levyhom.ergodic import (TorusMeasure, effective_drifts,
                              kernel_tail_constant, mixing_rate, mu_average,
                              stationary_measure_grid)
 from levyhom.pathsim import SimConfig
-from levyhom.spec_model import PeriodicKernel, SphericalMeasure
+from levyhom.spec_model import PeriodicKernel
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec

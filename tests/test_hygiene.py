@@ -1,7 +1,8 @@
 """Source hygiene: every name a levyhom module imports is used in it, every
 parameter of a levyhom function is read in its body, every top-level
-definition is read by the package, the benchmark or the acceptance criteria,
-and the regime names are spelled out only where the regime is defined."""
+definition and method is read by the package, the benchmark or the
+acceptance criteria, and the regime names are spelled out only where the
+regime is defined."""
 
 import ast
 from fnmatch import fnmatchcase
@@ -94,62 +95,103 @@ def test_every_parameter_is_read(path):
     assert unread_parameters(path.read_text()) == []
 
 
-def top_level_definitions(source):
-    """(line, name) of each top-level class and undecorated function."""
-    return [(node.lineno, node.name) for node in ast.parse(source).body
-            if isinstance(node, ast.ClassDef)
-            or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not node.decorator_list)]
+def definitions(source):
+    """(line, qualified name) of each top-level class, undecorated
+    top-level function, and function defined in a top-level class's body,
+    dunders aside."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            found.append((node.lineno, node.name))
+            found.extend((child.lineno, f"{node.name}.{child.name}")
+                         for child in node.body
+                         if isinstance(child, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                         and not (child.name.startswith("__")
+                                  and child.name.endswith("__")))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.decorator_list):
+            found.append((node.lineno, node.name))
+    return found
 
 
 def names_read(source):
     """(owner, name) for each name ``source`` reads as a Name, an Attribute
-    or an imported name; owner is the enclosing top-level definition, None
-    for module-level code."""
+    or an imported name; owner is the qualified name of the enclosing
+    top-level definition, or of the method for code in a class's methods,
+    None for module-level code."""
     found = set()
+
+    def collect(owner, node):
+        for sub in ast.walk(node):
+            if isinstance(getattr(sub, "ctx", None), ast.Store):
+                continue
+            if isinstance(sub, ast.Name):
+                found.add((owner, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                found.add((owner, sub.attr))
+            elif isinstance(sub, ast.ImportFrom):
+                found.update((owner, alias.name) for alias in sub.names)
+
     for top in ast.parse(source).body:
         owner = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(getattr(node, "ctx", None), ast.Store):
-                continue
-            if isinstance(node, ast.Name):
-                found.add((owner, node.id))
-            elif isinstance(node, ast.Attribute):
-                found.add((owner, node.attr))
-            elif isinstance(node, ast.ImportFrom):
-                found.update((owner, alias.name) for alias in node.names)
+        if not isinstance(top, ast.ClassDef):
+            collect(owner, top)
+            continue
+        for child in top.body:
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                collect(f"{owner}.{child.name}", child)
+            else:
+                collect(owner, child)
+        for expr in top.decorator_list + top.bases + top.keywords:
+            collect(owner, expr)
     return found
 
 
 def unread_definitions(definers, readers):
-    """(file name, line, name) for each top-level definition of a file in
-    ``definers`` that no file in ``readers`` reads outside the definition's
-    own body. Both map a path to its source."""
+    """(file name, line, qualified name) for each definition of a file in
+    ``definers`` whose name no file in ``readers`` reads outside the
+    definition's own body. Both map a path to its source."""
     reads = {path: names_read(source) for path, source in readers.items()}
+
+    def inside(owner, qualified):
+        return owner is not None and (owner == qualified
+                                      or owner.startswith(qualified + "."))
+
     return sorted(
-        (path.name, line, name)
+        (path.name, line, qualified)
         for path, source in definers.items()
-        for line, name in top_level_definitions(source)
-        if not any(read == name and not (other == path and owner == name)
+        for line, qualified in definitions(source)
+        if not any(read == qualified.rsplit(".", 1)[-1]
+                   and not (other == path and inside(owner, qualified))
                    for other, found in reads.items()
                    for owner, read in found))
 
 
 def test_unread_definitions_are_found():
     mod, bench = Path("mod.py"), Path("bench.py")
-    definers = {mod: ("class Used:\n    pass\n"
+    definers = {mod: ("class Used:\n"
+                      "    def __init__(self):\n        pass\n"
+                      "    def method(self):\n        return self.method()\n"
+                      "    @classmethod\n    def tested(cls):\n        pass\n"
+                      "    def sibling(self):\n        return self.read()\n"
+                      "    def read(self):\n        pass\n"
                       "def helper():\n    return helper()\n"
                       "def tested_only():\n    pass\n"
                       "@register\ndef fixture():\n    return Used\n"
                       "def public():\n    return 1\n")}
-    readers = {**definers, bench: "from mod import public\n"}
+    readers = {**definers, bench: ("from mod import public, Used\n"
+                                   "Used().sibling()\n")}
     assert unread_definitions(definers, readers) == [
-        ("mod.py", 3, "helper"), ("mod.py", 5, "tested_only")]
+        ("mod.py", 4, "Used.method"), ("mod.py", 7, "Used.tested"),
+        ("mod.py", 13, "helper"), ("mod.py", 15, "tested_only")]
 
 
 # read only by the tests: the mode-space Poisson solve is cross-checked
-# against the grid solve and is the planned route of the diffusive corrector
-UNREAD_BY_DESIGN = {("corrector.py", "solve_poisson_modes")}
+# against the grid solve and is the planned route of the diffusive corrector;
+# EndpointBatch.load reads back the .npz that ``levyhom simulate`` writes
+UNREAD_BY_DESIGN = {("corrector.py", "solve_poisson_modes"),
+                    ("pathsim.py", "EndpointBatch.load")}
 
 
 def test_every_definition_is_read_by_the_pipeline():

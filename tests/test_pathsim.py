@@ -19,8 +19,7 @@ from levyhom.quadrature import panel_nodes
 from levyhom.regimes import EffectiveDrifts
 from levyhom.spec_model import (DriftField, PeriodicKernel,
                                 RadialPerturbation, ScalingFunction,
-                                SmallJumpPart, SphericalMeasure,
-                                tail_mass_bound)
+                                SphericalMeasure, tail_mass_bound)
 from levyhom.trigpoly import TrigPoly
 from levyhom.verify import ks_statistic
 
@@ -386,51 +385,6 @@ def test_mixed_gauss_coef_keeps_x_modes():
     drv = driver_from_spec(settings.spec, settings.sim, 1.0)
     assert drv.meta["gauss_coef"]["x_modes"] == 2
     assert drv.drift_fn is None and drv.branch == "stepped"
-
-
-def _callback_spec():
-    def fn(x, z):
-        return 1.0 + 0.4 * np.cos(2 * np.pi * (x[..., 0] - 2 * z[..., 1])) \
-            * np.sin(2 * np.pi * z[..., 0]) ** 2
-
-    drift = DriftField.trig([TrigPoly.cos_x(2, 0, (1, 0), 0.3),
-                             TrigPoly.const(2, 0, 0.1)])
-    return make_spec(d=2, alpha=0.8, alpha0=1.1, drift=drift,
-                     kernel=PeriodicKernel.callback(2, fn, 0.6, 1.4),
-                     rho0=SphericalMeasure.uniform(2, 1.0))
-
-
-def test_callback_functionals_bit_identical_to_node_closures():
-    from levyhom.spec_model import jump_nodes
-    spec, delta = _callback_spec(), 0.25
-    drv = driver_from_spec(spec, SimConfig(delta=delta), 1.0)
-    # reference: the node sums written out, as the node route must compute
-    zq, wq, _ = jump_nodes(spec, delta * 1e-4, delta, 4, 4, 6)
-    tw = wq * np.sum(zq * zq, axis=1) / 2
-    zc, wc, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
-    assert drv.meta["gauss_coef"] == {"route": "nodes", "nodes": len(wq),
-                                      "x_modes": None}
-    assert drv.meta["compensator"] == {"route": "nodes", "nodes": len(wc),
-                                       "x_modes": None}
-
-    def kv(X, z):
-        return spec.kernel(X[:, None, :],
-                           np.broadcast_to(z, (X.shape[0],) + z.shape))
-
-    X = np.random.default_rng(8).random((64, 2)) * 3.0 - 1.0
-    assert np.array_equal(drv.gauss_coef(X), (kv(X, zq) * tw).sum(axis=1))
-    assert np.array_equal(drv.drift_fn(X), spec.drift(X).reshape(X.shape)
-                          - np.einsum("pq,q,qd->pd", kv(X, zc), wc, zc))
-
-
-def test_callback_kernel_bit_exact_across_workers(pool_always):
-    # the callback node sums round each row alone, so a chunk of paths gives
-    # the bits of any other split of the path range
-    spec = _callback_spec()
-    outs = [simulate_endpoints(spec, SimConfig(paths=30, horizon=0.5,
-                                               seed=11, workers=workers))
-            for workers in (1, 2)]
-    assert np.array_equal(outs[0], outs[1])
 
 
 def test_batch_meta_records_numerics(sym_spec):

@@ -71,7 +71,6 @@ def test_index_probe_power_log():
 def test_phi_monotone_and_inverse_integrals():
     phi = ScalingFunction.power(1.5)
     assert phi.monotone_on_sample()
-    assert phi.inv_integral(1.0, np.inf) == pytest.approx(2.0, rel=1e-12)
     assert phi.radial_tail_mass(1.0, 2.0) == pytest.approx(
         (1 - 2 ** -1.5) / 1.5, rel=1e-12)
 
@@ -147,10 +146,10 @@ def test_truncated_drift_monotone_and_tail_bound(one_sided_spec_1d):
     vals = [truncated_drift(spec, x, R)[0] for R in (2.0, 4.0, 8.0, 16.0)]
     assert np.all(np.diff(vals) > 0)
     binf = full_drift(spec, x)[0]
-    # |b_R - b_inf| <= kmax |rho0| int_R^inf dr / phi(r) (no kappa here)
+    # |b_R - b_inf| <= kmax |rho0| int_R^inf dr / phi(r) (no kappa here),
+    # where int_R^inf r^-1.5 dr = 2 R^-1/2
     for R, v in zip((2.0, 4.0, 8.0, 16.0), vals):
-        bound = (spec.kernel.kmax * spec.rho0.total_mass
-                 * spec.phi.inv_integral(R, np.inf))
+        bound = spec.kernel.kmax * spec.rho0.total_mass * 2.0 / np.sqrt(R)
         assert abs(v - binf) <= bound + 1e-12
 
 
@@ -165,20 +164,17 @@ def test_drift_with_z_mode_kernel():
     assert got[0] == pytest.approx(want, abs=1e-7)
 
 
-def test_drift_callback_kernel_matches_trig():
+def test_drift_of_x_dependent_kernel_off_origin():
+    # k(x,z) = 1 + 0.5 cos(2 pi x) at x = 0.3, one atom at +1, phi = r^1.5:
+    # b_R(x) = k(x) int_1^R r^-1.5 dr, the oracle by direct quadrature
     poly = TrigPoly.const(1, 1, 1.0) + TrigPoly.cos_x(1, 1, (1,), 0.5)
-    spec_t = make_spec(alpha=1.5, kernel=PeriodicKernel.trig(poly),
-                       rho0=SphericalMeasure.atoms(1, [((1.0,), 1.0)]))
-    spec_c = make_spec(
-        alpha=1.5,
-        kernel=PeriodicKernel.callback(
-            1, lambda x, z: 1.0 + 0.5 * np.cos(2 * np.pi * x[..., 0]),
-            kmin=0.5, kmax=1.5),
-        rho0=SphericalMeasure.atoms(1, [((1.0,), 1.0)]))
-    x = np.array([0.3])
-    a = truncated_drift(spec_t, x, 20.0)
-    b = truncated_drift(spec_c, x, 20.0)
-    assert a[0] == pytest.approx(b[0], rel=1e-7)
+    spec = make_spec(alpha=1.5, kernel=PeriodicKernel.trig(poly),
+                     rho0=SphericalMeasure.atoms(1, [((1.0,), 1.0)]))
+    kx = 1.0 + 0.5 * np.cos(2 * np.pi * 0.3)
+    want, _ = quad(lambda r: kx * r ** -1.5, 1.0, 20.0,
+                   epsabs=1e-14, epsrel=1e-12)
+    got = truncated_drift(spec, np.array([0.3]), 20.0)
+    assert got[0] == pytest.approx(want, rel=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -229,20 +225,6 @@ def test_trigpoly_rebuild_keeps_one_sided_modes():
         2j * np.pi * (x + z)))[:, 0], rtol=0, atol=1e-15)
 
 
-def test_z_functional_callback_is_node_sum():
-    def fn(x, z):
-        return 1.0 + 0.5 * np.cos(2 * np.pi * (x[..., 0] + z[..., 0] ** 2))
-
-    kern = PeriodicKernel.callback(1, fn, kmin=0.5, kmax=1.5)
-    rng = np.random.default_rng(2)
-    z, w, x = rng.normal(size=(30, 1)), rng.random(30), rng.random((40, 1))
-    kv = fn(x[:, None, :], np.broadcast_to(z, (40,) + z.shape))
-    assert np.array_equal(kern.z_functional(z, w)(x),
-                          (kv * w).sum(axis=1))
-    assert np.array_equal(kern.z_functional(z, w, z)(x),
-                          np.einsum("pq,q,qd->pd", kv, w, z))
-
-
 # --------------------------------------------------------------------------
 # validation
 # --------------------------------------------------------------------------
@@ -284,38 +266,24 @@ def test_validate_idempotent(xdep_spec_1d):
 
 
 def test_validate_pins_check_names_and_measured_values(xdep_spec_1d):
-    # z-periodicity is recorded, at defect 0, for trig kernels only
-    def fn(x, z):
-        return 1.0 + 0.5 * np.cos(2 * np.pi * (x[..., 0] + z[..., 0] ** 2))
-
-    common = [("angular_mass_positive", {"total_mass": 1.0}),
-              ("phi_strictly_increasing", {}),
-              ("phi_index_probe", {"declared": 0.5, "alpha_hat": 0.5,
-                                   "converged": True}),
-              ("kappa_decay", {"sup": 0.0, "at_r=1e6": 0.0}),
-              ("small_jump_second_moment", {"m2": 1.3333333333333333})]
-    tail = [("drift_bounded", {"sup_norm": 0})]
-    trig = common + [
-        ("kernel_bounds", {"declared": [0.5, 1.5], "measured": [
-            0.5006022718974138, 1.4993977281025863]}),
-        ("kernel_x_periodicity", {"defect": 0.0}),
-        ("kernel_z_periodicity", {"defect": 0.0}),
-        ("kernel_continuity_modulus", {"sampled_modulus": [
-            0.30900896489628815, 0.031406893504280387,
-            0.003141028249670774]})] + tail
-    callback = common + [
-        ("kernel_bounds", {"declared": [0.5, 1.5], "measured": [
-            0.5000000367671411, 1.499999963232859]}),
-        ("kernel_x_periodicity", {"defect": 1.5543122344752192e-15}),
-        ("kernel_continuity_modulus", {"sampled_modulus": [
-            0.30880357174193873, 0.03141062663897898,
-            0.003141519999574127]})] + tail
-    callback_spec = make_spec(kernel=PeriodicKernel.callback(
-        1, fn, kmin=0.5, kmax=1.5))
-    for spec, want in ((xdep_spec_1d, trig), (callback_spec, callback)):
-        report = validate(spec)
-        assert report.passed
-        assert [(c.name, c.measured) for c in report.checks] == want
+    # x- and z-periodicity are recorded at defect 0: trig kernels have both
+    want = [("angular_mass_positive", {"total_mass": 1.0}),
+            ("phi_strictly_increasing", {}),
+            ("phi_index_probe", {"declared": 0.5, "alpha_hat": 0.5,
+                                 "converged": True}),
+            ("kappa_decay", {"sup": 0.0, "at_r=1e6": 0.0}),
+            ("small_jump_second_moment", {"m2": 1.3333333333333333}),
+            ("kernel_bounds", {"declared": [0.5, 1.5], "measured": [
+                0.5006022718974138, 1.4993977281025863]}),
+            ("kernel_x_periodicity", {"defect": 0.0}),
+            ("kernel_z_periodicity", {"defect": 0.0}),
+            ("kernel_continuity_modulus", {"sampled_modulus": [
+                0.30900896489628815, 0.031406893504280387,
+                0.003141028249670774]}),
+            ("drift_bounded", {"sup_norm": 0})]
+    report = validate(xdep_spec_1d)
+    assert report.passed
+    assert [(c.name, c.measured) for c in report.checks] == want
 
 
 def test_kappa_power_ratio_decay():
