@@ -74,6 +74,17 @@ def _apply_overrides(sim: SimConfig, args):
     return overrides
 
 
+def _check_positive_flags(args):
+    """Exit 4, before anything is written, on a non-positive --eps, --paths
+    or --grid."""
+    for name in ("eps", "paths", "grid"):
+        val = getattr(args, name, None)
+        if val is not None and val <= 0:
+            print(f"config error: --{name} must be positive, got {val:g}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_CONFIG)
+
+
 def _ladder(text):
     """The eps values of a comma separated list such as '1/8,1/32'."""
     ladder = [float(Fraction(tok.strip())) for tok in text.split(",")]
@@ -119,7 +130,9 @@ def cmd_effective(args):
         spec, [lambda p: np.cos(2 * np.pi * p[:, 0]),
                lambda p: np.sin(2 * np.pi * p[:, 0])],
         np.linspace(0.05, 0.8, 8),
-        replace(settings.sim, paths=args.paths or 2000), mu=mu, starts=4)
+        replace(settings.sim,
+                paths=2000 if args.paths is None else args.paths),
+        mu=mu, starts=4)
     payload = {
         "drift_average": np.atleast_1d(drifts.b_bar).tolist(),
         "truncated_drift_average_ladder": ladder,
@@ -151,7 +164,7 @@ def cmd_corrector(args):
     mode = "truncated" if settings.regime == CAUCHY_CENTER else "full"
     R = None
     if mode == "truncated":
-        R = 1.0 / args.eps if args.eps else 16.0
+        R = 16.0 if args.eps is None else 1.0 / args.eps
     try:
         mu = stationary_measure(spec, args.grid)
         psi = solve_recentering_corrector(spec, mu, mode=mode, R=R)
@@ -185,13 +198,13 @@ def cmd_corrector(args):
 def cmd_simulate(args):
     settings = _load(args.config)
     spec = settings.spec
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     overrides = _apply_overrides(settings.sim, args)
     sim = settings.sim
     if sim.eps is None:
         print("config error: simulate needs eps (flag --eps)", file=sys.stderr)
         return EXIT_CONFIG
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     try:
         mu = stationary_measure(spec, args.grid)
         batch = scaled_endpoint_batch(spec, sim, effective_drifts(spec, mu))
@@ -314,6 +327,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    _check_positive_flags(args)
     return args.fn(args)
 
 

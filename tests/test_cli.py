@@ -299,20 +299,32 @@ def test_cli_verify_smoke(tmp_path):
                                          "envelope": False}
 
 
-@pytest.mark.parametrize("flags", [
-    ["--ladder", "abc"], ["--ladder", "1/0"], ["--ladder", "-1"],
-    ["--ladder", "1/8,0"], ["--ladder", "1/8,"], ["--paths", "0"]],
+# each command's malformed or non-positive flags; the verify cases keep
+# their original ids
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--ladder", "abc"]), ("verify", ["--ladder", "1/0"]),
+    ("verify", ["--ladder", "-1"]), ("verify", ["--ladder", "1/8,0"]),
+    ("verify", ["--ladder", "1/8,"]), ("verify", ["--paths", "0"]),
+    ("corrector", ["--eps", "0"]), ("corrector", ["--eps", "-0.5"]),
+    ("corrector", ["--grid", "0"]), ("effective", ["--paths", "-5"]),
+    ("effective", ["--paths", "0"]), ("effective", ["--grid", "0"]),
+    ("simulate", ["--grid", "0"]), ("simulate", ["--eps", "0"]),
+    ("simulate", ["--paths", "0"])],
     ids=["ladder_word", "ladder_one_over_zero", "ladder_negative",
-         "ladder_zero", "ladder_empty_entry", "paths_zero"])
-def test_cli_verify_malformed_flags_exit_4(tmp_path, capsys, flags):
+         "ladder_zero", "ladder_empty_entry", "paths_zero",
+         "corrector_eps_zero", "corrector_eps_negative", "corrector_grid_zero",
+         "effective_paths_negative", "effective_paths_zero",
+         "effective_grid_zero", "simulate_grid_zero", "simulate_eps_zero",
+         "simulate_paths_zero"])
+def test_cli_verify_malformed_flags_exit_4(tmp_path, capsys, command, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dump_config(fixture_config("ex4_1_stable")))
-    code = _exit_code(["verify", str(cfg), "--out", str(tmp_path / "ver")]
+    code = _exit_code([command, str(cfg), "--out", str(tmp_path / "out")]
                       + flags)
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert not (tmp_path / "ver").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_reads_the_regime_off_the_index(tmp_path):
