@@ -815,15 +815,15 @@ class EndpointBatch:
 
 
 def measure_start_sampler(mu):
-    """Per-path start points drawn from a torus measure (mid-cell placement)."""
+    """Per-path start points drawn from a torus measure: the node j/n of
+    the drawn index, where mu's weight is the density's value."""
     cum = np.cumsum(mu.weights)
     centers = mu.centers
-    half = mu.grid.h / 2.0
 
     def sampler(u):
         idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"),
                          len(cum) - 1)
-        return centers[idx] + half
+        return centers[idx]
 
     return sampler
 

@@ -596,6 +596,22 @@ def _diffusive_case():
     return spec, SimConfig(delta=1.0), 256.0, 300, sampler
 
 
+def test_stationary_starts_sit_on_the_measure_nodes():
+    # mu's weights are density values at the nodes j/n, so a start is the
+    # node of its drawn index, not a point half a cell past it
+    from levyhom.ergodic import TorusMeasure
+    from levyhom.grid import TorusGrid
+    from levyhom.pathsim import measure_start_sampler
+    u = np.random.default_rng(3).random((50, 1))
+    one_cell = measure_start_sampler(TorusMeasure(TorusGrid(1, 1), [1.0]))
+    assert np.array_equal(one_cell(u), np.zeros((50, 1)))
+    grid = TorusGrid(2, 4)
+    w = np.zeros(grid.size)
+    w[5] = 1.0
+    one_node = measure_start_sampler(TorusMeasure(grid, w))
+    assert np.array_equal(one_node(u), np.tile(grid.centers[5], (50, 1)))
+
+
 def _constant_case():
     # one component, the d = 2 uniform sphere, k = 1 and no drift
     return (make_spec(d=2, alpha=1.5, alpha0=None), SimConfig(), 32.0, 200,
