@@ -3,9 +3,9 @@
 The effective jump intensity in direction theta is the Cesaro average of
 k(x, r theta) in r. For the trig kernel this average has an exact closed
 form, ``fourier_mean``: only the z-modes orthogonal to theta survive;
-``cesaro_average`` computes it by quadrature, as a reference. Averaged against the
-invariant measure over the angular nodes of rho0, it gives the table k̄0 of
-the limit jump measure.
+``cesaro_average`` computes it by quadrature, as a reference. Averaged
+against the invariant measure over the angular nodes of rho0, it gives the
+table k̄0 of the limit jump measure.
 """
 
 from __future__ import annotations

@@ -163,7 +163,7 @@ def _parse_drift(obj, d, path="drift"):
             poly = poly + _term_to_poly(term, d, 0,
                                         f"{path}/components[{a}][{i}]")
         comps.append(poly)
-    return DriftField.trig(comps)
+    return DriftField(comps)
 
 
 def _parse_sim(obj, path="sim"):

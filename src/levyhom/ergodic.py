@@ -3,8 +3,9 @@
 Three estimators are provided. ``stationary_measure``, which the prediction
 pipeline uses, solves L* mu = 0 in mode space (Fourier-Galerkin) in any
 d <= 3. The left null vector of the assembled grid generator (d <= 2) is the
-route for x-modes past the mode box and the oracle of the mode route. The Monte Carlo occupation histogram (time
-average of simulated quotient paths) validates both.
+route for x-modes past the mode box and the oracle of the mode route. The
+Monte Carlo occupation histogram (time average of simulated quotient paths)
+validates both.
 
 The Monte Carlo estimators read simulated paths only as states at given
 times (``simulate_snapshots``). The occupation histogram and the windowed

@@ -308,7 +308,7 @@ def driver_from_spec(spec: JumpSpec, cfg: SimConfig, horizon) -> JumpDriver:
             zq, wq, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
             comp = spec.kernel.z_functional(zq, wq, zq)
             meta["compensator"] = _route_meta(comp, len(wq))
-            drift = DriftField.trig([p - q for p, q in zip(
+            drift = DriftField([p - q for p, q in zip(
                 drift.components, comp.components)])
 
     drift_fn = constant_drift = None

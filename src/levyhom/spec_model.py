@@ -393,7 +393,7 @@ class PeriodicKernel:
         F = dict(zip(mz, np.exp(2j * np.pi * phase) @ wf))
         polys = [self.poly.collect_z_modes(lambda m, j=j: F[m][j])
                  for j in range(wf.shape[1])]
-        return polys[0] if f is None else DriftField.trig(polys)
+        return polys[0] if f is None else DriftField(polys)
 
     def refine_bounds(self):
         """Measured kmin/kmax from a sample grid (64^2 points in d = 1, 65536
@@ -438,10 +438,6 @@ class DriftField:
     @classmethod
     def zero(cls, d):
         return cls([TrigPoly.const(d, 0, 0.0) for _ in range(d)])
-
-    @classmethod
-    def trig(cls, components):
-        return cls(components)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

@@ -129,7 +129,7 @@ def test_rhs_vanishes_for_symmetric_spec():
 
 
 def test_rhs_is_minus_periodic_drift():
-    drift = DriftField.trig([TrigPoly.cos_x(1, 0, (1,), 0.1)])
+    drift = DriftField([TrigPoly.cos_x(1, 0, (1,), 0.1)])
     spec = make_spec(alpha=3.0, drift=drift)
     mu = TorusMeasure.uniform(1, 64)
     rhs, info = corrector_rhs(spec, mu, mode="full")
@@ -139,7 +139,7 @@ def test_rhs_is_minus_periodic_drift():
 
 def test_rhs_truncated_family_bound():
     # sup norms of the eps-family correctors stay within the tail-integral bound
-    drift = DriftField.trig([TrigPoly.cos_x(1, 0, (1,), 0.1)])
+    drift = DriftField([TrigPoly.cos_x(1, 0, (1,), 0.1)])
     spec = make_spec(alpha=1.0, alpha0=1.2, drift=drift,
                      rho0=SphericalMeasure.atoms(1, [((1.0,), 1.0)]))
     op = assemble_operator(spec, 64)
@@ -191,7 +191,7 @@ def test_covariance_moment_condition_enforced():
 
 
 def test_covariance_with_corrector_positive_and_psd():
-    drift = DriftField.trig([TrigPoly.cos_x(1, 0, (1,), 0.5)])
+    drift = DriftField([TrigPoly.cos_x(1, 0, (1,), 0.5)])
     spec = make_spec(alpha=3.0, alpha0=1.0, drift=drift)
     op = assemble_operator(spec, 64)
     mu_w = op.stationary_weights()

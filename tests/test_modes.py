@@ -36,8 +36,8 @@ def _coupled_spec_2d():
                               ((0, -1), (-1, 0)): 0.1}))
     rho = SphericalMeasure.atoms(2, [((1.0, 0.0), 1.0), ((0.0, 1.0), 0.5),
                                      ((-1.0, 0.0), 0.5)])
-    drift = DriftField.trig([TrigPoly.sin_x(2, 0, (0, 1), 0.2),
-                             TrigPoly.const(2, 0, 0.05)])
+    drift = DriftField([TrigPoly.sin_x(2, 0, (0, 1), 0.2),
+                        TrigPoly.const(2, 0, 0.05)])
     return make_spec(d=2, alpha=1.5, alpha0=1.0, rho0=rho, drift=drift,
                      kernel=PeriodicKernel.trig(poly))
 
@@ -161,7 +161,7 @@ def test_every_radial_law_matches_grid_route(phi, kappa):
                      kappa=(RadialPerturbation.power_ratio(*kappa, rho)
                             if kappa else None),
                      kernel=PeriodicKernel.trig(poly),
-                     drift=DriftField.trig([TrigPoly.sin_x(1, 0, (1,), 0.2)]))
+                     drift=DriftField([TrigPoly.sin_x(1, 0, (1,), 0.2)]))
     tv = [stationary_measure_modes(spec, n).tv_distance(
         stationary_measure_grid(spec, n)) for n in (32, 64)]
     assert tv[1] <= 1e-3 and tv[1] < 0.7 * tv[0]

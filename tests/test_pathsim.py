@@ -446,8 +446,8 @@ def _spec_callables(spec, driver):
     if "compensator" in driver.meta:
         zc, wc, _ = jump_nodes(spec, delta, 1.0, 6, 4, 6)
         comp = spec.kernel.z_functional(zc, wc, zc)
-        drift = DriftField.trig([p - q for p, q in zip(drift.components,
-                                                       comp.components)])
+        drift = DriftField([p - q for p, q in zip(drift.components,
+                                                  comp.components)])
     gauss = None
     route = driver.meta.get("gauss_coef", {}).get("route")
     if route == "closed_form":
@@ -634,7 +634,7 @@ def _drift_case():
     # the mode-route Gaussian coefficient, in d = 1
     kernel = PeriodicKernel.trig(TrigPoly.const(1, 1, 1.0)
                                  + TrigPoly.cos_z(1, 1, (1,), 0.5))
-    drift = DriftField.trig([TrigPoly.const(1, 0, 0.7)])
+    drift = DriftField([TrigPoly.const(1, 0, 0.7)])
     return (make_spec(alpha=1.5, alpha0=0.5, kernel=kernel, drift=drift),
             SimConfig(delta=0.25), 3.0, 60, None)
 
