@@ -180,7 +180,8 @@ def cmd_corrector(args):
         comp.to_csv(out / name)
         artifacts.append(name)
     info = {"sup_norm": psi.sup_norm, "grad_sup_norm": psi.grad_sup_norm,
-            "residual_rel": psi.residual_rel, "mode": mode}
+            "residual_rel": psi.residual_rel, "mode": mode,
+            "method": psi.components[0].method}
     try:
         cov = covariance_matrix(spec, mu, psi=psi)
         cov.to_json(out / "covariance.json")

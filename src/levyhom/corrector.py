@@ -1,17 +1,18 @@
 """Nonlocal Poisson solves on the torus and the diffusive covariance matrix.
 
-The generator has two discretizations. On Fourier modes the trig kernel and
-drift act through exact multipliers (``mode_operator``, a Fourier-Galerkin
-truncation in any d <= 3); this is the route of the invariant measure and
-of ``solve_poisson_modes``. The grid route
-(``assemble_operator``, dense, d in {1, 2}; ``solve_poisson``) replaces the
-singular part of the small-jump integral inside one grid cell by its
-second-order Taylor proxy (a scaled discrete Laplacian with the exact radial
-coefficient), the remaining jump integral by log-spaced Gauss-Legendre
-quadrature with multilinear interpolation, the compensator by central
-differences, and the drift by upwind differences. It serves the default
-corrector solves, the invariant measure of specs whose x-modes fall outside
-the mode box, and as the oracle of the mode route.
+The generator has two discretizations; one rule (``fits_mode_box``) picks
+the same one for the invariant measure and the corrector. On Fourier modes
+the trig kernel and drift act through exact multipliers (``mode_operator``,
+a Fourier-Galerkin truncation in any d <= 3; ``solve_poisson_modes``). The
+grid route (``assemble_operator``, dense, d in {1, 2}; ``solve_poisson``)
+replaces the singular part of the small-jump integral inside one grid cell
+by its second-order Taylor proxy (a scaled discrete Laplacian with the exact
+radial coefficient), the remaining jump integral by log-spaced
+Gauss-Legendre quadrature with multilinear interpolation, the compensator by
+central differences, and the drift by upwind differences. It serves specs
+whose x-modes fall outside the mode box, and is the oracle of the mode
+route. Each Poisson solve centres psi against its own operator's invariant
+density.
 """
 
 from __future__ import annotations
@@ -237,10 +238,11 @@ def x_mode_steps(spec: JumpSpec):
     return np.array(sorted(steps), dtype=np.int64).reshape(-1, spec.d)
 
 
-def fits_mode_box(spec: JumpSpec, box):
-    """Whether every x-mode step is at most box / 4 long (|.|_inf), so that
-    the modes reached from 0 reach four steps out in each direction."""
-    return bool(np.all(np.abs(x_mode_steps(spec)) <= box / 4))
+def fits_mode_box(spec: JumpSpec):
+    """Whether every x-mode step is at most MODE_BOX[d] / 4 long (|.|_inf),
+    so that the modes reached from 0 reach four steps out in each direction:
+    the rule that sends mu and the corrector to the mode route."""
+    return bool(np.all(np.abs(x_mode_steps(spec)) <= MODE_BOX[spec.d] / 4))
 
 
 def mode_set(spec: JumpSpec, box, full=False):
@@ -343,7 +345,6 @@ class CorrectorField:
     mu_weights: np.ndarray
     residual_rel: float
     method: str
-    meta: dict = field(default_factory=dict)
 
     @property
     def sup_norm(self):
@@ -383,60 +384,48 @@ def _central_gradient(grid: TorusGrid, values):
     return grad
 
 
-def solve_poisson(op: AssembledOperator, f, mu_weights=None, mean_tol=1e-8
-                  ) -> CorrectorField:
+def solve_poisson(op: AssembledOperator, f, mean_tol=1e-8) -> CorrectorField:
     """Zero-mean periodic solution of (generator) psi = f on the grid of the
     assembled operator ``op``.
 
     ``f`` is a callable of grid centers or an array of grid values. The
-    solvability precondition is that f integrates to ~0 against
-    ``mu_weights`` (default: the operator's invariant weights); violations
-    beyond ``mean_tol`` raise.
+    solvability precondition is that f integrates to ~0 against the
+    operator's invariant weights; violations beyond ``mean_tol`` raise. The
+    multiplier of the bordered system absorbs the remaining mean.
     """
     grid = op.grid
     fv = np.asarray(f(grid.centers) if callable(f) else f,
                     dtype=float).reshape(grid.size)
-    w_op = op.stationary_weights()
-    mu_w = (w_op if mu_weights is None
-            else np.asarray(mu_weights).reshape(grid.size))
+    w = op.stationary_weights()
     fnorm = float(np.max(np.abs(fv)))
-    defect = float(mu_w @ fv)
+    defect = float(w @ fv)
     if abs(defect) > mean_tol * max(fnorm, 1.0):
         raise ValueError(
             f"right-hand side is not mean-free (defect {defect:.3e}); "
             "the discrete Poisson system is singular")
-    # project onto the range of the discrete operator using its own
-    # invariant weights; the projection size records how far the caller's
-    # measure and the discretized dynamics disagree
-    range_defect = float(w_op @ fv)
-    fv_proj = fv - range_defect
     N = grid.size
     aug = np.zeros((N + 1, N + 1))
     aug[:N, :N] = op.matrix
     aug[:N, N] = 1.0
-    aug[N, :N] = w_op
-    rhs = np.concatenate([fv_proj, [0.0]])
-    sol = np.linalg.solve(aug, rhs)
-    psi = sol[:N]
+    aug[N, :N] = w
+    sol = np.linalg.solve(aug, np.concatenate([fv, [0.0]]))
     # adding 0.0 turns the -0.0 that a zero right-hand side can leave into 0.0
-    psi = psi - float(mu_w @ psi) + 0.0
-    resid = float(np.max(np.abs(op.matrix @ psi - fv_proj))) / max(fnorm,
-                                                                   1e-300)
-    grad = _central_gradient(grid, psi)
-    return CorrectorField(grid, psi, grad, mu_w, resid, "grid",
-                          meta={"lagrange_shift": float(sol[N]),
-                                "range_projection": range_defect})
+    psi = sol[:N] + 0.0
+    resid = float(np.max(np.abs(op.matrix @ psi + sol[N] - fv))) / max(
+        fnorm, 1e-300)
+    return CorrectorField(grid, psi, _central_gradient(grid, psi), w, resid,
+                          "grid")
 
 
-def solve_poisson_modes(spec: JumpSpec, f, n, mu_weights=None
-                        ) -> CorrectorField:
+def solve_poisson_modes(spec: JumpSpec, f, n) -> CorrectorField:
     """Zero-mean solution of (generator) psi = f for a trig spec, with f and
     psi as values on the n-grid.
 
     Right-hand solve on the mode operator of the box |l|_inf <=
-    min(n/2 - 1, MODE_BOX) with psi's mode 0 at zero; the default weights
-    are the invariant density of the same operator. The residual is
-    sum |M psi - f| over the box, relative to max |f|."""
+    min(n/2 - 1, MODE_BOX) with f's mode 0 dropped, so that psi solves
+    L psi = f - mu(f) and is then centred against mu, the invariant density
+    of the same operator. The residual is sum |M psi - f| over the box,
+    relative to max |f|."""
     grid = TorusGrid(spec.d, int(n))
     fv = np.asarray(f(grid.centers) if callable(f) else f,
                     dtype=float).reshape((grid.n,) * grid.d)
@@ -445,8 +434,7 @@ def solve_poisson_modes(spec: JumpSpec, f, n, mu_weights=None
     fhat = np.fft.fftn(fv)[tuple((modes % grid.n).T)] / grid.size
     solve, v = mode_solvers(M)
     psihat = np.concatenate([[0.0], solve(fhat[1:], False) if solve else []])
-    mu_w = (np.asarray(mu_weights).reshape(grid.size) if mu_weights is not None
-            else density_weights(modes_on_grid(-modes, v, grid))[0])
+    mu_w = density_weights(modes_on_grid(-modes, v, grid))[0]
     psi = modes_on_grid(modes, psihat, grid)
     psi = psi - float(mu_w @ psi)
     resid = float(np.sum(np.abs(M @ psihat - fhat)) / max(np.abs(fv).max(),
@@ -551,16 +539,21 @@ class VectorCorrector:
         return np.array([c.mu_mean() for c in self.components])
 
 
-def solve_recentering_corrector(spec: JumpSpec, mu, mode="full", R=None,
-                                mean_tol=1e-6) -> VectorCorrector:
-    """Corrector for the recentering drift: solves one Poisson problem per
-    axis on the grid operator of mu's own cells (n^d of them)."""
-    op = assemble_operator(spec, mu.grid.n)
+def solve_recentering_corrector(spec: JumpSpec, mu, mode="full", R=None
+                                ) -> VectorCorrector:
+    """Corrector for the recentering drift, one Poisson problem per axis on
+    mu's grid and on the operator mu comes from: the mode operator when the
+    x-modes fit the mode box, else the grid operator. Raises in d = 3."""
+    if spec.d > 2:
+        raise ValueError(f"no diffusive corrector in d={spec.d}: the "
+                         f"covariance's loop over mu's cells grows like n^3")
     rhs, _ = corrector_rhs(spec, mu, mode=mode, R=R)
-    comps = [solve_poisson(op, rhs[:, a], mu_weights=mu.weights,
-                           mean_tol=mean_tol)
-             for a in range(spec.d)]
-    return VectorCorrector(comps)
+    if fits_mode_box(spec):
+        return VectorCorrector(solve_poisson_modes(spec, rhs[:, a], mu.grid.n)
+                               for a in range(spec.d))
+    op = assemble_operator(spec, mu.grid.n)
+    return VectorCorrector(solve_poisson(op, rhs[:, a])
+                           for a in range(spec.d))
 
 
 def covariance_matrix(spec_or_atoms, mu, psi: Optional[VectorCorrector] = None

@@ -2,9 +2,10 @@
 
 Three estimators are provided. ``stationary_measure``, which the prediction
 pipeline uses, solves L* mu = 0 in mode space (Fourier-Galerkin) in any
-d <= 3. The left null vector of the assembled grid generator (d <= 2) is the
-route for x-modes past the mode box and the oracle of the mode route. The
-Monte Carlo occupation histogram (time average of simulated quotient paths)
+d <= 3 when the x-modes fit the mode box (``fits_mode_box``), else as the
+left null vector of the assembled grid generator (d <= 2), which is also the
+mode route's oracle; the corrector takes the same operator. The Monte Carlo
+occupation histogram (quotient paths, time-averaged at the nearest nodes)
 validates both.
 
 The Monte Carlo estimators read simulated paths only as states at given
@@ -108,12 +109,13 @@ def _states_before_horizon(spec: JumpSpec, cfg: SimConfig, times, x0=None):
 
 def _occupation_counts(spec: JumpSpec, cfg: SimConfig, grid: TorusGrid,
                        burn_in, x0):
-    """Integer counts per grid cell of the quotient states at the starts of
-    the full Euler steps from ``burn_in`` on."""
+    """Integer counts per grid node of the quotient states at the starts of
+    the full Euler steps from ``burn_in`` on, each state at its nearest node
+    j/n: the points where the deterministic measures hold their weights."""
     t0, length, dt = _step_starts(spec, cfg)
     states = _states_before_horizon(
         spec, cfg, t0[(length == dt) & (t0 >= burn_in)], x0)
-    return np.bincount(grid.cell_of(states - np.floor(states)).ravel(),
+    return np.bincount(grid.node_of(states - np.floor(states)).ravel(),
                        minlength=grid.size)
 
 
@@ -131,7 +133,7 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None
     half = max(1, cfg.paths // 2)
     cfg_a = replace(cfg, paths=half)
     cfg_b = replace(cfg, paths=cfg.paths - half,
-                    seed=cfg.seed ^ 0x9E3779B97F4A7C15)
+                    seed=int(cfg.seed) ^ 0x9E3779B97F4A7C15)
     grid = TorusGrid(spec.d, n)
     counts_a = _occupation_counts(spec, cfg_a, grid, burn,
                                   np.zeros(spec.d))
@@ -192,7 +194,7 @@ def stationary_measure(spec: JumpSpec, n=None) -> TorusMeasure:
     """Deterministic invariant measure: the mode route when the x-modes of
     the kernel and drift are at most a quarter of the default mode box
     long, the grid adjoint (d <= 2) otherwise."""
-    if fits_mode_box(spec, MODE_BOX[spec.d]):
+    if fits_mode_box(spec):
         return stationary_measure_modes(spec, n)
     if spec.d > 2:
         raise ValueError(

@@ -36,10 +36,10 @@ class TorusGrid:
             idx = idx * self.n + (multi[..., a] % self.n)
         return idx
 
-    def cell_of(self, points):
-        """Linear index of the cell containing each point (mod 1)."""
+    def node_of(self, points):
+        """Linear index of the node j/n nearest to each point (mod 1)."""
         pts = np.asarray(points, dtype=float)
-        multi = np.floor(pts * self.n).astype(np.int64)
+        multi = np.floor(pts * self.n + 0.5).astype(np.int64)
         return self.flat_index(multi)
 
     def neighbor(self, idx, axis, step):

@@ -1,5 +1,10 @@
 """Shared fixture specs used across the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from levyhom.spec_model import (DriftField, JumpSpec, PeriodicKernel,
@@ -20,6 +25,23 @@ def make_spec(d=1, alpha=0.5, alpha0=0.5, kernel=None, drift=None,
         SmallJumpPart.stable_density(alpha0) if alpha0 else SmallJumpPart.zero())
     return JumpSpec(d=d, small=small, rho0=rho0, phi=phi, kappa=kappa,
                     kernel=kernel, drift=drift)
+
+
+def fresh_python(script, blas_threads=None):
+    """stdout of ``script`` in a new interpreter with this checkout's
+    sources and ``blas_threads`` BLAS threads (None: the library default)."""
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                  "MKL_NUM_THREADS"), str(blas_threads)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture

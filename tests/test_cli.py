@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from levyhom import corrector, ergodic
 from levyhom.cli import main
 from levyhom.config import (ConfigSchemaError, FIXTURES, dump_config,
                             fixture_config, load_config)
@@ -147,8 +148,9 @@ def _d3_config(tmp_path, x_mode):
     (["corrector", "--grid", "4"], [1, 0, 0])],
     ids=["effective", "simulate", "corrector_measure", "corrector_assembly"])
 def test_cli_d3_specs_without_a_route_exit_4(tmp_path, capsys, argv, x_mode):
-    # an x-mode longer than 2 leaves d = 3 without an invariant measure, and
-    # the grid corrector has no d = 3 assembly
+    # an x-mode longer than 2 leaves d = 3 without an invariant measure; a
+    # shorter one has mu, but the corrector raises in d = 3, where the
+    # covariance's loop over mu's n^3 cells grows out of reach
     cfg = _d3_config(tmp_path, x_mode)
     code = _exit_code([argv[0], str(cfg), "--out", str(tmp_path / "out")]
                       + argv[1:])
@@ -256,14 +258,35 @@ def test_cli_simulate_writes_the_same_bytes_twice(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-def test_cli_corrector_diffusive(tmp_path):
+def _corrector_info(tmp_path, raw, *flags):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(dump_config(fixture_config("ex4_1_diffusive")))
+    cfg.write_text(dump_config(raw))
     out = tmp_path / "corr"
-    assert main(["corrector", str(cfg), "--out", str(out), "--grid", "64"]) == 0
-    info = json.loads((out / "corrector.json").read_text())
-    assert info["residual_rel"] <= 1e-6
+    assert main(["corrector", str(cfg), "--out", str(out), *flags]) == 0
     assert (out / "covariance.json").exists()
+    return json.loads((out / "corrector.json").read_text())
+
+
+def test_cli_corrector_diffusive(tmp_path, monkeypatch):
+    # x-modes inside the mode box: mu and psi from the mode operator, and no
+    # grid operator is assembled
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("the mode route assembles no grid operator")
+
+    monkeypatch.setattr(corrector, "assemble_operator", no_assembly)
+    monkeypatch.setattr(ergodic, "assemble_operator", no_assembly)
+    info = _corrector_info(tmp_path, fixture_config("ex4_1_diffusive"),
+                           "--grid", "64")
+    assert info["residual_rel"] <= 1e-6
+    assert info["method"] == "fourier"
+
+
+def test_cli_corrector_past_the_mode_box_takes_the_grid_route(tmp_path):
+    raw = fixture_config("ex4_1_diffusive")
+    raw["kernel"]["terms"][1]["x_mode"] = [11]
+    info = _corrector_info(tmp_path, raw)
+    assert info["residual_rel"] <= 1e-6
+    assert info["method"] == "grid"
 
 
 def test_cli_verify_negative_seed(tmp_path):

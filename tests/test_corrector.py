@@ -147,7 +147,7 @@ def test_rhs_truncated_family_bound():
     mu = TorusMeasure(TorusGrid(1, 64), mu_w)
     for eps in (1.0 / 4, 1.0 / 16, 1.0 / 64):
         rhs, _ = corrector_rhs(spec, mu, mode="truncated", R=1.0 / eps)
-        fld = solve_poisson(op, rhs[:, 0], mu_weights=mu_w, mean_tol=1e-6)
+        fld = solve_poisson(op, rhs[:, 0], mean_tol=1e-6)
         bound = 1.0 + np.log(1.0 / eps)    # 1 + int_1^{1/eps} dr / r
         assert fld.sup_norm + fld.grad_sup_norm <= 40.0 * bound
 
@@ -196,7 +196,7 @@ def test_covariance_with_corrector_positive_and_psd():
     op = assemble_operator(spec, 64)
     mu_w = op.stationary_weights()
     mu = TorusMeasure(TorusGrid(1, 64), mu_w)
-    psi = solve_recentering_corrector(spec, mu, mode="full", mean_tol=1e-5)
+    psi = solve_recentering_corrector(spec, mu, mode="full")
     cov = covariance_matrix(spec, mu, psi=psi)
     assert cov.A[0, 0] > 0
     assert cov.eigenvalues.min() >= -1e-10

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levyhom import pathsim
+from levyhom import ergodic, pathsim
 from levyhom.corrector import fourier_multiplier
 from levyhom.ergodic import (TorusMeasure, effective_drifts,
                              ergodic_average_decay, estimate_invariant_measure,
@@ -64,6 +64,34 @@ def test_mc_measure_matches_grid_for_x_dependent(xdep_spec_1d):
     mu_mc = estimate_invariant_measure(xdep_spec_1d, cfg, grid_n=16)
     mu_grid = stationary_measure_grid(xdep_spec_1d, 16)
     assert mu_mc.tv_distance(mu_grid) <= 0.05
+
+
+def test_occupation_states_count_at_their_nearest_node(constant_spec_1d,
+                                                      monkeypatch):
+    # the histogram is compared with measures that hold weights at the nodes
+    # j/n, so a state within h/2 of a node counts there, across the wrap too
+    h = 1.0 / 8
+    planted = np.array([3 * h - 0.4 * h, 3 * h + 0.4 * h,
+                        7.0 + 3 * h + 0.4 * h, -1.0 - 0.4 * h])
+
+    def snapshots(spec, cfg, times, x0=None):
+        return np.broadcast_to(planted[:cfg.paths, None, None],
+                               (cfg.paths, len(times), 1))
+
+    monkeypatch.setattr(ergodic, "simulate_snapshots", snapshots)
+    mu = estimate_invariant_measure(
+        constant_spec_1d, SimConfig(paths=8, horizon=1.0, delta=0.25, seed=1),
+        grid_n=8)
+    want = np.zeros(8)
+    want[[3, 0]] = [0.75, 0.25]
+    assert np.array_equal(mu.weights, want)
+
+
+def test_mc_measure_takes_numpy_integer_seeds(constant_spec_1d):
+    cfg = SimConfig(paths=4, horizon=0.5, delta=0.25, seed=3)
+    mus = [estimate_invariant_measure(constant_spec_1d, c, grid_n=8)
+           for c in (cfg, replace(cfg, seed=np.int64(3)))]
+    assert np.array_equal(mus[0].weights, mus[1].weights)
 
 
 def test_mc_measure_seed_agreement(constant_spec_1d):

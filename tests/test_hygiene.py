@@ -187,11 +187,9 @@ def test_unread_definitions_are_found():
         ("mod.py", 13, "helper"), ("mod.py", 15, "tested_only")]
 
 
-# read only by the tests: the mode-space Poisson solve is cross-checked
-# against the grid solve and is the planned route of the diffusive corrector;
-# EndpointBatch.load reads back the .npz that ``levyhom simulate`` writes
-UNREAD_BY_DESIGN = {("corrector.py", "solve_poisson_modes"),
-                    ("pathsim.py", "EndpointBatch.load")}
+# read only by the tests: EndpointBatch.load reads back the .npz that
+# ``levyhom simulate`` writes
+UNREAD_BY_DESIGN = {("pathsim.py", "EndpointBatch.load")}
 
 
 def test_every_definition_is_read_by_the_pipeline():

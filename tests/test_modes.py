@@ -6,21 +6,25 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyhom import corrector
+from levyhom import corrector, ergodic
 from levyhom.config import fixture_config, load_config
-from levyhom.corrector import (assemble_operator, critical_covariance,
-                               generator_multipliers, jump_nodes, mode_set,
-                               solve_poisson, solve_poisson_modes)
+from levyhom.corrector import (VectorCorrector, assemble_operator,
+                               corrector_rhs, covariance_matrix,
+                               critical_covariance, generator_multipliers,
+                               jump_nodes, mode_set, solve_poisson,
+                               solve_poisson_modes,
+                               solve_recentering_corrector)
 from levyhom.ergodic import (TorusMeasure, stationary_measure,
                              stationary_measure_grid, stationary_measure_modes)
 from levyhom.grid import TorusGrid
+from levyhom.limits import predicted_limit
 from levyhom.quadrature import radial_fourier_integral
 from levyhom.spec_model import (DriftField, PeriodicKernel,
                                 RadialPerturbation, ScalingFunction,
                                 SphericalMeasure)
 from levyhom.trigpoly import TrigPoly
 
-from conftest import make_spec
+from conftest import fresh_python, make_spec
 
 _TWO_PI = 2.0 * np.pi
 
@@ -214,6 +218,23 @@ def test_diffusive_measure_matches_deleted_d1_route():
     assert np.max(np.abs(mu.weights - old) / old) <= 1e-13
 
 
+_DIGEST_SCRIPT = """
+import hashlib
+from levyhom.config import fixture_config, load_config
+from levyhom.ergodic import stationary_measure
+for name in ("ex4_1_diffusive", "ex4_1_centered", "ex4_1_stable",
+             "ex4_3_mixed"):
+    w = stationary_measure(load_config(fixture_config(name)).spec).weights
+    print(name, hashlib.sha256(w.tobytes()).hexdigest())
+"""
+
+
+def test_measure_bits_do_not_depend_on_blas_threads():
+    digests = [fresh_python(_DIGEST_SCRIPT, threads) for threads in (1, 2)]
+    assert len(digests[0].split()) == 8
+    assert digests[0] == digests[1]
+
+
 # --------------------------------------------------------------------------
 # multipliers and the Poisson solve
 # --------------------------------------------------------------------------
@@ -281,8 +302,8 @@ def test_poisson_fourier_matches_grid_in_d2(coupled_grid):
         g = (np.cos(_TWO_PI * x[:, 0]) + 0.5 * np.sin(_TWO_PI * x[:, 1])
              + 0.3 * np.cos(_TWO_PI * (x[:, 0] + x[:, 1])))
         f = g - mu.weights @ g
-        fld = solve_poisson_modes(spec, f, n, mu_weights=mu.weights)
-        grid = solve_poisson(op, f, mu_weights=mu.weights, mean_tol=1e-2)
+        fld = solve_poisson_modes(spec, f, n)
+        grid = solve_poisson(op, f, mean_tol=1e-2)
         gaps.append(np.max(np.abs(fld.values - grid.values))
                     / np.max(np.abs(fld.values)))
         assert abs(fld.mu_mean()) <= 1e-12
@@ -303,6 +324,35 @@ def test_poisson_fourier_in_d3_matches_multiplier():
     assert abs(m1.imag) <= 1e-12 * abs(m1)
     assert np.max(np.abs(fld.values - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.allclose(fld.mu_weights, 1.0 / 512, rtol=0, atol=1e-18)
+
+
+def test_diffusive_prediction_assembles_no_grid_operator(monkeypatch):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("mu and psi of a trig spec come from the modes")
+
+    monkeypatch.setattr(corrector, "assemble_operator", no_assembly)
+    monkeypatch.setattr(ergodic, "assemble_operator", no_assembly)
+    spec = _fixture_spec("ex4_1_diffusive")
+    law = predicted_limit(spec, stationary_measure(spec))
+    assert law.A[0, 0] == pytest.approx(1.735455, abs=1e-6)
+
+
+def test_grid_covariance_converges_to_the_mode_covariance():
+    # ex4_1_diffusive with mu and psi both from the grid operator, against
+    # both from the mode operator: the gap is the grid's discretization
+    # error, and it falls by at least 1.5 per doubling of n
+    spec = _fixture_spec("ex4_1_diffusive")
+    gaps = []
+    for n in (32, 64, 128):
+        op = assemble_operator(spec, n)
+        mu = TorusMeasure(op.grid, op.stationary_weights())
+        psi = VectorCorrector([solve_poisson(op, corrector_rhs(spec, mu)[0])])
+        A_grid = covariance_matrix(spec, mu, psi).A[0, 0]
+        mu = stationary_measure(spec, n)
+        psi = solve_recentering_corrector(spec, mu)
+        assert psi.components[0].method == "fourier"
+        gaps.append(abs(A_grid - covariance_matrix(spec, mu, psi).A[0, 0]))
+    assert gaps[0] >= 1.5 * gaps[1] and gaps[1] >= 1.5 * gaps[2]
 
 
 # --------------------------------------------------------------------------

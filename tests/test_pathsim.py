@@ -23,7 +23,7 @@ from levyhom.spec_model import (DriftField, PeriodicKernel,
 from levyhom.trigpoly import TrigPoly
 from levyhom.verify import ks_statistic
 
-from conftest import make_spec
+from conftest import fresh_python, make_spec
 
 
 def levy_symbol_quadrature(spec, u):
@@ -895,26 +895,8 @@ print("equal" if np.array_equal(*ends) else "differ")
 """
 
 
-def _fresh_python(script):
-    """stdout of ``script`` in a new interpreter with the default BLAS
-    threads and this checkout's sources."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    env = {k: v for k, v in os.environ.items() if k not in (
-        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 def test_pool_forks_safely_under_default_blas_threads():
-    assert _fresh_python(_FORK_SCRIPT).split() == ["equal"]
+    assert fresh_python(_FORK_SCRIPT).split() == ["equal"]
 
 
 # --------------------------------------------------------------------------
@@ -966,6 +948,6 @@ def test_run_paths_twice_matches_a_fresh_process(pool_always):
     # forked workers inherit the dirty cache
     pooled = run_paths(driver, 1.0, 30, 12, 0.01, workers=2, stats=stats)
     assert stats["pool_processes"] == (2 if os.cpu_count() > 1 else 0)
-    fresh = _fresh_python(_STREAM_SCRIPT).split()
+    fresh = fresh_python(_STREAM_SCRIPT).split()
     assert [hashlib.sha256(e.tobytes()).hexdigest()
             for e in (here, pooled)] == fresh * 2
