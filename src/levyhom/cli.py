@@ -29,6 +29,7 @@ from .ergodic import (effective_drifts, kernel_tail_constant, mixing_rate,
 from .pathsim import ConfigError, SimConfig, scaled_endpoint_batch
 from .regimes import CAUCHY_CENTER
 from .spec_model import IntegrabilityError, validate
+from .trigpoly import TrigPoly
 from .verify import theorem_check
 
 EXIT_OK = 0
@@ -60,10 +61,16 @@ def _load(path):
         raise SystemExit(EXIT_CONFIG)
 
 
+def _flags(args):
+    """The value flags given on the command line, for the manifest."""
+    return {name: getattr(args, name)
+            for name in ("grid", "eps", "paths", "seed", "workers")
+            if getattr(args, name, None) is not None}
+
+
 def _apply_overrides(sim: SimConfig, args):
-    overrides = {name: getattr(args, name)
-                 for name in ("eps", "paths", "seed", "workers")
-                 if getattr(args, name, None) is not None}
+    overrides = {name: val for name, val in _flags(args).items()
+                 if name != "grid"}
     try:
         replace(sim, **overrides)          # validates the overridden values
     except ConfigError as exc:
@@ -71,7 +78,6 @@ def _apply_overrides(sim: SimConfig, args):
         raise SystemExit(EXIT_CONFIG)
     for name, val in overrides.items():
         setattr(sim, name, val)
-    return overrides
 
 
 def _check_positive_flags(args):
@@ -126,9 +132,9 @@ def cmd_effective(args):
     ladder = {}
     for R in (2.0, 4.0, 8.0, 16.0):
         ladder[str(R)] = np.atleast_1d(drifts.b_trunc_bar(R)).tolist()
+    e1 = np.eye(spec.d, dtype=int)[0]
     mix = mixing_rate(
-        spec, [lambda p: np.cos(2 * np.pi * p[:, 0]),
-               lambda p: np.sin(2 * np.pi * p[:, 0])],
+        spec, [TrigPoly.cos_x(spec.d, 0, e1), TrigPoly.sin_x(spec.d, 0, e1)],
         np.linspace(0.05, 0.8, 8),
         replace(settings.sim,
                 paths=2000 if args.paths is None else args.paths),
@@ -151,7 +157,7 @@ def cmd_effective(args):
     write_kernel_table_csv(out / "effective_kernel.csv", spec.rho0, kbar0)
     _manifest(settings, out, "effective",
               ["effective.json", "invariant_measure.csv",
-               "effective_kernel.csv"], {})
+               "effective_kernel.csv"], _flags(args))
     print(json.dumps(payload["drift_average"]))
     return EXIT_OK
 
@@ -191,7 +197,7 @@ def cmd_corrector(args):
         info["covariance"] = "second moment infinite; no diffusive matrix"
     (out / "corrector.json").write_text(json.dumps(info, indent=2) + "\n")
     artifacts.append("corrector.json")
-    _manifest(settings, out, "corrector", artifacts, {})
+    _manifest(settings, out, "corrector", artifacts, _flags(args))
     print(json.dumps(info))
     return EXIT_OK
 
@@ -199,7 +205,7 @@ def cmd_corrector(args):
 def cmd_simulate(args):
     settings = _load(args.config)
     spec = settings.spec
-    overrides = _apply_overrides(settings.sim, args)
+    _apply_overrides(settings.sim, args)
     sim = settings.sim
     if sim.eps is None:
         print("config error: simulate needs eps (flag --eps)", file=sys.stderr)
@@ -216,7 +222,7 @@ def cmd_simulate(args):
     batch.save(out / f"{stem}.npz")
     batch.to_csv(out / f"{stem}.csv")
     _manifest(settings, out, "simulate",
-              [f"{stem}.npz", f"{stem}.csv"], overrides)
+              [f"{stem}.npz", f"{stem}.csv"], _flags(args))
     print(f"{stem}.npz")
     return EXIT_OK
 
@@ -224,7 +230,7 @@ def cmd_simulate(args):
 def cmd_verify(args):
     settings = _load(args.config)
     spec = settings.spec
-    overrides = _apply_overrides(settings.sim, args)
+    _apply_overrides(settings.sim, args)
     try:
         ladder = _ladder(args.ladder) if args.ladder else [1.0 / 8, 1.0 / 32]
     except (ValueError, ZeroDivisionError) as exc:
@@ -244,7 +250,7 @@ def cmd_verify(args):
     report.to_csv(out / "convergence.csv")
     _manifest(settings, out, "verify",
               ["convergence.json", "convergence.csv"],
-              dict(overrides, ladder=ladder))
+              dict(_flags(args), ladder=ladder))
     for row in report.rows:
         print(f"eps={row.eps:g} ks_max={row.ks_max:.4f} "
               f"ecf_gap={row.ecf_gap:.4f} {row.error}")
@@ -288,7 +294,8 @@ def build_parser():
     e.add_argument("config")
     e.add_argument("--out", default="out_effective")
     e.add_argument("--grid", type=int, default=None)
-    e.add_argument("--paths", type=int, default=None)
+    e.add_argument("--paths", type=int, default=None, help="paths per start"
+                   " of the Monte Carlo mixing estimate (grid route only)")
     e.set_defaults(fn=cmd_effective)
 
     c = sub.add_parser("corrector", help="solve the recentering corrector")

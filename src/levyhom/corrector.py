@@ -3,7 +3,7 @@
 The generator has two discretizations; one rule (``fits_mode_box``) picks
 the same one for the invariant measure and the corrector. On Fourier modes
 the trig kernel and drift act through exact multipliers (``mode_operator``,
-a Fourier-Galerkin truncation in any d <= 3; ``solve_poisson_modes``). The
+a Fourier-Galerkin truncation in any d <= 3; ``mode_poisson_solver``). The
 grid route (``assemble_operator``, dense, d in {1, 2}; ``solve_poisson``)
 replaces the singular part of the small-jump integral inside one grid cell
 by its second-order Taylor proxy (a scaled discrete Laplacian with the exact
@@ -245,16 +245,16 @@ def fits_mode_box(spec: JumpSpec):
     return bool(np.all(np.abs(x_mode_steps(spec)) <= MODE_BOX[spec.d] / 4))
 
 
-def mode_set(spec: JumpSpec, box, full=False):
-    """Modes of the box |l|_inf <= box reached from 0 by steps along the
-    x-modes of the kernel and drift ({0} when they have none), or the
-    whole box with ``full``; mode 0 first."""
+def mode_set(spec: JumpSpec, box, full=False, seeds=()):
+    """Modes of the box |l|_inf <= box reached from 0 and from the modes in
+    ``seeds`` by steps along the x-modes of the kernel and drift ({0} when
+    there are neither), or the whole box with ``full``; mode 0 first."""
     d = spec.d
     if full:
         modes = np.indices((2 * box + 1,) * d).reshape(d, -1).T - box
         return modes[np.argsort(np.abs(modes).max(axis=1), kind="stable")]
     steps = x_mode_steps(spec).tolist()
-    found = [(0,) * d]
+    found = list(dict.fromkeys([(0,) * d] + [tuple(m) for m in seeds]))
     seen = set(found)
     for m in found:                 # grows while it is walked: breadth first
         for s in steps:
@@ -417,30 +417,33 @@ def solve_poisson(op: AssembledOperator, f, mean_tol=1e-8) -> CorrectorField:
                           "grid")
 
 
-def solve_poisson_modes(spec: JumpSpec, f, n) -> CorrectorField:
-    """Zero-mean solution of (generator) psi = f for a trig spec, with f and
-    psi as values on the n-grid.
-
-    Right-hand solve on the mode operator of the box |l|_inf <=
-    min(n/2 - 1, MODE_BOX) with f's mode 0 dropped, so that psi solves
-    L psi = f - mu(f) and is then centred against mu, the invariant density
-    of the same operator. The residual is sum |M psi - f| over the box,
-    relative to max |f|."""
+def mode_poisson_solver(spec: JumpSpec, n):
+    """``solve(f)``: the zero-mean solution of (generator) psi = f for a
+    trig spec, f and psi as values on the n-grid, on one mode operator and
+    one sparse LU for every f: the box |l|_inf <= min(n/2 - 1, MODE_BOX),
+    f's mode 0 dropped, so that psi solves L psi = f - mu(f) and is then
+    centred against mu, the invariant density of the same operator. The
+    residual is sum |M psi - f| over the box, relative to max |f|."""
     grid = TorusGrid(spec.d, int(n))
-    fv = np.asarray(f(grid.centers) if callable(f) else f,
-                    dtype=float).reshape((grid.n,) * grid.d)
     modes = mode_set(spec, min(grid.n // 2 - 1, MODE_BOX[spec.d]), full=True)
     M = mode_operator(spec, modes)
-    fhat = np.fft.fftn(fv)[tuple((modes % grid.n).T)] / grid.size
     solve, v = mode_solvers(M)
-    psihat = np.concatenate([[0.0], solve(fhat[1:], False) if solve else []])
     mu_w = density_weights(modes_on_grid(-modes, v, grid))[0]
-    psi = modes_on_grid(modes, psihat, grid)
-    psi = psi - float(mu_w @ psi)
-    resid = float(np.sum(np.abs(M @ psihat - fhat)) / max(np.abs(fv).max(),
-                                                            1e-300))
-    return CorrectorField(grid, psi, _central_gradient(grid, psi), mu_w,
-                          resid, "fourier")
+
+    def solve_one(f):
+        fv = np.asarray(f(grid.centers) if callable(f) else f,
+                        dtype=float).reshape((grid.n,) * grid.d)
+        fhat = np.fft.fftn(fv)[tuple((modes % grid.n).T)] / grid.size
+        psihat = np.concatenate([[0.0], solve(fhat[1:], False) if solve
+                                 else []])
+        psi = modes_on_grid(modes, psihat, grid)
+        psi = psi - float(mu_w @ psi)
+        resid = float(np.sum(np.abs(M @ psihat - fhat))
+                      / max(np.abs(fv).max(), 1e-300))
+        return CorrectorField(grid, psi, _central_gradient(grid, psi), mu_w,
+                              resid, "fourier")
+
+    return solve_one
 
 
 # ---------------------------------------------------------------------------
@@ -542,18 +545,21 @@ class VectorCorrector:
 def solve_recentering_corrector(spec: JumpSpec, mu, mode="full", R=None
                                 ) -> VectorCorrector:
     """Corrector for the recentering drift, one Poisson problem per axis on
-    mu's grid and on the operator mu comes from: the mode operator when the
-    x-modes fit the mode box, else the grid operator. Raises in d = 3."""
+    mu's grid and on the operator mu comes from, factored once: the mode
+    operator when the x-modes fit the mode box, else the grid operator mu
+    keeps (or one assembled at mu's n). Raises in d = 3."""
     if spec.d > 2:
         raise ValueError(f"no diffusive corrector in d={spec.d}: the "
                          f"covariance's loop over mu's cells grows like n^3")
     rhs, _ = corrector_rhs(spec, mu, mode=mode, R=R)
     if fits_mode_box(spec):
-        return VectorCorrector(solve_poisson_modes(spec, rhs[:, a], mu.grid.n)
-                               for a in range(spec.d))
-    op = assemble_operator(spec, mu.grid.n)
-    return VectorCorrector(solve_poisson(op, rhs[:, a])
-                           for a in range(spec.d))
+        solve = mode_poisson_solver(spec, mu.grid.n)
+    else:
+        op = mu.operator
+        if op is None or op.spec is not spec:
+            op = assemble_operator(spec, mu.grid.n)
+        solve = lambda f: solve_poisson(op, f)
+    return VectorCorrector(solve(rhs[:, a]) for a in range(spec.d))
 
 
 def covariance_matrix(spec_or_atoms, mu, psi: Optional[VectorCorrector] = None

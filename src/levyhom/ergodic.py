@@ -6,7 +6,9 @@ d <= 3 when the x-modes fit the mode box (``fits_mode_box``), else as the
 left null vector of the assembled grid generator (d <= 2), which is also the
 mode route's oracle; the corrector takes the same operator. The Monte Carlo
 occupation histogram (quotient paths, time-averaged at the nearest nodes)
-validates both.
+validates both. ``mixing_rate`` takes mu's route too: on the modes its
+decay curve is the exact semigroup e^{tM} of the mode operator on the test
+polys' coefficients, past the box a Monte Carlo estimate.
 
 The Monte Carlo estimators read simulated paths only as states at given
 times (``simulate_snapshots``). The occupation histogram and the windowed
@@ -21,10 +23,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
+from scipy.sparse.linalg import expm_multiply
 
 from .corrector import (MODE_BOX, assemble_operator, density_weights,
                         fits_mode_box, mode_operator, mode_set, mode_solvers,
@@ -38,9 +41,11 @@ from .spec_model import (IntegrabilityError, JumpSpec, full_drift,
 
 @dataclass
 class TorusMeasure:
+    """Weights at the nodes; the grid route keeps its AssembledOperator."""
     grid: TorusGrid
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
+    operator: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -158,7 +163,7 @@ def stationary_measure_grid(spec: JumpSpec, n=None) -> TorusMeasure:
     op = assemble_operator(spec, n)
     w = op.stationary_weights()
     return TorusMeasure(op.grid, w, {"route": "grid_adjoint", "grid_n": n,
-                                     **op.meta})
+                                     **op.meta}, op)
 
 
 def stationary_measure_modes(spec: JumpSpec, n=None, box=None
@@ -260,33 +265,51 @@ class MixingEstimate:
     lambda1: float
     prefactor: float
     fit_residual: float
-    table: list
     ok: bool
+    route: str
+    floor: float
+    table: list
 
     def to_json(self, path=None):
-        payload = {"lambda1": self.lambda1, "prefactor": self.prefactor,
-                   "fit_residual": self.fit_residual, "ok": self.ok,
-                   "table": self.table}
+        payload = asdict(self)
         if path:
             with open(path, "w") as fh:
                 json.dump(payload, fh, indent=2)
         return payload
 
 
-def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
-                mu: Optional[TorusMeasure] = None, starts=8) -> MixingEstimate:
-    """Least-squares decay fit of sup_x |E_x f(X_t) - mu(f)| over the time grid.
+def _semigroup_gaps(spec: JumpSpec, polys, time_grid, grid: TorusGrid):
+    """Max over the polys of sup over the nodes of |E_x f(X_t) - mu(f)| at
+    each time: E_x f(X_t) = sum_l [e^{tM} f^]_l e^{2 pi i l.x} on the mode
+    operator M of the modes reached from 0 and from the polys' x-modes, and
+    mu(f) = v.f^ with v the left null vector of the same M."""
+    modes = mode_set(spec, MODE_BOX[spec.d],
+                     seeds=sorted({mx for f in polys for mx, _ in f.coeffs}))
+    F = np.zeros((len(modes), len(polys)), dtype=complex)
+    for j, f in enumerate(polys):
+        for (mx, _), c in f.coeffs.items():
+            F[np.all(modes == mx, axis=1), j] += c
+    M = mode_operator(spec, modes)
+    limit = mode_solvers(M)[1] @ F
+    # expm_multiply's norm estimates draw from NumPy's global generator;
+    # a fixed seed keeps the curve a function of the spec
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        gaps, t_prev = [], 0.0
+        for t in time_grid:
+            F, t_prev = expm_multiply((t - t_prev) * M, F), t
+            gap = np.vstack([F[:1] - limit, F[1:]])
+            gaps.append(max(np.abs(modes_on_grid(modes, g, grid)).max()
+                            for g in gap.T))
+    finally:
+        np.random.set_state(state)
+    return np.array(gaps)
 
-    Test functions must be mean-free under the supplied measure; identically
-    zero functions are skipped. Fit failure is reported, not raised.
-    """
-    mu = mu if mu is not None else stationary_measure(spec)
-    time_grid = np.asarray(sorted(time_grid), dtype=float)
-    fs = [f for f in test_functions
-          if np.max(np.abs(np.asarray(f(mu.centers)))) > 0]
-    if not fs:
-        return MixingEstimate(float("nan"), float("nan"), float("nan"), [],
-                              False)
+
+def _monte_carlo_gaps(spec, fs, time_grid, cfg, mu, starts):
+    """The same sup over a starts^d lattice of x, each E_x f(X_t) the mean
+    over one snapshot batch of cfg.paths paths."""
     g = np.arange(starts) / starts
     start_pts = (np.stack(np.meshgrid(*([g] * spec.d), indexing="ij"),
                           axis=-1).reshape(-1, spec.d)
@@ -302,20 +325,44 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
             for ti in range(len(time_grid)):
                 est = float(np.mean(np.asarray(f(snaps_mod[:, ti, :]))))
                 sup_curve[ti] = max(sup_curve[ti], abs(est - target))
-    noise = 3.0 / math.sqrt(cfg.paths)
-    usable = sup_curve > noise
+    return sup_curve
+
+
+def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
+                mu: Optional[TorusMeasure] = None, starts=8) -> MixingEstimate:
+    """Least-squares fit of log sup_x |E_x f(X_t) - mu(f)| = log C - lambda1 t
+    over the time grid, for x-only ``TrigPoly`` test functions f (zero ones
+    skipped). The curve is exact at mu's nodes on mu's route, the modes
+    (``fits_mode_box``), and kept above a round-off floor of 1e-12; past
+    the box (d <= 2) it is Monte Carlo over a ``starts``^d lattice of x,
+    cfg.paths paths each, kept above the noise floor 3 / sqrt(cfg.paths).
+    The route and floor are recorded; fit failure is reported, not raised.
+    """
+    mu = mu if mu is not None else stationary_measure(spec)
+    time_grid = np.asarray(sorted(time_grid), dtype=float)
+    fs = [f for f in test_functions
+          if np.max(np.abs(np.asarray(f(mu.centers)))) > 0]
+    route, floor = "modes", 1e-12
+    if not fits_mode_box(spec):
+        route, floor = "monte_carlo", 3.0 / math.sqrt(cfg.paths)
+    sup_curve = np.zeros(len(time_grid))
+    if fs:
+        sup_curve = (_semigroup_gaps(spec, fs, time_grid, mu.grid)
+                     if route == "modes" else
+                     _monte_carlo_gaps(spec, fs, time_grid, cfg, mu, starts))
+    usable = sup_curve > floor
     table = list(zip(time_grid.tolist(), sup_curve.tolist()))
     if usable.sum() < 2:
         return MixingEstimate(float("nan"), float("nan"), float("nan"),
-                              table, False)
+                              False, route, floor, table)
     t_u = time_grid[usable]
     y = np.log(sup_curve[usable])
     A = np.stack([np.ones_like(t_u), -t_u], axis=1)
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = float(np.sqrt(res[0] / len(t_u))) if len(res) else 0.0
     lam = float(coef[1])
-    return MixingEstimate(lam, float(np.exp(coef[0])), resid, table,
-                          ok=lam > 0)
+    return MixingEstimate(lam, float(np.exp(coef[0])), resid, lam > 0,
+                          route, floor, table)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Config schema round-trips and command-line pipeline contracts."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,7 +211,8 @@ def test_cli_effective_x_independent(tmp_path):
 def test_cli_effective_mixing_keeps_the_config_settings(tmp_path,
                                                        monkeypatch):
     # the mixing runs of `effective` take the config's sim settings; only
-    # the path count comes from --paths
+    # the path count comes from --paths (an x-mode past the mode box, so
+    # the mixing estimate is the Monte Carlo one)
     from levyhom import pathsim
     seen = []
     build = pathsim.driver_from_spec
@@ -218,6 +220,7 @@ def test_cli_effective_mixing_keeps_the_config_settings(tmp_path,
                         lambda spec, cfg, horizon:
                         seen.append(cfg) or build(spec, cfg, horizon))
     raw = fixture_config("ex4_1_stable")
+    raw["kernel"]["terms"][1]["x_mode"] = [11]
     raw["sim"].update(dt=0.02, truncation_budget=1e-3, workers=2)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dump_config(raw))
@@ -287,6 +290,49 @@ def test_cli_corrector_past_the_mode_box_takes_the_grid_route(tmp_path):
     info = _corrector_info(tmp_path, raw)
     assert info["residual_rel"] <= 1e-6
     assert info["method"] == "grid"
+
+
+def test_cli_corrector_reuses_the_grid_operator_of_mu(tmp_path, monkeypatch):
+    # past the mode box, psi is solved on the operator mu was computed from,
+    # assembled once; the files are the bytes of a second assembly
+    raw = fixture_config("ex4_1_diffusive")
+    raw["kernel"]["terms"][1]["x_mode"] = [11]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(raw))
+    sizes = []
+    build = corrector.assemble_operator
+    counting = lambda spec, n: sizes.append(n) or build(spec, n)
+    monkeypatch.setattr(corrector, "assemble_operator", counting)
+    monkeypatch.setattr(ergodic, "assemble_operator", counting)
+    assert main(["corrector", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert sizes == [64]
+    grid_measure = ergodic.stationary_measure_grid
+    monkeypatch.setattr(ergodic, "stationary_measure_grid",
+                        lambda spec, n=None: replace(grid_measure(spec, n),
+                                                     operator=None))
+    assert main(["corrector", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert sizes == [64] * 3
+    for name in ("corrector.json", "corrector_0.csv", "covariance.json"):
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command, fixture, flags, want", [
+    ("effective", "ex4_1_critical", ["--grid", "32", "--paths", "400"],
+     {"grid": 32, "paths": 400}),
+    ("corrector", "ex4_1_cauchy", ["--grid", "32", "--eps", "0.125"],
+     {"grid": 32, "eps": 0.125}),
+    ("simulate", "ex4_1_stable",
+     ["--grid", "32", "--eps", "0.25", "--paths", "50"],
+     {"grid": 32, "eps": 0.25, "paths": 50}),
+])
+def test_cli_manifests_record_the_flag_overrides(tmp_path, command, fixture,
+                                                 flags, want):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(fixture_config(fixture)))
+    assert main([command, str(cfg), "--out", str(tmp_path), *flags]) == 0
+    manifest = json.loads((tmp_path / f"manifest_{command}.json").read_text())
+    assert manifest["flag_overrides"] == want
 
 
 def test_cli_verify_negative_seed(tmp_path):

@@ -6,9 +6,8 @@ import pytest
 from levyhom.corrector import (AtomJumpMeasure, assemble_operator,
                                corrector_rhs, covariance_matrix,
                                critical_covariance, fourier_multiplier,
-                               nondegeneracy_check, solve_poisson,
-                               solve_poisson_modes,
-                               solve_recentering_corrector)
+                               mode_poisson_solver, nondegeneracy_check,
+                               solve_poisson, solve_recentering_corrector)
 from levyhom.ergodic import TorusMeasure
 from levyhom.grid import TorusGrid
 from levyhom.spec_model import (DriftField, IntegrabilityError,
@@ -95,7 +94,7 @@ def test_solve_grid_vs_fourier(op_1d):
     spec, op = op_1d
     f = lambda pts: np.cos(2 * np.pi * pts[:, 0]) + 0.3 * np.sin(4 * np.pi * pts[:, 0])
     g_fld = solve_poisson(op, f)
-    f_fld = solve_poisson_modes(spec, f, 128)
+    f_fld = mode_poisson_solver(spec, 128)(f)
     rel = (np.max(np.abs(g_fld.values - f_fld.values))
            / np.max(np.abs(f_fld.values)))
     assert rel <= 0.05

@@ -4,13 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from levyhom import ergodic, pathsim
-from levyhom.corrector import fourier_multiplier
+from levyhom.config import FIXTURES, fixture_config, load_config
+from levyhom.corrector import assemble_operator, fourier_multiplier
 from levyhom.ergodic import (TorusMeasure, effective_drifts,
                              ergodic_average_decay, estimate_invariant_measure,
                              kernel_tail_constant, mixing_rate, mu_average,
-                             stationary_measure_grid)
+                             stationary_measure, stationary_measure_grid)
 from levyhom.pathsim import SimConfig
 from levyhom.spec_model import PeriodicKernel
 from levyhom.trigpoly import TrigPoly
@@ -161,9 +163,16 @@ def test_kernel_tail_constant_flags_oscillation():
     assert not cauchy
 
 
+def _long_x_mode_spec_1d():
+    """k(x, z) = 1 + 0.5 cos(2 pi 11 x): an x-mode past a quarter of the d=1
+    mode box, so mu and the mixing estimate take the grid route."""
+    poly = TrigPoly.const(1, 1, 1.0) + TrigPoly.cos_x(1, 1, (11,), 0.5)
+    return make_spec(kernel=PeriodicKernel.trig(poly))
+
+
 def test_mixing_rate_matches_multiplier(constant_spec_1d):
     m1 = fourier_multiplier(constant_spec_1d, [1.0])
-    fs = [lambda p: np.cos(2 * np.pi * p[:, 0])]
+    fs = [TrigPoly.cos_x(1, 0, (1,))]
     tgrid = np.linspace(0.05, 0.6, 8)
     est = mixing_rate(constant_spec_1d, fs, tgrid,
                       SimConfig(paths=4000, delta=0.25, seed=29), starts=4)
@@ -172,10 +181,72 @@ def test_mixing_rate_matches_multiplier(constant_spec_1d):
 
 
 def test_mixing_rate_skips_zero_function(constant_spec_1d):
-    est = mixing_rate(constant_spec_1d, [lambda p: np.zeros(len(p))],
+    est = mixing_rate(constant_spec_1d, [TrigPoly(1, 0, {})],
                       np.linspace(0.1, 1.0, 4),
                       SimConfig(paths=100, delta=0.25, seed=1), starts=2)
     assert not est.ok
+
+
+def _e1_polys(d):
+    e1 = np.eye(d, dtype=int)[0]
+    return [TrigPoly.cos_x(d, 0, e1), TrigPoly.sin_x(d, 0, e1)]
+
+
+MIXING_TIMES = np.linspace(0.05, 0.8, 8)
+
+
+def _fixture_mixing(name):
+    settings = load_config(fixture_config(name))
+    spec = settings.spec
+    mu = stationary_measure(spec)
+    return spec, mu, mixing_rate(spec, _e1_polys(spec.d), MIXING_TIMES,
+                                 settings.sim, mu=mu, starts=4)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_every_fixture_mixes_on_the_mode_route(name):
+    est = _fixture_mixing(name)[2]
+    assert est.route == "modes" and est.floor == 1e-12
+    assert est.ok and np.isfinite(est.lambda1)
+    assert est.to_json()["route"] == "modes"
+
+
+def test_critical_mixing_rate_is_the_multiplier():
+    # constant kernel, no drift: E_x cos(2 pi x1)(X_t) = e^{t m(e1)}
+    # cos(2 pi x1) with m(e1) real, so the sup over the nodes is exactly
+    # exponential and the fit returns -m(e1)
+    spec, _, est = _fixture_mixing("ex4_1_critical")
+    m1 = fourier_multiplier(spec, (1, 0))
+    assert est.lambda1 == pytest.approx(-m1.real, rel=1e-9)
+    assert est.fit_residual < 1e-9
+
+
+def _grid_semigroup_gaps(spec, n):
+    """sup over the nodes of |e^{tL} f - mu(f)| on the n-grid operator."""
+    op = assemble_operator(spec, n)
+    w = op.stationary_weights()
+    fv = [f(op.grid.centers) for f in _e1_polys(spec.d)]
+    return np.array([max(np.abs(expm(t * op.matrix) @ v - w @ v).max()
+                         for v in fv) for t in MIXING_TIMES])
+
+
+@pytest.mark.parametrize("name", ["ex4_1_stable", "ex4_1_diffusive"])
+def test_mode_mixing_curve_matches_the_grid_semigroup(name):
+    spec, _, est = _fixture_mixing(name)
+    modes = np.array([v for _, v in est.table])
+    gaps = [np.max(np.abs(_grid_semigroup_gaps(spec, n) - modes) / modes)
+            for n in (64, 128)]
+    assert gaps[1] <= 0.02 and gaps[1] < gaps[0]
+
+
+def test_mode_route_mixing_runs_no_paths(xdep_spec_1d, monkeypatch):
+    def no_driver(*args, **kwargs):
+        raise AssertionError("the mode route simulates no paths")
+
+    monkeypatch.setattr(pathsim, "driver_from_spec", no_driver)
+    est = mixing_rate(xdep_spec_1d, _e1_polys(1), MIXING_TIMES,
+                      SimConfig(paths=50, delta=0.25, seed=3))
+    assert est.ok and est.route == "modes"
 
 
 def test_ergodic_average_decay_bounded(constant_spec_1d):
@@ -201,7 +272,8 @@ def test_ergodic_average_decay_rejects_biased_function(constant_spec_1d):
 
 def test_derived_runs_keep_the_config_settings(constant_spec_1d, monkeypatch):
     # the runs that the estimators derive from cfg keep its truncation
-    # budget and dt; only paths, horizon and seed are theirs to set
+    # budget and dt; only paths, horizon and seed are theirs to set (the
+    # mixing runs on a spec past the mode box, the one that takes them)
     seen = []
     build = pathsim.driver_from_spec
     monkeypatch.setattr(pathsim, "driver_from_spec",
@@ -209,8 +281,8 @@ def test_derived_runs_keep_the_config_settings(constant_spec_1d, monkeypatch):
                         seen.append(cfg) or build(spec, cfg, horizon))
     cfg = SimConfig(paths=20, delta=0.25, seed=7, dt=0.02,
                     truncation_budget=1e-3)
-    f = lambda p: np.cos(2 * np.pi * p[:, 0])
-    mixing_rate(constant_spec_1d, [f], [0.1, 0.2], cfg, starts=2)
+    f = TrigPoly.cos_x(1, 0, (1,))
+    mixing_rate(_long_x_mode_spec_1d(), [f], [0.1, 0.2], cfg, starts=2)
     ergodic_average_decay(constant_spec_1d, f, [0.25], cfg)
     estimate_invariant_measure(constant_spec_1d, replace(cfg, horizon=2.0),
                                grid_n=8)

@@ -11,9 +11,8 @@ from levyhom.config import fixture_config, load_config
 from levyhom.corrector import (VectorCorrector, assemble_operator,
                                corrector_rhs, covariance_matrix,
                                critical_covariance, generator_multipliers,
-                               jump_nodes, mode_set, solve_poisson,
-                               solve_poisson_modes,
-                               solve_recentering_corrector)
+                               jump_nodes, mode_poisson_solver, mode_set,
+                               solve_poisson, solve_recentering_corrector)
 from levyhom.ergodic import (TorusMeasure, stationary_measure,
                              stationary_measure_grid, stationary_measure_modes)
 from levyhom.grid import TorusGrid
@@ -302,7 +301,7 @@ def test_poisson_fourier_matches_grid_in_d2(coupled_grid):
         g = (np.cos(_TWO_PI * x[:, 0]) + 0.5 * np.sin(_TWO_PI * x[:, 1])
              + 0.3 * np.cos(_TWO_PI * (x[:, 0] + x[:, 1])))
         f = g - mu.weights @ g
-        fld = solve_poisson_modes(spec, f, n)
+        fld = mode_poisson_solver(spec, n)(f)
         grid = solve_poisson(op, f, mean_tol=1e-2)
         gaps.append(np.max(np.abs(fld.values - grid.values))
                     / np.max(np.abs(fld.values)))
@@ -318,12 +317,32 @@ def test_poisson_fourier_in_d3_matches_multiplier():
     spec = make_spec(d=3, alpha=0.75, alpha0=1.0,
                      rho0=SphericalMeasure.atoms(3, atoms))
     f = lambda pts: np.cos(_TWO_PI * pts[:, 0])
-    fld = solve_poisson_modes(spec, f, 8)
+    fld = mode_poisson_solver(spec, 8)(f)
     m1 = corrector.fourier_multiplier(spec, [1.0, 0.0, 0.0])
     want = f(fld.grid.centers) / m1.real
     assert abs(m1.imag) <= 1e-12 * abs(m1)
     assert np.max(np.abs(fld.values - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.allclose(fld.mu_weights, 1.0 / 512, rtol=0, atol=1e-18)
+
+
+def test_recentering_corrector_builds_one_mode_operator(monkeypatch):
+    # both axes of a d=2 corrector are solved on one mode operator and one
+    # LU, to the bits of a solver per axis
+    spec = _coupled_spec_2d()
+    mu = stationary_measure(spec, 16)
+    rhs = corrector_rhs(spec, mu)[0]
+    want = [mode_poisson_solver(spec, 16)(rhs[:, a]) for a in range(2)]
+    built = []
+    build = corrector.mode_operator
+    monkeypatch.setattr(corrector, "mode_operator",
+                        lambda *args: built.append(1) or build(*args))
+    psi = solve_recentering_corrector(spec, mu)
+    assert len(built) == 1
+    for got, ref in zip(psi.components, want):
+        assert got.residual_rel == ref.residual_rel
+        for a, b in ((got.values, ref.values), (got.gradient, ref.gradient),
+                     (got.mu_weights, ref.mu_weights)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_diffusive_prediction_assembles_no_grid_operator(monkeypatch):
