@@ -185,8 +185,10 @@ def generator_multipliers(spec: JumpSpec, modes, mz):
     [p^2 B(2 pi r p) - q^2 B(2 pi r q) + n.mz A_{d/2}(2 pi r q)] dr, entire
     in r apart from the weight: one Gauss-Jacobi rule. Tail: the angular
     nodes of rho0 + kappa weigh F((n+mz).theta) - F(mz.theta), F(s) the
-    radial Fourier integral of g(r) / (r phi(r)) on r > 1, cached on the
-    spec by |s| since F(-s) = conj F(s).
+    radial Fourier integral of g(r) / (r phi(r)) on r > 1
+    (``JumpSpec.tail_transform``): the closed form E_{1+alpha}(-2 pi i s)
+    for power phi on rho0, one call per angular term; QAWF per |s|, cached
+    on the spec, for other phi and for the kappa term.
     """
     mz = np.asarray(mz, dtype=float)
     shifted = np.atleast_2d(np.asarray(modes, dtype=float)) + mz
@@ -208,10 +210,7 @@ def generator_multipliers(spec: JumpSpec, modes, mz):
             np.ravel(inv)]
     for measure, g in spec.angular_terms():
         s = np.vstack([shifted, mz[None]]) @ measure.thetas.T
-        F = np.array([spec.radial_integral(abs(v), np.inf, g is not None,
-                                            per_r=True)
-                      for v in s.ravel()]).reshape(s.shape)
-        F = np.where(s >= 0, F, np.conj(F))
+        F = spec.tail_transform(s, g is not None)
         total += (F[:-1] - F[-1]) @ measure.weights
     return total
 

@@ -20,7 +20,6 @@ exact states at the same times.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -80,12 +79,16 @@ class TorusMeasure:
         return 0.5 * float(np.abs(self.weights - np.asarray(other)).sum())
 
     def to_csv(self, path):
+        """One row per node: index, coordinates and weight, in csv's
+        default dialect (comma, CRLF), formatted one row at a time."""
+        d = self.grid.d
+        row = ",".join(["%d"] + ["%.17g"] * (d + 1)) + "\r\n"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["cell"] + [f"x_{a}" for a in range(self.grid.d)]
-                       + ["weight"])
-            for i, (c, wt) in enumerate(zip(self.centers, self.weights)):
-                w.writerow([i] + [f"{v:.17g}" for v in c] + [f"{wt:.17g}"])
+            fh.write(",".join(["cell"] + [f"x_{a}" for a in range(d)]
+                              + ["weight"]) + "\r\n")
+            table = np.column_stack([self.centers, self.weights])
+            fh.writelines(row % (i, *r) for i, r in enumerate(
+                map(np.ndarray.tolist, table)))
 
 
 def default_grid_n(d):
@@ -242,12 +245,12 @@ def kernel_tail_constant(spec: JumpSpec, mu: TorusMeasure,
     Returns (k0, cauchy_flag, table); the flag is False when the values are
     not settling in the radius, meaning the limit hypothesis fails.
     """
-    vals = []
+    vals, centers = [], mu.centers
     for r in radii:
         per_theta = []
         for th in spec.rho0.thetas:
             z = (r * th)[None, :]
-            kv = spec.kernel(mu.centers, np.broadcast_to(z, mu.centers.shape))
+            kv = spec.kernel(centers, np.broadcast_to(z, centers.shape))
             per_theta.append(float(mu.weights @ kv))
         vals.append(float(np.mean(per_theta)))
     diffs = np.abs(np.diff(vals))

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 
-from .quadrature import log_edges, panel_nodes, radial_fourier_integral
+from .quadrature import (log_edges, panel_nodes, power_tail_transform,
+                         radial_fourier_integral)
 from .trigpoly import TrigPoly
 
 
@@ -507,6 +508,20 @@ class JumpSpec:
             self._radial_cache[key] = radial_fourier_integral(
                 self.phi, s, 1.0, R, weight_fn=wfn)
         return self._radial_cache[key]
+
+    def tail_transform(self, s, weighted):
+        """F(s) = int_1^inf e^{2 pi i s r} w(r) / (r phi(r)) dr on an array
+        ``s``, w = g of kappa when ``weighted`` (else 1): the closed form
+        E_{1+alpha}(-2 pi i s) (``power_tail_transform``) for power phi
+        without weight, else QAWF per |s| (``radial_integral``) with
+        F(-s) = conj F(s)."""
+        s = np.asarray(s, dtype=float)
+        if self.phi.kind == "power" and not weighted:
+            return power_tail_transform(self.phi.index, s)
+        F = np.array([self.radial_integral(abs(v), np.inf, weighted,
+                                           per_r=True) for v in s.ravel()],
+                     dtype=complex).reshape(s.shape)
+        return np.where(s >= 0, F, np.conj(F))
 
 
 def jump_nodes(spec: JumpSpec, lo, hi, per_decade, min_panels, order):

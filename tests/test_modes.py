@@ -91,6 +91,20 @@ def test_symmetric_jumps_give_harmonic_profile(d, tol):
     assert mu.meta["residual"] <= 1e-14
 
 
+def test_uniform_rho0_with_x_modes_on_both_axes_gives_harmonic_profile():
+    # the same identity under the 64-node uniform rho0, whose directions
+    # meet the whole box of modes with distinct frequencies |(n + mz).theta|
+    poly = (TrigPoly.const(2, 2, 1.0) + TrigPoly.cos_x(2, 2, (1, 0), 0.4)
+            + TrigPoly.cos_x(2, 2, (0, 1), 0.4))
+    spec = make_spec(d=2, alpha=1.5, alpha0=1.0,
+                     kernel=PeriodicKernel.trig(poly),
+                     rho0=SphericalMeasure.uniform(2, 1.0, n_nodes=64))
+    mu = stationary_measure(spec)
+    assert mu.meta["route"] == "fourier_galerkin"
+    want = 1.0 / spec.kernel(mu.centers, np.zeros_like(mu.centers))
+    assert mu.tv_distance(want / want.sum()) <= 1e-6
+
+
 def test_mode_set_is_the_sublattice_of_the_x_modes():
     poly = TrigPoly.const(1, 1, 1.0) + TrigPoly.cos_x(1, 1, (2,), 0.5)
     spec = make_spec(kernel=PeriodicKernel.trig(poly))
