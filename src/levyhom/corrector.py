@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply, splu
 from scipy.special import gamma, jv, roots_jacobi
 
 from .grid import TorusGrid
@@ -314,6 +315,44 @@ def mode_solvers(M):
     if solve is not None:
         v[1:] = solve(-M[0, 1:].toarray().ravel(), True)
     return solve, v
+
+
+def mode_semigroup(M, F, times):
+    """e^{tM} F at each of the ascending ``times`` (array of shape
+    (len(times),) + F.shape), stepped from t = 0, and the propagator that
+    ran.
+
+    ``"dense"`` takes one ``scipy.linalg.expm`` of h M per distinct step h
+    (steps equal to 1e-12 relative share one) and a product per time;
+    ``"krylov"`` one ``expm_multiply`` per step. Dense when
+    K^3 <= 2 nnz(M) |M|_1 t_last: the dense cost grows like K^3, the Krylov
+    stepping's like nnz(M) times the number of products, which grows with
+    |t_last M|_1; its norm estimates cost milliseconds even at K = 3.
+    """
+    times = np.asarray(times, dtype=float)
+    steps = np.diff(times, prepend=0.0)
+    K = M.shape[0]
+    out = np.empty((len(times),) + F.shape, dtype=complex)
+    norm = np.max(np.asarray(abs(M).sum(axis=0)), initial=0.0)
+    if K ** 3 <= 2 * M.nnz * norm * times[-1]:
+        keys = np.round(steps / max(steps.max(), 1e-300), 12)
+        _, first, which = np.unique(keys, return_index=True,
+                                    return_inverse=True)
+        A = M.toarray()
+        props = [expm(steps[i] * A) for i in first]
+        for k, j in enumerate(np.ravel(which)):
+            F = out[k] = props[j] @ F
+        return out, "dense"
+    # expm_multiply's norm estimates draw from NumPy's global generator;
+    # a fixed seed keeps the result a function of M, F and the times
+    state = np.random.get_state()
+    np.random.seed(0)
+    try:
+        for k, h in enumerate(steps):
+            F = out[k] = expm_multiply(h * M, F)
+    finally:
+        np.random.set_state(state)
+    return out, "krylov"
 
 
 def modes_on_grid(modes, coef, grid: TorusGrid):

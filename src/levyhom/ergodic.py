@@ -20,17 +20,17 @@ exact states at the same times.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
 from .corrector import (MODE_BOX, assemble_operator, density_weights,
-                        fits_mode_box, mode_operator, mode_set, mode_solvers,
-                        modes_on_grid, x_mode_steps)
+                        fits_mode_box, mode_operator, mode_semigroup,
+                        mode_set, mode_solvers, modes_on_grid, x_mode_steps)
 from .grid import TorusGrid
 from .pathsim import SimConfig, simulate_snapshots
 from .regimes import EffectiveDrifts
@@ -80,15 +80,16 @@ class TorusMeasure:
 
     def to_csv(self, path):
         """One row per node: index, coordinates and weight, in csv's
-        default dialect (comma, CRLF), formatted one row at a time."""
+        default dialect (comma, CRLF), written one row at a time; each
+        axis coordinate is formatted once."""
         d = self.grid.d
-        row = ",".join(["%d"] + ["%.17g"] * (d + 1)) + "\r\n"
+        axis = ["%.17g" % x for x in self.grid.axis.tolist()]
+        coords = map(",".join, itertools.product(axis, repeat=d))
         with open(path, "w", newline="") as fh:
             fh.write(",".join(["cell"] + [f"x_{a}" for a in range(d)]
                               + ["weight"]) + "\r\n")
-            table = np.column_stack([self.centers, self.weights])
-            fh.writelines(row % (i, *r) for i, r in enumerate(
-                map(np.ndarray.tolist, table)))
+            fh.writelines("%d,%s,%.17g\r\n" % row for row in zip(
+                itertools.count(), coords, self.weights.tolist()))
 
 
 def default_grid_n(d):
@@ -272,6 +273,8 @@ class MixingEstimate:
     route: str
     floor: float
     table: list
+    propagator: Optional[str]
+    modes: Optional[int]
 
     def to_json(self, path=None):
         payload = asdict(self)
@@ -285,7 +288,12 @@ def _semigroup_gaps(spec: JumpSpec, polys, time_grid, grid: TorusGrid):
     """Max over the polys of sup over the nodes of |E_x f(X_t) - mu(f)| at
     each time: E_x f(X_t) = sum_l [e^{tM} f^]_l e^{2 pi i l.x} on the mode
     operator M of the modes reached from 0 and from the polys' x-modes, and
-    mu(f) = v.f^ with v the left null vector of the same M."""
+    mu(f) = v.f^ with v the left null vector of the same M. The gap is
+    e^{tM} (f^ - mu(f) e_0); as M e_0 = 0 and v annihilates it, it is
+    e^{tA} f^ on the modes other than 0, A = M without mode 0, and
+    -v.(that) on mode 0. A has no null vector, so what it propagates
+    decays with the gap and keeps its relative precision. Also returns
+    the propagator ``mode_semigroup`` took and the mode count."""
     modes = mode_set(spec, MODE_BOX[spec.d],
                      seeds=sorted({mx for f in polys for mx, _ in f.coeffs}))
     F = np.zeros((len(modes), len(polys)), dtype=complex)
@@ -293,21 +301,14 @@ def _semigroup_gaps(spec: JumpSpec, polys, time_grid, grid: TorusGrid):
         for (mx, _), c in f.coeffs.items():
             F[np.all(modes == mx, axis=1), j] += c
     M = mode_operator(spec, modes)
-    limit = mode_solvers(M)[1] @ F
-    # expm_multiply's norm estimates draw from NumPy's global generator;
-    # a fixed seed keeps the curve a function of the spec
-    state = np.random.get_state()
-    np.random.seed(0)
-    try:
-        gaps, t_prev = [], 0.0
-        for t in time_grid:
-            F, t_prev = expm_multiply((t - t_prev) * M, F), t
-            gap = np.vstack([F[:1] - limit, F[1:]])
-            gaps.append(max(np.abs(modes_on_grid(modes, g, grid)).max()
-                            for g in gap.T))
-    finally:
-        np.random.set_state(state)
-    return np.array(gaps)
+    v = mode_solvers(M)[1]
+    states, propagator = mode_semigroup(M[1:, 1:], F[1:], time_grid)
+    gaps = []
+    for rest in states:
+        gap = np.vstack([-v[1:] @ rest, rest])
+        gaps.append(max(np.abs(modes_on_grid(modes, g, grid)).max()
+                        for g in gap.T))
+    return np.array(gaps), propagator, len(modes)
 
 
 def _monte_carlo_gaps(spec, fs, time_grid, cfg, mu, starts):
@@ -339,7 +340,10 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
     (``fits_mode_box``), and kept above a round-off floor of 1e-12; past
     the box (d <= 2) it is Monte Carlo over a ``starts``^d lattice of x,
     cfg.paths paths each, kept above the noise floor 3 / sqrt(cfg.paths).
-    The route and floor are recorded; fit failure is reported, not raised.
+    The route and floor are recorded, and on the modes the propagator
+    ``mode_semigroup`` took (``"dense"`` or ``"krylov"``) and the mode
+    count (both None when no path or semigroup ran); fit failure is
+    reported, not raised.
     """
     mu = mu if mu is not None else stationary_measure(spec)
     time_grid = np.asarray(sorted(time_grid), dtype=float)
@@ -349,15 +353,17 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
     if not fits_mode_box(spec):
         route, floor = "monte_carlo", 3.0 / math.sqrt(cfg.paths)
     sup_curve = np.zeros(len(time_grid))
-    if fs:
-        sup_curve = (_semigroup_gaps(spec, fs, time_grid, mu.grid)
-                     if route == "modes" else
-                     _monte_carlo_gaps(spec, fs, time_grid, cfg, mu, starts))
+    propagator = n_modes = None
+    if fs and route == "modes":
+        sup_curve, propagator, n_modes = _semigroup_gaps(spec, fs, time_grid,
+                                                         mu.grid)
+    elif fs:
+        sup_curve = _monte_carlo_gaps(spec, fs, time_grid, cfg, mu, starts)
     usable = sup_curve > floor
     table = list(zip(time_grid.tolist(), sup_curve.tolist()))
     if usable.sum() < 2:
         return MixingEstimate(float("nan"), float("nan"), float("nan"),
-                              False, route, floor, table)
+                              False, route, floor, table, propagator, n_modes)
     t_u = time_grid[usable]
     y = np.log(sup_curve[usable])
     A = np.stack([np.ones_like(t_u), -t_u], axis=1)
@@ -365,7 +371,7 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
     resid = float(np.sqrt(res[0] / len(t_u))) if len(res) else 0.0
     lam = float(coef[1])
     return MixingEstimate(lam, float(np.exp(coef[0])), resid, lam > 0,
-                          route, floor, table)
+                          route, floor, table, propagator, n_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,12 +22,22 @@ class TorusGrid:
         return 1.0 / self.n
 
     @property
+    def axis(self):
+        """Node coordinates j/n along one axis."""
+        return np.arange(self.n) / self.n
+
+    @cached_property
     def centers(self):
-        g = np.arange(self.n) / self.n
+        """The nodes (n^d, d), last axis fastest; built once per grid and
+        read-only, as every caller shares it."""
+        g = self.axis
         if self.d == 1:
-            return g[:, None]
-        mesh = np.meshgrid(*([g] * self.d), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+            c = g[:, None]
+        else:
+            mesh = np.meshgrid(*([g] * self.d), indexing="ij")
+            c = np.stack([m.ravel() for m in mesh], axis=-1)
+        c.flags.writeable = False
+        return c
 
     def flat_index(self, multi):
         """Flatten per-axis indices (..., d) into linear cell indices."""

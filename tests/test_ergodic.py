@@ -13,6 +13,7 @@ from levyhom.ergodic import (TorusMeasure, effective_drifts,
                              ergodic_average_decay, estimate_invariant_measure,
                              kernel_tail_constant, mixing_rate, mu_average,
                              stationary_measure, stationary_measure_grid)
+from levyhom.grid import TorusGrid
 from levyhom.pathsim import SimConfig
 from levyhom.spec_model import PeriodicKernel
 from levyhom.trigpoly import TrigPoly
@@ -32,6 +33,29 @@ def test_torus_measure_invariants():
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         TorusMeasure(mu.grid, np.full(16, 0.5))
+
+
+def _to_csv_per_row(mu, path):
+    """The per-row format: every coordinate and weight through %.17g."""
+    d = mu.grid.d
+    row = ",".join(["%d"] + ["%.17g"] * (d + 1)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["cell"] + [f"x_{a}" for a in range(d)]
+                          + ["weight"]) + "\r\n")
+        table = np.column_stack([mu.centers, mu.weights])
+        fh.writelines(row % (i, *r) for i, r in enumerate(
+            map(np.ndarray.tolist, table)))
+
+
+@pytest.mark.parametrize("d, n", [(1, 128), (2, 64), (3, 7)])
+def test_measure_csv_bytes_match_the_per_row_format(d, n, tmp_path):
+    w = np.random.default_rng(d).dirichlet(np.ones(n ** d))
+    mu = TorusMeasure(TorusGrid(d, n), w)
+    mu.to_csv(tmp_path / "fast.csv")
+    _to_csv_per_row(mu, tmp_path / "rows.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "rows.csv").read_bytes()
+    assert fast.count(b"\r\n") == n ** d + 1
 
 
 def test_mu_average_trivials():
@@ -203,21 +227,34 @@ def _fixture_mixing(name):
                                  settings.sim, mu=mu, starts=4)
 
 
+# the stiff operators (|M|_1 in the thousands) and the 3-mode ones take
+# the dense propagator, the mild 81-mode ones the Krylov stepping
+PROPAGATOR = {"ex4_0_axes": ("dense", 3), "ex4_1_cauchy": ("dense", 81),
+              "ex4_1_centered": ("dense", 81), "ex4_1_critical": ("dense", 3),
+              "ex4_1_diffusive": ("krylov", 81),
+              "ex4_1_stable": ("krylov", 81), "ex4_3_mixed": ("dense", 81)}
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_every_fixture_mixes_on_the_mode_route(name):
     est = _fixture_mixing(name)[2]
     assert est.route == "modes" and est.floor == 1e-12
     assert est.ok and np.isfinite(est.lambda1)
-    assert est.to_json()["route"] == "modes"
+    assert (est.propagator, est.modes) == PROPAGATOR[name]
+    payload = est.to_json()
+    assert payload["route"] == "modes"
+    assert (payload["propagator"], payload["modes"]) == PROPAGATOR[name]
 
 
 def test_critical_mixing_rate_is_the_multiplier():
-    # constant kernel, no drift: E_x cos(2 pi x1)(X_t) = e^{t m(e1)}
-    # cos(2 pi x1) with m(e1) real, so the sup over the nodes is exactly
-    # exponential and the fit returns -m(e1)
+    # constant kernel, no drift: M is diagonal and E_x cos(2 pi x1)(X_t) =
+    # e^{t m(e1)} cos(2 pi x1) with m(e1) = m(-e1) real, so the sup over
+    # the nodes is exactly exponential and the fit returns -m(e1)
     spec, _, est = _fixture_mixing("ex4_1_critical")
-    m1 = fourier_multiplier(spec, (1, 0))
-    assert est.lambda1 == pytest.approx(-m1.real, rel=1e-9)
+    m = [fourier_multiplier(spec, l) for l in ((1, 0), (-1, 0))]
+    want = [max(abs(np.exp(t * ml)) for ml in m) for t in MIXING_TIMES]
+    assert np.allclose([v for _, v in est.table], want, rtol=1e-14, atol=0)
+    assert est.lambda1 == pytest.approx(-m[0].real, rel=1e-9)
     assert est.fit_residual < 1e-9
 
 

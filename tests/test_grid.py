@@ -43,3 +43,15 @@ def test_interp_weights_equal_reference(d, n):
     ref_idx, ref_wts = _interp_weights_reference(grid, pts)
     assert np.array_equal(idx, ref_idx) and np.array_equal(wts, ref_wts)
     assert idx.min() >= 0 and idx.max() < grid.size
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 5)])
+def test_centers_are_built_once_and_read_only(d, n):
+    grid = TorusGrid(d, n)
+    c = grid.centers
+    assert grid.centers is c and not c.flags.writeable
+    assert c.shape == (grid.size, d)
+    # row k is the node of linear index k
+    assert np.array_equal(grid.node_of(c), np.arange(grid.size))
+    with pytest.raises(ValueError):
+        c[0, 0] = 0.5

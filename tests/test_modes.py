@@ -2,17 +2,22 @@
 route, closed-form invariant densities, direct quadrature of the
 multipliers, and the spectral d=1 solve it replaced."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 from levyhom import corrector, ergodic
 from levyhom.config import fixture_config, load_config
 from levyhom.corrector import (VectorCorrector, assemble_operator,
                                corrector_rhs, covariance_matrix,
                                critical_covariance, generator_multipliers,
-                               jump_nodes, mode_poisson_solver, mode_set,
-                               solve_poisson, solve_recentering_corrector)
+                               jump_nodes, mode_operator, mode_poisson_solver,
+                               mode_semigroup, mode_set, solve_poisson,
+                               solve_recentering_corrector)
 from levyhom.ergodic import (TorusMeasure, stationary_measure,
                              stationary_measure_grid, stationary_measure_modes)
 from levyhom.grid import TorusGrid
@@ -240,6 +245,63 @@ for name in ("ex4_1_diffusive", "ex4_1_centered", "ex4_1_stable",
     w = stationary_measure(load_config(fixture_config(name)).spec).weights
     print(name, hashlib.sha256(w.tobytes()).hexdigest())
 """
+
+
+SEMIGROUP_TIMES = np.linspace(0.05, 0.8, 8)
+
+
+def _semigroup_case(spec, box):
+    """The mode operator on the modes reached from +-e1 in the box, and
+    the coefficients of cos and sin(2 pi x1) on them."""
+    e1 = tuple(np.eye(spec.d, dtype=int)[0])
+    modes = mode_set(spec, box, seeds=[e1, tuple(-np.array(e1))])
+    F = np.zeros((len(modes), 2), dtype=complex)
+    for sign in (1, -1):
+        row = np.all(modes == sign * np.array(e1), axis=1)
+        F[row] = [0.5, -0.5j * sign]
+    return mode_operator(spec, modes), F
+
+
+def _axes_on_both_axes_spec():
+    """ex4_0_axes with x-modes on both axes: 289 modes in the box 8."""
+    spec = _fixture_spec("ex4_0_axes")
+    poly = (spec.kernel.poly + TrigPoly.cos_x(2, 2, (1, 0), 0.2)
+            + TrigPoly.cos_x(2, 2, (0, 1), 0.2))
+    return replace(spec, kernel=PeriodicKernel.trig(poly))
+
+
+@pytest.mark.parametrize("spec, box, route", [
+    (_fixture_spec("ex4_1_centered"), 40, "dense"),
+    (_axes_on_both_axes_spec(), 8, "krylov")], ids=["centered", "axes2"])
+def test_semigroup_routes_agree(spec, box, route):
+    # each case checks the route the rule picks against the other one,
+    # stepped here from 0 through the same times
+    M, F = _semigroup_case(spec, box)
+    assert M.shape[0] == {"dense": 81, "krylov": 289}[route]
+    got, took = mode_semigroup(M, F, SEMIGROUP_TIMES)
+    assert took == route
+    other, G = [], F
+    for h in np.diff(SEMIGROUP_TIMES, prepend=0.0):
+        G = (expm_multiply(h * M, G) if route == "dense"
+             else expm(h * M.toarray()) @ G)
+        other.append(G)
+    assert np.abs(got - np.array(other)).max() <= 1e-13
+
+
+def test_dense_semigroup_draws_nothing_from_the_global_generator(
+        monkeypatch):
+    M, F = _semigroup_case(_fixture_spec("ex4_1_critical"), 16)
+    np.random.seed(12345)
+    before = np.random.get_state()
+
+    def no_seed(*args):
+        raise AssertionError("the dense route seeds no global generator")
+
+    monkeypatch.setattr(np.random, "seed", no_seed)
+    assert mode_semigroup(M, F, SEMIGROUP_TIMES)[1] == "dense"
+    after = np.random.get_state()
+    assert after[0] == before[0] and after[2:] == before[2:]
+    assert np.array_equal(after[1], before[1])
 
 
 def test_measure_bits_do_not_depend_on_blas_threads():
