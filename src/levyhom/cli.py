@@ -5,7 +5,7 @@ Every command is a pure function of (config file, flags, seed): outputs land
 in the chosen directory together with a manifest recording the config hash,
 seed, package version and any flag overrides. Exit codes: 0 success or PASS,
 2 validation failure, 3 verification FAIL, 4 malformed configuration or a
-spec that no route handles. The regime is read off phi's tail index.
+spec past the mode cap. The regime is read off phi's tail index.
 """
 
 from __future__ import annotations
@@ -121,8 +121,12 @@ def cmd_effective(args):
     spec = settings.spec
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    e1 = np.eye(spec.d, dtype=int)[0]
     try:
         mu = stationary_measure(spec, args.grid)
+        mix = mixing_rate(spec, [TrigPoly.cos_x(spec.d, 0, e1),
+                                 TrigPoly.sin_x(spec.d, 0, e1)],
+                          np.linspace(0.05, 0.8, 8), mu=mu)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -132,13 +136,6 @@ def cmd_effective(args):
     ladder = {}
     for R in (2.0, 4.0, 8.0, 16.0):
         ladder[str(R)] = np.atleast_1d(drifts.b_trunc_bar(R)).tolist()
-    e1 = np.eye(spec.d, dtype=int)[0]
-    mix = mixing_rate(
-        spec, [TrigPoly.cos_x(spec.d, 0, e1), TrigPoly.sin_x(spec.d, 0, e1)],
-        np.linspace(0.05, 0.8, 8),
-        replace(settings.sim,
-                paths=2000 if args.paths is None else args.paths),
-        mu=mu, starts=4)
     payload = {
         "drift_average": np.atleast_1d(drifts.b_bar).tolist(),
         "truncated_drift_average_ladder": ladder,
@@ -294,8 +291,6 @@ def build_parser():
     e.add_argument("config")
     e.add_argument("--out", default="out_effective")
     e.add_argument("--grid", type=int, default=None)
-    e.add_argument("--paths", type=int, default=None, help="paths per start"
-                   " of the Monte Carlo mixing estimate (grid route only)")
     e.set_defaults(fn=cmd_effective)
 
     c = sub.add_parser("corrector", help="solve the recentering corrector")

@@ -1,18 +1,19 @@
 """Nonlocal Poisson solves on the torus and the diffusive covariance matrix.
 
-The generator has two discretizations; one rule (``fits_mode_box``) picks
-the same one for the invariant measure and the corrector. On Fourier modes
-the trig kernel and drift act through exact multipliers (``mode_operator``,
-a Fourier-Galerkin truncation in any d <= 3; ``mode_poisson_solver``). The
-grid route (``assemble_operator``, dense, d in {1, 2}; ``solve_poisson``)
-replaces the singular part of the small-jump integral inside one grid cell
-by its second-order Taylor proxy (a scaled discrete Laplacian with the exact
-radial coefficient), the remaining jump integral by log-spaced
-Gauss-Legendre quadrature with multilinear interpolation, the compensator by
-central differences, and the drift by upwind differences. It serves specs
-whose x-modes fall outside the mode box, and is the oracle of the mode
-route. Each Poisson solve centres psi against its own operator's invariant
-density.
+On Fourier modes the trig kernel and drift act through exact multipliers;
+``mode_operator`` is the generator's Fourier-Galerkin truncation (any
+d <= 3) to the modes of one box, |l|_inf <= ``mode_box(spec)``: MODE_BOX[d],
+or four times the longest x-mode step when that is larger. The invariant
+measure, the mixing curve and the corrector (``mode_poisson_solver``) all
+come from it, and ``mode_set`` refuses more than MODE_CAP modes. The dense
+grid discretization (``assemble_operator``, d in {1, 2}; ``solve_poisson``)
+is the mode route's oracle. It replaces the singular part of the small-jump
+integral inside one grid cell by its second-order Taylor proxy (a scaled
+discrete Laplacian with the exact radial coefficient), the remaining jump
+integral by log-spaced Gauss-Legendre quadrature with multilinear
+interpolation, the compensator by central differences, and the drift by
+upwind differences. Each Poisson solve centres psi against its own
+operator's invariant density.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ def operator_radius(spec: JumpSpec):
 class AssembledOperator:
     grid: TorusGrid
     matrix: np.ndarray
-    spec: JumpSpec
     meta: dict = field(default_factory=dict)
     _weights: Optional[np.ndarray] = field(default=None, init=False,
                                            repr=False)
@@ -151,14 +151,15 @@ def assemble_operator(spec: JumpSpec, n) -> AssembledOperator:
         np.add.at(L, (rows_idx, dn), neg)
         np.add.at(L, (rows_idx, rows_idx), -(pos + neg))
 
-    return AssembledOperator(grid, L, spec)
+    return AssembledOperator(grid, L)
 
 
 # ---------------------------------------------------------------------------
 # mode space (Fourier-Galerkin) generator for trig-poly coefficients
 # ---------------------------------------------------------------------------
 
-MODE_BOX = {1: 40, 2: 16, 3: 8}     # default box |l|_inf <= MODE_BOX[d]
+MODE_BOX = {1: 40, 2: 16, 3: 8}     # least box |l|_inf <= MODE_BOX[d]
+MODE_CAP = 20000                    # most modes one operator takes
 
 
 def _bessel_pair(nu, rho):
@@ -238,19 +239,26 @@ def x_mode_steps(spec: JumpSpec):
     return np.array(sorted(steps), dtype=np.int64).reshape(-1, spec.d)
 
 
-def fits_mode_box(spec: JumpSpec):
-    """Whether every x-mode step is at most MODE_BOX[d] / 4 long (|.|_inf),
-    so that the modes reached from 0 reach four steps out in each direction:
-    the rule that sends mu and the corrector to the mode route."""
-    return bool(np.all(np.abs(x_mode_steps(spec)) <= MODE_BOX[spec.d] / 4))
+def mode_box(spec: JumpSpec):
+    """The box |l|_inf <= MODE_BOX[d], widened to four times the longest
+    x-mode step (|.|_inf) when that is larger, so that the modes reached
+    from 0 reach four steps out in each direction: the box of mu, the
+    mixing curve and the corrector."""
+    return max(MODE_BOX[spec.d],
+               4 * int(np.abs(x_mode_steps(spec)).max(initial=0)))
 
 
 def mode_set(spec: JumpSpec, box, full=False, seeds=()):
     """Modes of the box |l|_inf <= box reached from 0 and from the modes in
     ``seeds`` by steps along the x-modes of the kernel and drift ({0} when
-    there are neither), or the whole box with ``full``; mode 0 first."""
+    there are neither), or the whole box with ``full``; mode 0 first.
+    Raises as soon as the set passes MODE_CAP modes."""
     d = spec.d
+    cap = ValueError(f"the modes of the box |l|_inf <= {box} pass the mode "
+                     f"cap of {MODE_CAP}")
     if full:
+        if (2 * box + 1) ** d > MODE_CAP:
+            raise cap
         modes = np.indices((2 * box + 1,) * d).reshape(d, -1).T - box
         return modes[np.argsort(np.abs(modes).max(axis=1), kind="stable")]
     steps = x_mode_steps(spec).tolist()
@@ -262,6 +270,8 @@ def mode_set(spec: JumpSpec, box, full=False, seeds=()):
             if max(map(abs, nb)) <= box and nb not in seen:
                 seen.add(nb)
                 found.append(nb)
+                if len(found) > MODE_CAP:
+                    raise cap
     return np.array(found, dtype=np.int64).reshape(-1, d)
 
 
@@ -356,11 +366,15 @@ def mode_semigroup(M, F, times):
 
 
 def modes_on_grid(modes, coef, grid: TorusGrid):
-    """Values of sum_j coef_j e^{2 pi i modes_j.x} at the grid centers
-    (modes past the Nyquist range alias exactly at the nodes)."""
-    U = np.zeros((grid.n,) * grid.d, dtype=complex)
-    np.add.at(U, tuple((np.asarray(modes) % grid.n).T), coef)
-    return np.fft.ifftn(U).real.ravel() * grid.size
+    """Values of sum_j coef_j e^{2 pi i modes_j.x} at the grid centers, one
+    column per column of ``coef`` and all in one inverse FFT (modes past
+    the Nyquist range alias exactly at the nodes)."""
+    coef = np.asarray(coef)
+    U = np.zeros(coef.shape[1:] + (grid.n,) * grid.d, dtype=complex)
+    np.add.at(U, (...,) + tuple((np.asarray(modes) % grid.n).T), coef.T)
+    # in place: a fresh output per axis costs more than the transform
+    np.fft.ifftn(U, axes=tuple(range(coef.ndim - 1, U.ndim)), out=U)
+    return U.real.reshape(coef.shape[1:] + (grid.size,)).T * grid.size
 
 
 def density_weights(w):
@@ -458,12 +472,13 @@ def solve_poisson(op: AssembledOperator, f, mean_tol=1e-8) -> CorrectorField:
 def mode_poisson_solver(spec: JumpSpec, n):
     """``solve(f)``: the zero-mean solution of (generator) psi = f for a
     trig spec, f and psi as values on the n-grid, on one mode operator and
-    one sparse LU for every f: the box |l|_inf <= min(n/2 - 1, MODE_BOX),
-    f's mode 0 dropped, so that psi solves L psi = f - mu(f) and is then
-    centred against mu, the invariant density of the same operator. The
-    residual is sum |M psi - f| over the box, relative to max |f|."""
+    one sparse LU for every f: the box |l|_inf <= min(n/2 - 1,
+    ``mode_box(spec)``), f's mode 0 dropped, so that psi solves
+    L psi = f - mu(f) and is then centred against mu, the invariant density
+    of the same operator. The residual is sum |M psi - f| over the box,
+    relative to max |f|."""
     grid = TorusGrid(spec.d, int(n))
-    modes = mode_set(spec, min(grid.n // 2 - 1, MODE_BOX[spec.d]), full=True)
+    modes = mode_set(spec, min(grid.n // 2 - 1, mode_box(spec)), full=True)
     M = mode_operator(spec, modes)
     solve, v = mode_solvers(M)
     mu_w = density_weights(modes_on_grid(-modes, v, grid))[0]
@@ -583,20 +598,14 @@ class VectorCorrector:
 def solve_recentering_corrector(spec: JumpSpec, mu, mode="full", R=None
                                 ) -> VectorCorrector:
     """Corrector for the recentering drift, one Poisson problem per axis on
-    mu's grid and on the operator mu comes from, factored once: the mode
-    operator when the x-modes fit the mode box, else the grid operator mu
-    keeps (or one assembled at mu's n). Raises in d = 3."""
+    mu's grid, all on one mode operator and one sparse LU
+    (``mode_poisson_solver``): the whole box ``mode_box(spec)`` of mu's
+    operator, cut to mu's Nyquist range. Raises in d = 3."""
     if spec.d > 2:
         raise ValueError(f"no diffusive corrector in d={spec.d}: the "
                          f"covariance's loop over mu's cells grows like n^3")
     rhs, _ = corrector_rhs(spec, mu, mode=mode, R=R)
-    if fits_mode_box(spec):
-        solve = mode_poisson_solver(spec, mu.grid.n)
-    else:
-        op = mu.operator
-        if op is None or op.spec is not spec:
-            op = assemble_operator(spec, mu.grid.n)
-        solve = lambda f: solve_poisson(op, f)
+    solve = mode_poisson_solver(spec, mu.grid.n)
     return VectorCorrector(solve(rhs[:, a]) for a in range(spec.d))
 
 

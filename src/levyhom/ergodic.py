@@ -1,14 +1,12 @@
 """Invariant measure of the quotient process and ergodic averages.
 
-Three estimators are provided. ``stationary_measure``, which the prediction
-pipeline uses, solves L* mu = 0 in mode space (Fourier-Galerkin) in any
-d <= 3 when the x-modes fit the mode box (``fits_mode_box``), else as the
-left null vector of the assembled grid generator (d <= 2), which is also the
-mode route's oracle; the corrector takes the same operator. The Monte Carlo
+``stationary_measure``, which the prediction pipeline uses, solves
+L* mu = 0 in mode space (Fourier-Galerkin) in any d <= 3, on the box
+``mode_box(spec)``: MODE_BOX[d], or four times the longest x-mode step when
+that is larger. The corrector takes the same operator, and ``mixing_rate``
+its exact semigroup e^{tM} on the test polys' coefficients. The Monte Carlo
 occupation histogram (quotient paths, time-averaged at the nearest nodes)
-validates both. ``mixing_rate`` takes mu's route too: on the modes its
-decay curve is the exact semigroup e^{tM} of the mode operator on the test
-polys' coefficients, past the box a Monte Carlo estimate.
+validates mu.
 
 The Monte Carlo estimators read simulated paths only as states at given
 times (``simulate_snapshots``). The occupation histogram and the windowed
@@ -28,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .corrector import (MODE_BOX, assemble_operator, density_weights,
-                        fits_mode_box, mode_operator, mode_semigroup,
-                        mode_set, mode_solvers, modes_on_grid, x_mode_steps)
+from .corrector import (density_weights, mode_box, mode_operator,
+                        mode_semigroup, mode_set, mode_solvers, modes_on_grid,
+                        x_mode_steps)
 from .grid import TorusGrid
 from .pathsim import SimConfig, simulate_snapshots
 from .regimes import EffectiveDrifts
@@ -40,11 +38,10 @@ from .spec_model import (IntegrabilityError, JumpSpec, full_drift,
 
 @dataclass
 class TorusMeasure:
-    """Weights at the nodes; the grid route keeps its AssembledOperator."""
+    """Weights at the nodes."""
     grid: TorusGrid
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
-    operator: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -157,34 +154,22 @@ def estimate_invariant_measure(spec: JumpSpec, cfg: SimConfig, grid_n=None
     return TorusMeasure.from_counts(grid, counts_a + counts_b, meta)
 
 
-def stationary_measure_grid(spec: JumpSpec, n=None) -> TorusMeasure:
-    """Invariant measure of the discretized generator (deterministic, d <= 2).
+def stationary_measure(spec: JumpSpec, n=None, box=None) -> TorusMeasure:
+    """Deterministic invariant measure of the spec from its mode operator
+    (Fourier-Galerkin) on the modes of |l|_inf <= box (``mode_box(spec)``
+    when not given) coupled to 0.
 
-    The oracle for the mode route, and the route for x-modes past the mode
-    box.
+    Weights are point values of the density on the n-grid, which
+    integrates trig polynomials exactly against it. Without n the grid has
+    the least power of two at or above 2 box + 2 nodes per axis (128, 64
+    and 32 for the least boxes of d = 1, 2, 3), so that the box fits its
+    Nyquist range. With no x-mode in the kernel and drift the only mode is
+    0: mu is exactly uniform. The residual is max |v^T M| over max |M|
+    max |v|; ``edge_mass`` is the share of sum |v| on the modes a step leads
+    out of the box, where the truncation drops coupling.
     """
-    n = n or default_grid_n(spec.d)
-    op = assemble_operator(spec, n)
-    w = op.stationary_weights()
-    return TorusMeasure(op.grid, w, {"route": "grid_adjoint", "grid_n": n,
-                                     **op.meta}, op)
-
-
-def stationary_measure_modes(spec: JumpSpec, n=None, box=None
-                             ) -> TorusMeasure:
-    """Invariant measure of the spec from its mode operator
-    (Fourier-Galerkin) on the modes of |l|_inf <= box coupled to 0.
-
-    Weights are point values of the density on the grid (n = 128 in d = 1),
-    which integrates trig polynomials exactly against it. With no x-mode
-    in the kernel and drift the only mode is 0: mu is exactly uniform. The
-    residual is max |v^T M| over max |M| max |v|; ``edge_mass`` is the
-    share of sum |v| on the modes a step leads out of the box, where the
-    truncation drops coupling.
-    """
-    grid = TorusGrid(spec.d, n or (128 if spec.d == 1
-                                   else default_grid_n(spec.d)))
-    box = int(box or MODE_BOX[spec.d])
+    box = int(box or mode_box(spec))
+    grid = TorusGrid(spec.d, n or 1 << (2 * box + 1).bit_length())
     modes = mode_set(spec, box)
     M = mode_operator(spec, modes)
     v = mode_solvers(M)[1]
@@ -197,20 +182,6 @@ def stationary_measure_modes(spec: JumpSpec, n=None, box=None
         "unknowns": len(modes) - 1, "clipped_mass": clipped,
         "residual": float(np.abs(M.T @ v).max() / scale) if scale else 0.0,
         "edge_mass": float(np.abs(v[edge]).sum() / np.abs(v).sum())})
-
-
-def stationary_measure(spec: JumpSpec, n=None) -> TorusMeasure:
-    """Deterministic invariant measure: the mode route when the x-modes of
-    the kernel and drift are at most a quarter of the default mode box
-    long, the grid adjoint (d <= 2) otherwise."""
-    if fits_mode_box(spec):
-        return stationary_measure_modes(spec, n)
-    if spec.d > 2:
-        raise ValueError(
-            f"no deterministic invariant measure in d={spec.d}: the mode "
-            f"route needs a kernel and drift with x-modes of length "
-            f"<= {MODE_BOX[spec.d] // 4}")
-    return stationary_measure_grid(spec, n)
 
 
 def mu_average(mu: TorusMeasure, g):
@@ -266,6 +237,9 @@ def kernel_tail_constant(spec: JumpSpec, mu: TorusMeasure,
 
 @dataclass
 class MixingEstimate:
+    """The fit of ``mixing_rate``. ``route`` is always ``"modes"`` and
+    ``floor`` the round-off floor MIXING_FLOOR; ``propagator`` and ``modes``
+    are those of the semigroup, None when no test function was nonzero."""
     lambda1: float
     prefactor: float
     fit_residual: float
@@ -284,17 +258,21 @@ class MixingEstimate:
         return payload
 
 
+MIXING_FLOOR = 1e-12
+
+
 def _semigroup_gaps(spec: JumpSpec, polys, time_grid, grid: TorusGrid):
     """Max over the polys of sup over the nodes of |E_x f(X_t) - mu(f)| at
     each time: E_x f(X_t) = sum_l [e^{tM} f^]_l e^{2 pi i l.x} on the mode
-    operator M of the modes reached from 0 and from the polys' x-modes, and
-    mu(f) = v.f^ with v the left null vector of the same M. The gap is
-    e^{tM} (f^ - mu(f) e_0); as M e_0 = 0 and v annihilates it, it is
-    e^{tA} f^ on the modes other than 0, A = M without mode 0, and
-    -v.(that) on mode 0. A has no null vector, so what it propagates
-    decays with the gap and keeps its relative precision. Also returns
-    the propagator ``mode_semigroup`` took and the mode count."""
-    modes = mode_set(spec, MODE_BOX[spec.d],
+    operator M of the modes of ``mode_box(spec)`` reached from 0 and from
+    the polys' x-modes, and mu(f) = v.f^ with v the left null vector of
+    the same M. The gap is e^{tM} (f^ - mu(f) e_0); as M e_0 = 0 and v
+    annihilates it, it is e^{tA} f^ on the modes other than 0, A = M
+    without mode 0, and -v.(that) on mode 0. A has no null vector, so what
+    it propagates decays with the gap and keeps its relative precision.
+    Also returns the propagator ``mode_semigroup`` took and the mode
+    count."""
+    modes = mode_set(spec, mode_box(spec),
                      seeds=sorted({mx for f in polys for mx, _ in f.coeffs}))
     F = np.zeros((len(modes), len(polys)), dtype=complex)
     for j, f in enumerate(polys):
@@ -303,67 +281,37 @@ def _semigroup_gaps(spec: JumpSpec, polys, time_grid, grid: TorusGrid):
     M = mode_operator(spec, modes)
     v = mode_solvers(M)[1]
     states, propagator = mode_semigroup(M[1:, 1:], F[1:], time_grid)
-    gaps = []
-    for rest in states:
-        gap = np.vstack([-v[1:] @ rest, rest])
-        gaps.append(max(np.abs(modes_on_grid(modes, g, grid)).max()
-                        for g in gap.T))
-    return np.array(gaps), propagator, len(modes)
+    gaps = np.hstack([np.vstack([-v[1:] @ rest, rest]) for rest in states])
+    values = np.abs(modes_on_grid(modes, gaps, grid))
+    return (values.reshape(grid.size, len(states), -1).max(axis=(0, 2)),
+            propagator, len(modes))
 
 
-def _monte_carlo_gaps(spec, fs, time_grid, cfg, mu, starts):
-    """The same sup over a starts^d lattice of x, each E_x f(X_t) the mean
-    over one snapshot batch of cfg.paths paths."""
-    g = np.arange(starts) / starts
-    start_pts = (np.stack(np.meshgrid(*([g] * spec.d), indexing="ij"),
-                          axis=-1).reshape(-1, spec.d)
-                 if spec.d > 1 else g[:, None])
-    sup_curve = np.zeros(len(time_grid))
-    for si, x0 in enumerate(start_pts):
-        sub = replace(cfg, horizon=float(time_grid[-1]),
-                      seed=cfg.seed + 7919 * si)
-        snaps = simulate_snapshots(spec, sub, time_grid, x0=x0)
-        snaps_mod = snaps - np.floor(snaps)
-        for f in fs:
-            target = float(mu_average(mu, f))
-            for ti in range(len(time_grid)):
-                est = float(np.mean(np.asarray(f(snaps_mod[:, ti, :]))))
-                sup_curve[ti] = max(sup_curve[ti], abs(est - target))
-    return sup_curve
-
-
-def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
-                mu: Optional[TorusMeasure] = None, starts=8) -> MixingEstimate:
+def mixing_rate(spec: JumpSpec, test_functions, time_grid,
+                mu: Optional[TorusMeasure] = None) -> MixingEstimate:
     """Least-squares fit of log sup_x |E_x f(X_t) - mu(f)| = log C - lambda1 t
     over the time grid, for x-only ``TrigPoly`` test functions f (zero ones
-    skipped). The curve is exact at mu's nodes on mu's route, the modes
-    (``fits_mode_box``), and kept above a round-off floor of 1e-12; past
-    the box (d <= 2) it is Monte Carlo over a ``starts``^d lattice of x,
-    cfg.paths paths each, kept above the noise floor 3 / sqrt(cfg.paths).
-    The route and floor are recorded, and on the modes the propagator
-    ``mode_semigroup`` took (``"dense"`` or ``"krylov"``) and the mode
-    count (both None when no path or semigroup ran); fit failure is
+    skipped). The curve is exact at mu's nodes: the semigroup of the mode
+    operator on mu's box (``_semigroup_gaps``), kept above the round-off floor
+    MIXING_FLOOR. The estimate records the propagator ``mode_semigroup``
+    took (``"dense"`` or ``"krylov"``) and the mode count; fit failure is
     reported, not raised.
     """
     mu = mu if mu is not None else stationary_measure(spec)
     time_grid = np.asarray(sorted(time_grid), dtype=float)
     fs = [f for f in test_functions
           if np.max(np.abs(np.asarray(f(mu.centers)))) > 0]
-    route, floor = "modes", 1e-12
-    if not fits_mode_box(spec):
-        route, floor = "monte_carlo", 3.0 / math.sqrt(cfg.paths)
     sup_curve = np.zeros(len(time_grid))
     propagator = n_modes = None
-    if fs and route == "modes":
+    if fs:
         sup_curve, propagator, n_modes = _semigroup_gaps(spec, fs, time_grid,
                                                          mu.grid)
-    elif fs:
-        sup_curve = _monte_carlo_gaps(spec, fs, time_grid, cfg, mu, starts)
-    usable = sup_curve > floor
+    usable = sup_curve > MIXING_FLOOR
     table = list(zip(time_grid.tolist(), sup_curve.tolist()))
     if usable.sum() < 2:
         return MixingEstimate(float("nan"), float("nan"), float("nan"),
-                              False, route, floor, table, propagator, n_modes)
+                              False, "modes", MIXING_FLOOR, table,
+                              propagator, n_modes)
     t_u = time_grid[usable]
     y = np.log(sup_curve[usable])
     A = np.stack([np.ones_like(t_u), -t_u], axis=1)
@@ -371,7 +319,7 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid, cfg: SimConfig,
     resid = float(np.sqrt(res[0] / len(t_u))) if len(res) else 0.0
     lam = float(coef[1])
     return MixingEstimate(lam, float(np.exp(coef[0])), resid, lam > 0,
-                          route, floor, table, propagator, n_modes)
+                          "modes", MIXING_FLOOR, table, propagator, n_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from levyhom.corrector import assemble_operator
+from levyhom.ergodic import TorusMeasure, default_grid_n
 from levyhom.pathsim import philox_key
 
 
@@ -49,3 +51,13 @@ def exact_symmetric_stable_1d(alpha, scale_exponent, t, n, seed):
     x = (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
          * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
     return (t * scale_exponent) ** (1.0 / alpha) * x
+
+
+def stationary_measure_grid(spec, n=None):
+    """Invariant measure of the dense grid generator (d <= 2): the left
+    null vector of ``assemble_operator``, the oracle of the mode route."""
+    n = n or default_grid_n(spec.d)
+    op = assemble_operator(spec, n)
+    w = op.stationary_weights()
+    return TorusMeasure(op.grid, w, {"route": "grid_adjoint", "grid_n": n,
+                                     **op.meta})

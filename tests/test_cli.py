@@ -1,12 +1,10 @@
 """Config schema round-trips and command-line pipeline contracts."""
 
 import json
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from levyhom import corrector, ergodic
+from levyhom import corrector
 from levyhom.cli import main
 from levyhom.config import (ConfigSchemaError, FIXTURES, dump_config,
                             fixture_config, load_config)
@@ -131,33 +129,79 @@ def test_cli_malformed_config_exits_4(tmp_path, capsys, make):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
-def _d3_config(tmp_path, x_mode):
+def _d3_config(tmp_path, *x_modes, amplitude=0.3):
     raw = fixture_config("ex4_1_critical")
     raw.update(dimension=3, phi={"variant": "power", "alpha": 3.0},
                rho0={"variant": "uniform", "total_mass": 1.0},
                regime="diffusive")
-    raw["kernel"]["terms"].append({"amplitude": 0.3, "x_mode": x_mode})
+    raw["kernel"]["terms"].extend({"amplitude": amplitude, "x_mode": x_mode}
+                                  for x_mode in x_modes)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dump_config(raw))
     return cfg
 
 
 @pytest.mark.parametrize("argv, x_mode", [
-    (["effective", "--grid", "4", "--paths", "20"], [3, 0, 0]),
-    (["simulate", "--eps", "0.5"], [3, 0, 0]),
     (["corrector"], [3, 0, 0]),
     (["corrector", "--grid", "4"], [1, 0, 0])],
-    ids=["effective", "simulate", "corrector_measure", "corrector_assembly"])
+    ids=["corrector_measure", "corrector_assembly"])
 def test_cli_d3_specs_without_a_route_exit_4(tmp_path, capsys, argv, x_mode):
-    # an x-mode longer than 2 leaves d = 3 without an invariant measure; a
-    # shorter one has mu, but the corrector raises in d = 3, where the
-    # covariance's loop over mu's n^3 cells grows out of reach
+    # mu exists in d = 3 for any x-mode, but the corrector raises there,
+    # where the covariance's loop over mu's n^3 cells grows out of reach
     cfg = _d3_config(tmp_path, x_mode)
     code = _exit_code([argv[0], str(cfg), "--out", str(tmp_path / "out")]
                       + argv[1:])
     assert code == 4
     err = capsys.readouterr().err
     assert "error: " in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["effective", "--grid", "4"],
+    ["simulate", "--eps", "0.5", "--paths", "20"]],
+    ids=["effective", "simulate"])
+def test_cli_d3_long_x_modes_run(tmp_path, argv):
+    # an x-mode of length 3 widens the d = 3 mode box from 8 to 12
+    cfg = _d3_config(tmp_path, [3, 0, 0])
+    assert main([argv[0], str(cfg), "--out", str(tmp_path / "out")]
+                + argv[1:]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["effective"], ["corrector"], ["simulate", "--eps", "0.5"],
+    ["verify", "--ladder", "1/8"]],
+    ids=["effective", "corrector", "simulate", "verify"])
+def test_cli_specs_past_the_mode_cap_exit_4(tmp_path, capsys, monkeypatch,
+                                            argv):
+    # x-modes e1, e2, e3 and 5 e1 reach every mode of the box 20: 41^3
+    # modes, past the cap, which is found before any multiplier is built
+    def no_multiplier(*args, **kwargs):
+        raise AssertionError("the cap stops the walk before multipliers")
+
+    monkeypatch.setattr(corrector, "generator_multipliers", no_multiplier)
+    cfg = _d3_config(tmp_path, [1, 0, 0], [0, 1, 0], [0, 0, 1], [5, 0, 0],
+                     amplitude=0.2)
+    code = _exit_code([argv[0], str(cfg), "--out", str(tmp_path / "out")]
+                      + argv[1:])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "mode cap of 20000" in err and err.count("\n") == 1
+
+
+def test_cli_effective_exits_4_when_the_mixing_passes_the_cap(
+        tmp_path, capsys, monkeypatch):
+    # x-mode 2: mu takes the 41 even modes of the box 40, and the mixing
+    # curve of cos and sin 2 pi x the 40 odd ones too, past a cap of 60
+    monkeypatch.setattr(corrector, "MODE_CAP", 60)
+    raw = fixture_config("ex4_1_stable")
+    raw["kernel"]["terms"][1]["x_mode"] = [2]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(raw))
+    out = tmp_path / "out"
+    assert _exit_code(["effective", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "mode cap of 60" in err and err.count("\n") == 1
+    assert not (out / "effective.json").exists()
 
 
 def test_config_kernel_terms_evaluate():
@@ -193,8 +237,8 @@ def test_cli_effective_x_independent(tmp_path):
     raw["kernel"] = {"variant": "trig", "terms": [{"amplitude": 1.0}]}
     cfg.write_text(dump_config(raw))
     out = tmp_path / "eff"
-    assert main(["effective", str(cfg), "--out", str(out), "--grid", "32",
-                 "--paths", "400"]) == 0
+    assert main(["effective", str(cfg), "--out", str(out), "--grid",
+                 "32"]) == 0
     payload = json.loads((out / "effective.json").read_text())
     assert payload["drift_average"] == [0.0]
     w = np.loadtxt(out / "invariant_measure.csv", delimiter=",", skiprows=1)
@@ -206,29 +250,6 @@ def test_cli_effective_x_independent(tmp_path):
     assert info["clipped_mass"] >= 0.0 and np.isfinite(info["residual"])
     assert info["min_weight"] == info["max_weight"] == 1.0 / 32
     assert (out / "manifest_effective.json").exists()
-
-
-def test_cli_effective_mixing_keeps_the_config_settings(tmp_path,
-                                                       monkeypatch):
-    # the mixing runs of `effective` take the config's sim settings; only
-    # the path count comes from --paths (an x-mode past the mode box, so
-    # the mixing estimate is the Monte Carlo one)
-    from levyhom import pathsim
-    seen = []
-    build = pathsim.driver_from_spec
-    monkeypatch.setattr(pathsim, "driver_from_spec",
-                        lambda spec, cfg, horizon:
-                        seen.append(cfg) or build(spec, cfg, horizon))
-    raw = fixture_config("ex4_1_stable")
-    raw["kernel"]["terms"][1]["x_mode"] = [11]
-    raw["sim"].update(dt=0.02, truncation_budget=1e-3, workers=2)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(dump_config(raw))
-    assert main(["effective", str(cfg), "--out", str(tmp_path / "eff"),
-                 "--grid", "16", "--paths", "40"]) == 0
-    assert len(seen) == 4
-    assert all((c.paths, c.dt, c.truncation_budget, c.workers, c.delta)
-               == (40, 0.02, 1e-3, 2, 0.1) for c in seen)
 
 
 def test_cli_simulate_reproducible(tmp_path):
@@ -277,49 +298,24 @@ def test_cli_corrector_diffusive(tmp_path, monkeypatch):
         raise AssertionError("the mode route assembles no grid operator")
 
     monkeypatch.setattr(corrector, "assemble_operator", no_assembly)
-    monkeypatch.setattr(ergodic, "assemble_operator", no_assembly)
     info = _corrector_info(tmp_path, fixture_config("ex4_1_diffusive"),
                            "--grid", "64")
     assert info["residual_rel"] <= 1e-6
     assert info["method"] == "fourier"
 
 
-def test_cli_corrector_past_the_mode_box_takes_the_grid_route(tmp_path):
+def test_cli_corrector_past_the_least_mode_box_takes_the_mode_route(
+        tmp_path):
+    # an x-mode of 11 widens the d = 1 box to 44, inside mu's 128 nodes
     raw = fixture_config("ex4_1_diffusive")
     raw["kernel"]["terms"][1]["x_mode"] = [11]
     info = _corrector_info(tmp_path, raw)
     assert info["residual_rel"] <= 1e-6
-    assert info["method"] == "grid"
-
-
-def test_cli_corrector_reuses_the_grid_operator_of_mu(tmp_path, monkeypatch):
-    # past the mode box, psi is solved on the operator mu was computed from,
-    # assembled once; the files are the bytes of a second assembly
-    raw = fixture_config("ex4_1_diffusive")
-    raw["kernel"]["terms"][1]["x_mode"] = [11]
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(dump_config(raw))
-    sizes = []
-    build = corrector.assemble_operator
-    counting = lambda spec, n: sizes.append(n) or build(spec, n)
-    monkeypatch.setattr(corrector, "assemble_operator", counting)
-    monkeypatch.setattr(ergodic, "assemble_operator", counting)
-    assert main(["corrector", str(cfg), "--out", str(tmp_path / "a")]) == 0
-    assert sizes == [64]
-    grid_measure = ergodic.stationary_measure_grid
-    monkeypatch.setattr(ergodic, "stationary_measure_grid",
-                        lambda spec, n=None: replace(grid_measure(spec, n),
-                                                     operator=None))
-    assert main(["corrector", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    assert sizes == [64] * 3
-    for name in ("corrector.json", "corrector_0.csv", "covariance.json"):
-        assert ((tmp_path / "a" / name).read_bytes()
-                == (tmp_path / "b" / name).read_bytes())
+    assert info["method"] == "fourier"
 
 
 @pytest.mark.parametrize("command, fixture, flags, want", [
-    ("effective", "ex4_1_critical", ["--grid", "32", "--paths", "400"],
-     {"grid": 32, "paths": 400}),
+    ("effective", "ex4_1_critical", ["--grid", "32"], {"grid": 32}),
     ("corrector", "ex4_1_cauchy", ["--grid", "32", "--eps", "0.125"],
      {"grid": 32, "eps": 0.125}),
     ("simulate", "ex4_1_stable",
@@ -375,14 +371,12 @@ def test_cli_verify_smoke(tmp_path):
     ("verify", ["--ladder", "-1"]), ("verify", ["--ladder", "1/8,0"]),
     ("verify", ["--ladder", "1/8,"]), ("verify", ["--paths", "0"]),
     ("corrector", ["--eps", "0"]), ("corrector", ["--eps", "-0.5"]),
-    ("corrector", ["--grid", "0"]), ("effective", ["--paths", "-5"]),
-    ("effective", ["--paths", "0"]), ("effective", ["--grid", "0"]),
+    ("corrector", ["--grid", "0"]), ("effective", ["--grid", "0"]),
     ("simulate", ["--grid", "0"]), ("simulate", ["--eps", "0"]),
     ("simulate", ["--paths", "0"])],
     ids=["ladder_word", "ladder_one_over_zero", "ladder_negative",
          "ladder_zero", "ladder_empty_entry", "paths_zero",
          "corrector_eps_zero", "corrector_eps_negative", "corrector_grid_zero",
-         "effective_paths_negative", "effective_paths_zero",
          "effective_grid_zero", "simulate_grid_zero", "simulate_eps_zero",
          "simulate_paths_zero"])
 def test_cli_verify_malformed_flags_exit_4(tmp_path, capsys, command, flags):

@@ -12,13 +12,14 @@ from levyhom.corrector import assemble_operator, fourier_multiplier
 from levyhom.ergodic import (TorusMeasure, effective_drifts,
                              ergodic_average_decay, estimate_invariant_measure,
                              kernel_tail_constant, mixing_rate, mu_average,
-                             stationary_measure, stationary_measure_grid)
+                             stationary_measure)
 from levyhom.grid import TorusGrid
 from levyhom.pathsim import SimConfig
 from levyhom.spec_model import PeriodicKernel
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
+from oracles import stationary_measure_grid
 
 
 def harmonic_profile_measure(n):
@@ -187,27 +188,18 @@ def test_kernel_tail_constant_flags_oscillation():
     assert not cauchy
 
 
-def _long_x_mode_spec_1d():
-    """k(x, z) = 1 + 0.5 cos(2 pi 11 x): an x-mode past a quarter of the d=1
-    mode box, so mu and the mixing estimate take the grid route."""
-    poly = TrigPoly.const(1, 1, 1.0) + TrigPoly.cos_x(1, 1, (11,), 0.5)
-    return make_spec(kernel=PeriodicKernel.trig(poly))
-
-
 def test_mixing_rate_matches_multiplier(constant_spec_1d):
     m1 = fourier_multiplier(constant_spec_1d, [1.0])
     fs = [TrigPoly.cos_x(1, 0, (1,))]
     tgrid = np.linspace(0.05, 0.6, 8)
-    est = mixing_rate(constant_spec_1d, fs, tgrid,
-                      SimConfig(paths=4000, delta=0.25, seed=29), starts=4)
+    est = mixing_rate(constant_spec_1d, fs, tgrid)
     assert est.ok
     assert est.lambda1 == pytest.approx(-m1.real, rel=0.3)
 
 
 def test_mixing_rate_skips_zero_function(constant_spec_1d):
     est = mixing_rate(constant_spec_1d, [TrigPoly(1, 0, {})],
-                      np.linspace(0.1, 1.0, 4),
-                      SimConfig(paths=100, delta=0.25, seed=1), starts=2)
+                      np.linspace(0.1, 1.0, 4))
     assert not est.ok
 
 
@@ -220,11 +212,10 @@ MIXING_TIMES = np.linspace(0.05, 0.8, 8)
 
 
 def _fixture_mixing(name):
-    settings = load_config(fixture_config(name))
-    spec = settings.spec
+    spec = load_config(fixture_config(name)).spec
     mu = stationary_measure(spec)
     return spec, mu, mixing_rate(spec, _e1_polys(spec.d), MIXING_TIMES,
-                                 settings.sim, mu=mu, starts=4)
+                                 mu=mu)
 
 
 # the stiff operators (|M|_1 in the thousands) and the 3-mode ones take
@@ -281,8 +272,7 @@ def test_mode_route_mixing_runs_no_paths(xdep_spec_1d, monkeypatch):
         raise AssertionError("the mode route simulates no paths")
 
     monkeypatch.setattr(pathsim, "driver_from_spec", no_driver)
-    est = mixing_rate(xdep_spec_1d, _e1_polys(1), MIXING_TIMES,
-                      SimConfig(paths=50, delta=0.25, seed=3))
+    est = mixing_rate(xdep_spec_1d, _e1_polys(1), MIXING_TIMES)
     assert est.ok and est.route == "modes"
 
 
@@ -309,8 +299,7 @@ def test_ergodic_average_decay_rejects_biased_function(constant_spec_1d):
 
 def test_derived_runs_keep_the_config_settings(constant_spec_1d, monkeypatch):
     # the runs that the estimators derive from cfg keep its truncation
-    # budget and dt; only paths, horizon and seed are theirs to set (the
-    # mixing runs on a spec past the mode box, the one that takes them)
+    # budget and dt; only paths, horizon and seed are theirs to set
     seen = []
     build = pathsim.driver_from_spec
     monkeypatch.setattr(pathsim, "driver_from_spec",
@@ -319,9 +308,8 @@ def test_derived_runs_keep_the_config_settings(constant_spec_1d, monkeypatch):
     cfg = SimConfig(paths=20, delta=0.25, seed=7, dt=0.02,
                     truncation_budget=1e-3)
     f = TrigPoly.cos_x(1, 0, (1,))
-    mixing_rate(_long_x_mode_spec_1d(), [f], [0.1, 0.2], cfg, starts=2)
     ergodic_average_decay(constant_spec_1d, f, [0.25], cfg)
     estimate_invariant_measure(constant_spec_1d, replace(cfg, horizon=2.0),
                                grid_n=8)
-    assert len(seen) == 2 + 1 + 2
+    assert len(seen) == 1 + 2
     assert all(c.truncation_budget == 1e-3 and c.dt == 0.02 for c in seen)

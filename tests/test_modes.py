@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from levyhom import corrector, ergodic
+from levyhom import corrector
 from levyhom.config import fixture_config, load_config
 from levyhom.corrector import (VectorCorrector, assemble_operator,
                                corrector_rhs, covariance_matrix,
@@ -18,8 +18,7 @@ from levyhom.corrector import (VectorCorrector, assemble_operator,
                                jump_nodes, mode_operator, mode_poisson_solver,
                                mode_semigroup, mode_set, solve_poisson,
                                solve_recentering_corrector)
-from levyhom.ergodic import (TorusMeasure, stationary_measure,
-                             stationary_measure_grid, stationary_measure_modes)
+from levyhom.ergodic import TorusMeasure, stationary_measure
 from levyhom.grid import TorusGrid
 from levyhom.limits import predicted_limit
 from levyhom.quadrature import radial_fourier_integral
@@ -29,6 +28,7 @@ from levyhom.spec_model import (DriftField, PeriodicKernel,
 from levyhom.trigpoly import TrigPoly
 
 from conftest import fresh_python, make_spec
+from oracles import stationary_measure_grid
 
 _TWO_PI = 2.0 * np.pi
 
@@ -122,16 +122,34 @@ def test_mode_set_is_the_sublattice_of_the_x_modes():
     assert np.allclose(w[:64], w[64:], rtol=0, atol=1e-16)
 
 
+def test_mode_set_stops_at_the_cap(monkeypatch):
+    # x-modes e1, e2, e3 and 5 e1 reach every mode of the box 20 in d = 3,
+    # 41^3 of them; the walk raises past the cap, before any multiplier
+    def no_multiplier(*args, **kwargs):
+        raise AssertionError("the cap stops the walk before multipliers")
+
+    monkeypatch.setattr(corrector, "generator_multipliers", no_multiplier)
+    poly = TrigPoly.const(3, 3, 1.0)
+    for mx in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (5, 0, 0)):
+        poly = poly + TrigPoly.cos_x(3, 3, mx, 0.1)
+    spec = make_spec(d=3, kernel=PeriodicKernel.trig(poly))
+    assert corrector.mode_box(spec) == 20
+    with pytest.raises(ValueError, match="mode cap of 20000"):
+        stationary_measure(spec)
+    with pytest.raises(ValueError, match="mode cap of 20000"):
+        mode_set(spec, 20, full=True)
+
+
 def test_coupled_d2_kernel_matches_grid_route(coupled_grid):
     spec, ops = coupled_grid
     mu = stationary_measure(spec, 32)
     assert mu.meta["route"] == "fourier_galerkin"
     assert mu.meta["unknowns"] == 33 ** 2 - 1
-    coarse = stationary_measure_modes(spec, 32, box=8)
+    coarse = stationary_measure(spec, 32, box=8)
     assert mu.tv_distance(coarse) <= 1e-5
     # the coefficient mass where the box cuts the coupling shrinks with it
     assert 0.0 < mu.meta["edge_mass"] <= 1e-8 < coarse.meta["edge_mass"] <= 1e-4
-    tv = {n: stationary_measure_modes(spec, n).tv_distance(
+    tv = {n: stationary_measure(spec, n).tv_distance(
         op.stationary_weights()) for n, op in ops.items()}
     # the grid converges towards the mode solution as it is refined
     assert tv[32] <= 2e-3 and tv[32] < tv[16]
@@ -149,23 +167,38 @@ def _one_mode_spec(d, mode):
                          + TrigPoly.cos_x(d, d, e, 0.5)))
 
 
-@pytest.mark.parametrize("d, mode, n", [(1, 11, 128), (2, 17, 16)])
-def test_long_x_modes_take_the_grid_route(d, mode, n):
-    # an x-mode longer than a quarter of the mode box would leave the mode
-    # set {0} (or a few modes) and mu falsely uniform: the grid solves it
-    spec = _one_mode_spec(d, mode)
-    mu = stationary_measure(spec, n)
-    assert mu.meta["route"] == "grid_adjoint"
-    assert np.array_equal(mu.weights, stationary_measure_grid(spec, n).weights)
-    assert mu.tv_distance(np.full(mu.grid.size, 1.0 / mu.grid.size)) > 0.05
-    # a quarter of the box still takes the mode route
-    assert stationary_measure(_one_mode_spec(d, 10 if d == 1 else 4),
-                              n).meta["route"] == "fourier_galerkin"
+def test_long_d1_x_mode_widens_the_box_past_the_grid_oracle():
+    # ex4_1_diffusive with its x-mode 1 moved to 11: the box widens to 44
+    # and mu on it is near box 132, far nearer than the grid at n = 128
+    raw = fixture_config("ex4_1_diffusive")
+    raw["kernel"]["terms"][1]["x_mode"] = [11]
+    spec = load_config(raw).spec
+    mu = stationary_measure(spec)
+    assert (mu.meta["mode_box"], mu.grid.n) == (44, 128)
+    ref = stationary_measure(spec, 128, box=132)
+    assert mu.tv_distance(ref) <= 1e-3
+    assert stationary_measure_grid(spec, 128).tv_distance(ref) \
+        >= mu.tv_distance(ref) + 0.03
 
 
-def test_long_x_modes_raise_in_d3():
-    with pytest.raises(ValueError, match="x-modes of length <= 2"):
-        stationary_measure(_one_mode_spec(3, 3))
+def test_long_d2_x_mode_widens_the_box():
+    # ex4_0_axes with 0.2 cos 2 pi 6x1 + 0.2 cos 2 pi x2 added: box 24
+    spec = _fixture_spec("ex4_0_axes")
+    poly = (spec.kernel.poly + TrigPoly.cos_x(2, 2, (6, 0), 0.2)
+            + TrigPoly.cos_x(2, 2, (0, 1), 0.2))
+    spec = replace(spec, kernel=PeriodicKernel.trig(poly))
+    mu = stationary_measure(spec)
+    assert (mu.meta["mode_box"], mu.grid.n) == (24, 64)
+    assert mu.tv_distance(stationary_measure(spec, 64, box=48)) <= 1e-5
+
+
+def test_long_d3_x_mode_widens_the_box():
+    # an x-mode of length 3 in d = 3, past a quarter of MODE_BOX[3]
+    spec = _one_mode_spec(3, 3)
+    mu = stationary_measure(spec)
+    assert (mu.meta["mode_box"], mu.grid.n) == (12, 32)
+    assert mu.tv_distance(np.full(mu.grid.size, 1.0 / mu.grid.size)) > 0.1
+    assert mu.tv_distance(stationary_measure(spec, 32, box=24)) <= 2e-3
 
 
 @pytest.mark.parametrize("phi, kappa", [
@@ -184,7 +217,7 @@ def test_every_radial_law_matches_grid_route(phi, kappa):
                             if kappa else None),
                      kernel=PeriodicKernel.trig(poly),
                      drift=DriftField([TrigPoly.sin_x(1, 0, (1,), 0.2)]))
-    tv = [stationary_measure_modes(spec, n).tv_distance(
+    tv = [stationary_measure(spec, n).tv_distance(
         stationary_measure_grid(spec, n)) for n in (32, 64)]
     assert tv[1] <= 1e-3 and tv[1] < 0.7 * tv[0]
 
@@ -426,7 +459,6 @@ def test_diffusive_prediction_assembles_no_grid_operator(monkeypatch):
         raise AssertionError("mu and psi of a trig spec come from the modes")
 
     monkeypatch.setattr(corrector, "assemble_operator", no_assembly)
-    monkeypatch.setattr(ergodic, "assemble_operator", no_assembly)
     spec = _fixture_spec("ex4_1_diffusive")
     law = predicted_limit(spec, stationary_measure(spec))
     assert law.A[0, 0] == pytest.approx(1.735455, abs=1e-6)
