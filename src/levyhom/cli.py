@@ -132,7 +132,7 @@ def cmd_effective(args):
         return EXIT_CONFIG
     drifts = effective_drifts(spec, mu)
     kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
-    k0, k0_cauchy, k0_table = kernel_tail_constant(spec, mu)
+    k0, k0_cauchy = kernel_tail_constant(spec, mu)
     ladder = {}
     for R in (2.0, 4.0, 8.0, 16.0):
         ladder[str(R)] = np.atleast_1d(drifts.b_trunc_bar(R)).tolist()
@@ -142,8 +142,7 @@ def cmd_effective(args):
         "tail_drift_average": (None if drifts.b_inf_bar is None
                                else np.atleast_1d(drifts.b_inf_bar).tolist()),
         "effective_kernel_table": kbar0.tolist(),
-        "kernel_tail_constant": {"value": k0, "cauchy": k0_cauchy,
-                                 "table": k0_table},
+        "kernel_tail_constant": {"value": k0, "cauchy": k0_cauchy},
         "invariant_measure": {**mu.meta, "grid_n": mu.grid.n,
                               "min_weight": float(mu.weights.min()),
                               "max_weight": float(mu.weights.max())},

@@ -14,12 +14,14 @@ integral by log-spaced Gauss-Legendre quadrature with multilinear
 interpolation, the compensator by central differences, and the drift by
 upwind differences. Each Poisson solve centres psi against its own
 operator's invariant density.
+
+The critical covariance (phi = r^2) needs no radial quadrature: it is the
+closed form sum_n w_n k̄0(theta_n) theta_n theta_n^T over rho0's nodes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +31,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply, splu
 from scipy.special import gamma, jv, roots_jacobi
 
+from .averaging import effective_kernel_table
 from .grid import TorusGrid
 from .spec_model import (JumpSpec, full_drift, jump_nodes, tail_radius,
                          truncated_drift)
@@ -667,39 +670,21 @@ def _second_moment(zq, wq, kern, mu, psi=None):
 # critical (logarithmic) covariance
 # ---------------------------------------------------------------------------
 
-_CRITICAL_LADDER = (1e-2, 1e-3, 1e-4, 1e-6)
-
-
 def critical_covariance(spec: JumpSpec, mu) -> CovarianceMatrix:
-    """Limit of the truncated second moment over the slowly varying factor.
+    """Limit of the truncated second moment over log R, in closed form.
 
-    Evaluates A(eps) = [int int_{|z|<=1/eps} z z^T k Pi dmu] / phi_c(eps),
-    phi_c(eps) = |log eps|, on the ladder ``_CRITICAL_LADDER`` and removes
-    the O(1/phi_c) correction by a least-squares fit that is linear in
-    1/phi_c (the truncated moment grows like A phi_c + const when the
-    critical scaling holds). A poor fit flags non-convergence.
+    For phi = r^2 the moment int int_{|z|<=R} z z^T k Pi dmu is
+    A log R + O(1), A = sum_n w_n k̄0(theta_n) theta_n theta_n^T over rho0's
+    nodes with k̄0 the ray averages of k against mu: small jumps, each ray's
+    oscillation and kappa (g(r) <= r^(beta - alpha)) give O(1).
+    ``meta["converged"]`` is whether phi is the pure power r^2, the one phi
+    for which that holds (r^2 log(1 + r) grows like log log R).
     """
-    d = spec.d
-    vals = []
-    for eps in _CRITICAL_LADDER:
-        zq, wq, _ = jump_nodes(spec, 1e-7, 1.0 / eps, 6, 8, 8)
-        A_eps = _second_moment(zq, wq, spec.kernel, mu) / abs(math.log(eps))
-        vals.append(A_eps)
-    vals = np.array(vals)                       # (m, d, d)
-    L = np.array([abs(math.log(e)) for e in _CRITICAL_LADDER])
-    # per entry: A(eps) = A + C / L  -> linear regression in 1/L
-    X = np.stack([np.ones_like(L), 1.0 / L], axis=1)
-    coef, res, *_ = np.linalg.lstsq(X, vals.reshape(len(L), -1), rcond=None)
-    A_extrap = coef[0].reshape(d, d)
-    fitted = X @ coef
-    resid = float(np.max(np.abs(fitted - vals.reshape(len(L), -1))))
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
-    converged = resid <= 5e-2 * scale
-    return CovarianceMatrix(A_extrap,
-                            meta={"ladder": [(e, v.tolist()) for e, v in
-                                             zip(_CRITICAL_LADDER, vals)],
-                                  "fit_residual": resid,
-                                  "converged": bool(converged)})
+    kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
+    thetas = spec.rho0.thetas
+    A = np.einsum("n,ni,nj->ij", spec.rho0.weights * kbar0, thetas, thetas)
+    converged = spec.phi.kind == "power" and spec.phi.index == 2.0
+    return CovarianceMatrix(A, meta={"converged": converged})
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .averaging import _MODE_TOL, effective_kernel_table
 from .corrector import (density_weights, mode_box, mode_operator,
                         mode_semigroup, mode_set, mode_solvers, modes_on_grid,
                         x_mode_steps)
@@ -210,25 +211,27 @@ def effective_drifts(spec: JumpSpec, mu: TorusMeasure) -> EffectiveDrifts:
                            b_trunc_bar=b_trunc_bar)
 
 
-def kernel_tail_constant(spec: JumpSpec, mu: TorusMeasure,
-                         radii=(1e2, 1e3, 1e4)):
-    """Estimate of lim_{|z| -> inf} int k(x, z) mu(dx) along angular nodes.
-
-    Returns (k0, cauchy_flag, table); the flag is False when the values are
-    not settling in the radius, meaning the limit hypothesis fails.
-    """
-    vals, centers = [], mu.centers
-    for r in radii:
-        per_theta = []
-        for th in spec.rho0.thetas:
-            z = (r * th)[None, :]
-            kv = spec.kernel(centers, np.broadcast_to(z, centers.shape))
-            per_theta.append(float(mu.weights @ kv))
-        vals.append(float(np.mean(per_theta)))
-    diffs = np.abs(np.diff(vals))
-    scale = max(abs(vals[-1]), 1e-12)
-    cauchy = bool(np.all(diffs <= 0.02 * scale + 1e-12))
-    return vals[-1], cauchy, list(zip(radii, vals))
+def kernel_tail_constant(spec: JumpSpec, mu: TorusMeasure):
+    """(value, cauchy) for lim_{r -> inf} int k(x, r theta) mu(dx) on the
+    nodes of rho0. Along theta that average is sum_s D(s) e^{2 pi i r s},
+    D(s) the sum of c_(mx,mz) mu^(mx) over the modes with mz.theta = s, so
+    the limit exists (``cauchy``) exactly when D(s) = 0 for every s != 0 on
+    every node. ``value`` is the node mean of the ray averages D(0) = k̄0
+    (``effective_kernel_table``) either way."""
+    coeffs = spec.kernel.poly.coeffs
+    mx, mz = (np.array(m, dtype=float).reshape(len(coeffs), spec.d)
+              for m in zip(*coeffs))
+    c = np.array(list(coeffs.values()))
+    D = c * (mu.weights @ np.exp(2j * np.pi * (mu.centers @ mx.T)))
+    S = spec.rho0.thetas @ mz.T                 # s per (node, mode)
+    node, term = np.nonzero(np.abs(S) > _MODE_TOL * np.linalg.norm(mz, axis=1))
+    _, group = np.unique(np.stack([node, np.round(S[node, term], 9)], axis=1),
+                         axis=0, return_inverse=True)
+    sums = np.zeros(len(term), dtype=complex)
+    np.add.at(sums, np.ravel(group), D[term])
+    kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
+    return (float(np.mean(kbar0)),
+            bool(np.all(np.abs(sums) <= _MODE_TOL * np.abs(c).sum())))
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +240,12 @@ def kernel_tail_constant(spec: JumpSpec, mu: TorusMeasure,
 
 @dataclass
 class MixingEstimate:
-    """The fit of ``mixing_rate``. ``route`` is always ``"modes"`` and
-    ``floor`` the round-off floor MIXING_FLOOR; ``propagator`` and ``modes``
-    are those of the semigroup, None when no test function was nonzero."""
+    """The fit of ``mixing_rate``. ``propagator`` and ``modes`` are those of
+    the semigroup, None when no test function was nonzero."""
     lambda1: float
     prefactor: float
     fit_residual: float
     ok: bool
-    route: str
-    floor: float
     table: list
     propagator: Optional[str]
     modes: Optional[int]
@@ -310,8 +310,7 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid,
     table = list(zip(time_grid.tolist(), sup_curve.tolist()))
     if usable.sum() < 2:
         return MixingEstimate(float("nan"), float("nan"), float("nan"),
-                              False, "modes", MIXING_FLOOR, table,
-                              propagator, n_modes)
+                              False, table, propagator, n_modes)
     t_u = time_grid[usable]
     y = np.log(sup_curve[usable])
     A = np.stack([np.ones_like(t_u), -t_u], axis=1)
@@ -319,7 +318,7 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid,
     resid = float(np.sqrt(res[0] / len(t_u))) if len(res) else 0.0
     lam = float(coef[1])
     return MixingEstimate(lam, float(np.exp(coef[0])), resid, lam > 0,
-                          "modes", MIXING_FLOOR, table, propagator, n_modes)
+                          table, propagator, n_modes)
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,10 @@ def sample_limit(law: LimitLaw, t, n, seed) -> EndpointBatch:
 # ---------------------------------------------------------------------------
 
 def predicted_limit(spec: JumpSpec, mu) -> LimitLaw:
-    """Assemble the limit law the theory predicts for the spec's regime."""
+    """Assemble the limit law the theory predicts for the spec's regime:
+    the stable laws and the critical Gaussian from the ray averages k̄0 on
+    rho0's nodes (``critical_covariance`` in closed form), the diffusive
+    Gaussian from the corrector's covariance."""
     from .averaging import effective_kernel_table
 
     regime = Regime.of(spec.phi.index)

@@ -8,10 +8,12 @@ from levyhom.corrector import (AtomJumpMeasure, assemble_operator,
                                critical_covariance, fourier_multiplier,
                                mode_poisson_solver, nondegeneracy_check,
                                solve_poisson, solve_recentering_corrector)
-from levyhom.ergodic import TorusMeasure
+from levyhom.config import fixture_config, load_config
+from levyhom.ergodic import TorusMeasure, stationary_measure
 from levyhom.grid import TorusGrid
 from levyhom.spec_model import (DriftField, IntegrabilityError,
-                                SphericalMeasure)
+                                PeriodicKernel, RadialPerturbation,
+                                ScalingFunction, SphericalMeasure)
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
@@ -239,6 +241,49 @@ def test_critical_covariance_rank_one():
     cov = critical_covariance(spec, mu)
     assert cov.A[0, 0] == pytest.approx(1.0, abs=1e-3)
     assert abs(cov.A[1, 1]) <= 1e-3
+
+
+def test_critical_covariance_of_a_ray_that_oscillates():
+    # k = 1 + 0.5 cos 2 pi z in d = 1: the truncated moment is
+    # log R + (Ci(2 pi R) - Ci(2 pi)) / 2, so the limit is exactly 1
+    poly = TrigPoly.const(1, 1, 1.0) + TrigPoly.cos_z(1, 1, (1,), 0.5)
+    spec = make_spec(d=1, alpha=2.0, alpha0=1.0,
+                     kernel=PeriodicKernel.trig(poly))
+    cov = critical_covariance(spec, TorusMeasure.uniform(1, 8))
+    assert cov.meta["converged"]
+    assert abs(cov.A[0, 0] - 1.0) <= 1e-12
+
+
+def test_critical_covariance_of_a_z_dependent_kernel():
+    # ex4_1_critical's kernel + 0.5 cos 2 pi z1 + 0.3 cos 2 pi x1: no node of
+    # the 32-node circle lies on an axis, so the z-mode averages out and
+    # k̄0 = 1 + 0.3 mu(cos 2 pi x1) = 0.955969 on every node
+    base = load_config(fixture_config("ex4_1_critical")).spec
+    poly = (base.kernel.poly + TrigPoly.cos_z(2, 2, (1, 0), 0.5)
+            + TrigPoly.cos_x(2, 2, (1, 0), 0.3))
+    spec = make_spec(d=2, alpha=2.0, alpha0=1.0, rho0=base.rho0,
+                     kernel=PeriodicKernel.trig(poly))
+    cov = critical_covariance(spec, stationary_measure(spec))
+    assert np.allclose(np.diag(cov.A), 0.955969 / 2, rtol=0, atol=1e-6)
+    assert abs(cov.A[0, 1]) <= 1e-12
+
+
+def test_critical_covariance_flags_a_log_corrected_phi():
+    # phi = r^2 log(1 + r): the truncated moment grows like log log R
+    spec = make_spec(d=2, alpha0=1.0, phi=ScalingFunction.power_log(2.0),
+                     rho0=SphericalMeasure.uniform(2, 1.0, 32))
+    cov = critical_covariance(spec, TorusMeasure.uniform(2, 4))
+    assert not cov.meta["converged"]
+
+
+def test_critical_covariance_ignores_a_vanishing_kappa():
+    # g(r) = r / (r^2 + r) is integrable against dr / r: no log R term
+    rho = SphericalMeasure.uniform(2, 1.0, 32)
+    spec = make_spec(d=2, alpha=2.0, alpha0=1.0, rho0=rho,
+                     kappa=RadialPerturbation.power_ratio(1, 2, rho))
+    cov = critical_covariance(spec, TorusMeasure.uniform(2, 4))
+    assert cov.meta["converged"]
+    assert np.max(np.abs(cov.A - 0.5 * np.eye(2))) <= 1e-12
 
 
 # --------------------------------------------------------------------------

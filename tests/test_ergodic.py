@@ -15,7 +15,7 @@ from levyhom.ergodic import (TorusMeasure, effective_drifts,
                              stationary_measure)
 from levyhom.grid import TorusGrid
 from levyhom.pathsim import SimConfig
-from levyhom.spec_model import PeriodicKernel
+from levyhom.spec_model import PeriodicKernel, SphericalMeasure
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
@@ -173,7 +173,7 @@ def test_effective_drifts_symmetric_zero():
 
 def test_kernel_tail_constant_converges(xdep_spec_1d):
     mu = stationary_measure_grid(xdep_spec_1d, 64)
-    k0, cauchy, table = kernel_tail_constant(xdep_spec_1d, mu)
+    k0, cauchy = kernel_tail_constant(xdep_spec_1d, mu)
     # z-independent kernel: k0 = int k dmu = harmonic mean of the profile
     assert cauchy
     assert k0 == pytest.approx(np.sqrt(1 - 0.25), abs=2e-3)
@@ -183,9 +183,30 @@ def test_kernel_tail_constant_flags_oscillation():
     poly = TrigPoly.const(1, 1, 1.0) + TrigPoly.cos_z(1, 1, (1,), 0.5)
     spec = make_spec(kernel=PeriodicKernel.trig(poly))
     mu = stationary_measure_grid(spec, 32)
-    radii = (100.0, 316.2277660168379, 1000.3)
-    k0, cauchy, table = kernel_tail_constant(spec, mu, radii=radii)
+    k0, cauchy = kernel_tail_constant(spec, mu)
     assert not cauchy
+
+
+def test_kernel_tail_constant_sees_through_whole_periods():
+    # k = 1 + 0.5 cos 2 pi z1 on the axis atoms: along e1 the ray oscillates
+    # with period one, so radii that are whole periods read 1.5 every time;
+    # the limit does not exist and the ray averages are 1 (e1) and 1.5 (e2)
+    spec = load_config(fixture_config("ex4_0_axes")).spec
+    k0, cauchy = kernel_tail_constant(spec, stationary_measure(spec))
+    assert not cauchy
+    assert k0 == pytest.approx(1.25, abs=1e-14)
+
+
+def test_kernel_tail_constant_groups_modes_by_frequency():
+    # along +-e1 the z-modes (1, 0) and (1, 1) both oscillate at s = +-1 and
+    # cancel: the kernel is 1 on both rays, a limit that exists
+    poly = (TrigPoly.const(2, 2, 1.0) + TrigPoly.cos_z(2, 2, (1, 0), 0.5)
+            + TrigPoly.cos_z(2, 2, (1, 1), -0.5))
+    rho = SphericalMeasure.atoms(2, [((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0)])
+    spec = make_spec(d=2, kernel=PeriodicKernel.trig(poly), rho0=rho)
+    k0, cauchy = kernel_tail_constant(spec, TorusMeasure.uniform(2, 8))
+    assert cauchy
+    assert k0 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mixing_rate_matches_multiplier(constant_spec_1d):
@@ -229,11 +250,9 @@ PROPAGATOR = {"ex4_0_axes": ("dense", 3), "ex4_1_cauchy": ("dense", 81),
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_every_fixture_mixes_on_the_mode_route(name):
     est = _fixture_mixing(name)[2]
-    assert est.route == "modes" and est.floor == 1e-12
     assert est.ok and np.isfinite(est.lambda1)
     assert (est.propagator, est.modes) == PROPAGATOR[name]
     payload = est.to_json()
-    assert payload["route"] == "modes"
     assert (payload["propagator"], payload["modes"]) == PROPAGATOR[name]
 
 
@@ -273,7 +292,7 @@ def test_mode_route_mixing_runs_no_paths(xdep_spec_1d, monkeypatch):
 
     monkeypatch.setattr(pathsim, "driver_from_spec", no_driver)
     est = mixing_rate(xdep_spec_1d, _e1_polys(1), MIXING_TIMES)
-    assert est.ok and est.route == "modes"
+    assert est.ok
 
 
 def test_ergodic_average_decay_bounded(constant_spec_1d):
