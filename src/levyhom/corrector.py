@@ -33,8 +33,8 @@ from scipy.special import gamma, jv, roots_jacobi
 
 from .averaging import effective_kernel_table
 from .grid import TorusGrid
-from .spec_model import (JumpSpec, full_drift, jump_nodes, tail_radius,
-                         truncated_drift)
+from .spec_model import (IntegrabilityError, JumpSpec, full_drift,
+                         jump_nodes, tail_radius, truncated_drift)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -625,9 +625,11 @@ def covariance_matrix(spec_or_atoms, mu, psi: Optional[VectorCorrector] = None
         kern = None
     else:
         spec = spec_or_atoms
-        spec.second_moment_total()      # raises when the tail is too heavy
-        # tail cutoff where the residual second moment is below 1e-9
         al = spec.phi.index
+        if al <= 2.0:
+            raise IntegrabilityError(
+                "second moment diverges for scaling index <= 2")
+        # tail cutoff where the residual second moment is below 1e-9
         mass = spec.rho0.total_mass * spec.kernel.kmax
         hi = max((1e-9 * (al - 2.0) / max(mass, 1e-300)) ** (1.0 / (2.0 - al)),
                  10.0)

@@ -3,10 +3,12 @@
 All routines are purely functional: same inputs give bit-identical outputs,
 which the reproducibility contracts elsewhere rely on.
 
-Radial Fourier transforms of the tail take one of two routes: the closed
-form ``power_tail_transform`` (the generalised exponential integral, for
-the pure power tail r^{-1-alpha}) or QUADPACK's oscillatory rules
-(``radial_fourier_integral``, any weight and range).
+Radial Fourier transforms of the tail take closed forms for the pure power
+tail: ``power_tail_transform`` (the generalised exponential integral of
+r^{-1-alpha} on r > 1) and ``power_radial_integral`` (r^{-alpha} on
+1 < r <= R, the drift integrals). Every other weight goes to QUADPACK's
+oscillatory rules (``radial_fourier_integral``), and ``scipy.integrate`` is
+imported only when such a call is made.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import zeta
 
 _ZETA_K = np.arange(2, 66)
@@ -24,6 +25,7 @@ _ZETA_COEF = zeta(_ZETA_K) / _ZETA_K      # lnGamma(1-d) = g d + sum c_k d^k
 _SERIES_RADIUS = 4.0        # |z| up to which E_p takes the power series
 _SERIES_TERMS = 36          # 4^36 / 36! ~ 1e-20
 _CF_MAX_TERMS = 1000
+_TAYLOR_TERMS = 20          # 1 / 20! ~ 4e-19, for 2 pi |s| R <= 1
 
 
 @lru_cache(maxsize=None)
@@ -59,6 +61,8 @@ def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None):
     integrable ``w/phi``. Finite ranges use the oscillatory rule (QAWO).
     Returns a complex number.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     if weight_fn is None:
         g = lambda r: 1.0 / phi_fn(r)
     else:
@@ -87,12 +91,16 @@ def radial_fourier_integral(phi_fn, s, r_lo, r_hi, weight_fn=None):
 
 
 def _pole_constant(alpha):
-    """(j, delta, c) with j the integer nearest alpha, delta = alpha - j in
-    [-1/2, 1/2) and c = ln A / delta for A = Gamma(1 - delta) /
-    prod_{m<=j} (1 + delta/m), by series in delta (c = -psi(j + 1) at
-    delta = 0), so that no difference of nearly equal terms is formed."""
-    j = math.floor(alpha + 0.5)
+    """(j, delta, c) for alpha > -1, with j >= 0 the integer nearest alpha,
+    delta = alpha - j in (-1, 1/2) and c = ln A / delta for
+    A = Gamma(1 - delta) / prod_{m<=j} (1 + delta/m), by series in delta
+    (c = -psi(j + 1) at delta = 0), so that no difference of nearly equal
+    terms is formed. Below alpha = -1/2 there is no pole to merge and the
+    series converges slowly, so c is ln Gamma(1 - delta) / delta."""
+    j = max(0, math.floor(alpha + 0.5))
     delta = alpha - j
+    if delta < -0.5:
+        return j, delta, math.lgamma(1.0 - delta) / delta
     c = np.euler_gamma + float(np.sum(_ZETA_COEF * delta ** (_ZETA_K - 1)))
     for m in range(1, j + 1):
         c -= math.log1p(delta / m) / delta if delta else 1.0 / m
@@ -100,13 +108,13 @@ def _pole_constant(alpha):
 
 
 def _expint_series(alpha, w):
-    """E_{1+alpha}(-i w), w > 0, by A&S 5.1.12 extended to real orders:
-    with j and delta from ``_pole_constant``, E = (i w)^j / j! B -
-    sum_{k != j} (i w)^k / (k! (k - alpha)), where B = [1 - A z^delta] /
-    delta merges Gamma(-alpha) z^alpha with the k = j term, whose poles
-    cancel; B = psi(j + 1) - ln z at delta = 0. Real arithmetic on the
-    parts: a complex array product may fuse its operations and round an
-    entry apart from the same entry alone."""
+    """E_{1+alpha}(-i w), w > 0, alpha > -1, by A&S 5.1.12 extended to
+    real orders: with j and delta from ``_pole_constant``,
+    E = (i w)^j / j! B - sum_{k != j} (i w)^k / (k! (k - alpha)), where
+    B = [1 - A z^delta] / delta merges Gamma(-alpha) z^alpha with the
+    k = j term, whose poles cancel; B = psi(j + 1) - ln z at delta = 0.
+    Real arithmetic on the parts: a complex array product may fuse its
+    operations and round an entry apart from the same entry alone."""
     j, delta, c = _pole_constant(alpha)
     x = c + np.log(w)                   # t = c + ln z = x - i pi / 2
     if delta == 0:
@@ -140,7 +148,8 @@ def _expint_continued_fraction(alpha, w):
     b_re = np.full_like(w, 1.0 + alpha)             # b = b_re - i w
     norm = b_re * b_re + w * w
     d_re, d_im = b_re / norm, w / norm              # d = 1 / b
-    h_re, h_im = d_re.copy(), d_im.copy()
+    f_re, f_im = d_re.copy(), d_im.copy()           # h of the live entries
+    h_re, h_im = np.empty_like(w), np.empty_like(w)
     c_re, c_im = None, None
     live, w_live = np.arange(w.size), w
     for i in range(1, _CF_MAX_TERMS + 1):
@@ -155,18 +164,34 @@ def _expint_continued_fraction(alpha, w):
             norm = c_re * c_re + c_im * c_im
             c_re, c_im = b_re + an * c_re / norm, -w_live - an * c_im / norm
         s_re, s_im = c_re * d_re - c_im * d_im, c_re * d_im + c_im * d_re
-        h_re[live], h_im[live] = (h_re[live] * s_re - h_im[live] * s_im,
-                                  h_re[live] * s_im + h_im[live] * s_re)
-        going = ~(np.hypot(s_re - 1.0, s_im) <= np.finfo(float).eps)
-        if not going.any():
+        f_re, f_im = f_re * s_re - f_im * s_im, f_re * s_im + f_im * s_re
+        done = np.hypot(s_re - 1.0, s_im) <= np.finfo(float).eps
+        if not done.any():
+            continue
+        h_re[live[done]], h_im[live[done]] = f_re[done], f_im[done]
+        if done.all():
             cw, sw = np.cos(w), np.sin(w)           # e^{-z} = e^{i w}
             return (h_re * cw - h_im * sw) + 1j * (h_re * sw + h_im * cw)
+        going = ~done
         live, w_live, b_re = live[going], w_live[going], b_re[going]
         c_re, c_im = c_re[going], c_im[going]
         d_re, d_im = d_re[going], d_im[going]
+        f_re, f_im = f_re[going], f_im[going]
     raise RuntimeError(
         f"continued fraction of E_p(z), p = {1.0 + alpha}, did not converge "
         f"in {_CF_MAX_TERMS} terms at |z| = {w_live[0]:.6g}")
+
+
+def _expint(alpha, w):
+    """E_{1+alpha}(-i w) on an array w > 0, alpha > -1: the power series for
+    w <= 4, the continued fraction beyond."""
+    out = np.empty(w.shape, dtype=complex)
+    near = w <= _SERIES_RADIUS
+    if near.any():
+        out[near] = _expint_series(alpha, w[near])
+    if not near.all():
+        out[~near] = _expint_continued_fraction(alpha, w[~near])
+    return out
 
 
 def power_tail_transform(alpha, s):
@@ -178,12 +203,64 @@ def power_tail_transform(alpha, s):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     s = np.asarray(s, dtype=float)
-    a = np.abs(s).ravel()
-    out = np.full(a.shape, 1.0 / alpha, dtype=complex)
-    near = (a > 0) & (2 * np.pi * a <= _SERIES_RADIUS)
-    far = 2 * np.pi * a > _SERIES_RADIUS
-    out[near] = _expint_series(alpha, 2 * np.pi * a[near])
-    out[far] = _expint_continued_fraction(alpha, 2 * np.pi * a[far])
+    w = 2 * np.pi * np.abs(s).ravel()
+    out = np.full(w.shape, 1.0 / alpha, dtype=complex)
+    out[w > 0] = _expint(alpha, w[w > 0])
+    out = out.reshape(s.shape)
+    return np.where(s < 0, np.conj(out), out)
+
+
+def _power_radial_taylor(alpha, w, R):
+    """int_1^R e^{i w r} r^{-alpha} dr for w R <= 1 as sum_k (i w R)^k / k!
+    c_k, where c_k = R^{-k} int_1^R r^{k-alpha} dr <= c_0 is formed from
+    expm1 of a nonpositive exponent, so no factor overflows at large R; in
+    real arithmetic by k mod 4 as in ``_expint_series``. At w = 0 only
+    c_0 = (1 - R^{1-alpha}) / (alpha - 1), or ln R at alpha = 1, is left."""
+    log_r = math.log(R)
+    parts = [np.zeros_like(w) for _ in range(4)]
+    term = np.ones_like(w)                          # (w R)^k / k!
+    for k in range(_TAYLOR_TERMS):
+        e = k + 1.0 - alpha
+        c = math.expm1(-abs(e) * log_r) / -abs(e) if e else log_r
+        parts[k % 4] = parts[k % 4] + term * (
+            c * math.exp((max(e, 0.0) - k) * log_r))
+        term = term * (w * R) / (k + 1)
+        if not term.any():                          # all of w is 0
+            break
+    return (parts[0] - parts[2]) + 1j * (parts[1] - parts[3])
+
+
+def power_radial_integral(alpha, s, R):
+    """J(s) = int_1^R e^{2 pi i s r} r^{-alpha} dr on an array ``s``, for
+    alpha > 0 and 1 < R <= inf (R = inf needs alpha > 1): the radial
+    factor of the drift of jumps with 1 < |z| <= R under power phi.
+
+    With z = -2 pi i s, J = E_alpha(z) - R^{1-alpha} E_alpha(z R), the
+    generalised exponential integral of ``power_tail_transform`` at order
+    alpha (``E_alpha(z)`` alone when R = inf). Where 2 pi |s| R <= 1 the two
+    terms nearly cancel for alpha < 1 (each grows like |s|^{alpha-1}), so
+    J is summed as a Taylor series in s instead; at s = 0 that is the
+    elementary (1 - R^{1-alpha}) / (alpha - 1), or ln R at alpha = 1.
+    J(-s) = conj J(s) exactly, and each entry is the value the entry alone
+    would give."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if math.isinf(R):
+        if alpha <= 1:
+            raise ValueError("R = inf needs alpha > 1")
+        return power_tail_transform(alpha - 1.0, s)
+    s = np.asarray(s, dtype=float)
+    w = 2 * np.pi * np.abs(s).ravel()
+    out = np.empty(w.shape, dtype=complex)
+    near = w * R <= 1.0
+    if near.any():
+        out[near] = _power_radial_taylor(alpha, w[near], R)
+    if not near.all():
+        far = w[~near]
+        scale = R ** (1.0 - alpha)
+        head, tail = np.split(_expint(alpha - 1.0, np.r_[far, far * R]), 2)
+        out[~near] = ((head.real - scale * tail.real)
+                      + 1j * (head.imag - scale * tail.imag))
     out = out.reshape(s.shape)
     return np.where(s < 0, np.conj(out), out)
 

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
-from .quadrature import (log_edges, panel_nodes, power_tail_transform,
-                         radial_fourier_integral)
+from .quadrature import (log_edges, panel_nodes, power_radial_integral,
+                         power_tail_transform, radial_fourier_integral)
 from .trigpoly import TrigPoly
 
 
@@ -199,6 +198,8 @@ class ScalingFunction:
             al = self.index
             upper = 0.0 if np.isinf(b) else b ** (-al)
             return (a ** (-al) - upper) / al
+        from scipy.integrate import quad
+
         val, _ = quad(lambda r: 1.0 / (r * self(r)), a, b,
                       epsabs=1e-14, epsrel=1e-12, limit=400)
         return val
@@ -481,46 +482,43 @@ class JumpSpec:
             terms.append((self.kappa.base, self.kappa.g))
         return terms
 
-    def second_moment_total(self):
-        """int |z|^2 Pi(dz); raises if the tail diverges."""
-        if self.phi.index <= 2.0:
-            raise IntegrabilityError(
-                "second moment diverges for scaling index <= 2")
-        tail, _ = quad(lambda r: r / self.phi(r), 1.0, np.inf,
-                       epsabs=1e-14, epsrel=1e-11, limit=400)
-        total = self.rho0.total_mass * tail + self.small.second_moment(self.d)
-        if not self.kappa.is_none:
-            val, _ = quad(lambda r: self.kappa.g(r) * r / self.phi(r), 1.0,
-                          np.inf, epsabs=1e-14, epsrel=1e-11, limit=400)
-            total += self.kappa.base.total_mass * val
-        return total
-
-    # -- truncated and full drifts ------------------------------------------
-    def radial_integral(self, s, R, weighted, per_r=False):
-        """Cached int_1^R e^{2 pi i s r} w(r) / phi(r) dr, w = g of kappa
-        when ``weighted`` (else 1), times 1/r when ``per_r``."""
-        key = (round(float(s), 14), R, weighted, per_r)
-        if key not in self._radial_cache:
-            g = self.kappa.g if weighted else None
-            wfn = g
-            if per_r:
-                wfn = (lambda r: g(r) / r) if weighted else (lambda r: 1.0 / r)
-            self._radial_cache[key] = radial_fourier_integral(
-                self.phi, s, 1.0, R, weight_fn=wfn)
-        return self._radial_cache[key]
+    # -- radial Fourier integrals of the large-jump part ---------------------
+    def radial_integral(self, s, R, weighted):
+        """int_1^R e^{2 pi i s r} w(r) / phi(r) dr on an array ``s``, w = g
+        of kappa when ``weighted`` (else 1): the radial factor of the drift
+        of jumps with 1 < |z| <= R. Power phi without weight takes the
+        closed form (``power_radial_integral``); otherwise QAWO, or QAWF
+        when R = inf, per |s| (``_quadpack``)."""
+        if self.phi.kind == "power" and not weighted:
+            return power_radial_integral(self.phi.index, s, R)
+        return self._quadpack(s, R, weighted, per_r=False)
 
     def tail_transform(self, s, weighted):
         """F(s) = int_1^inf e^{2 pi i s r} w(r) / (r phi(r)) dr on an array
         ``s``, w = g of kappa when ``weighted`` (else 1): the closed form
         E_{1+alpha}(-2 pi i s) (``power_tail_transform``) for power phi
-        without weight, else QAWF per |s| (``radial_integral``) with
-        F(-s) = conj F(s)."""
-        s = np.asarray(s, dtype=float)
+        without weight, else QAWF per |s| (``_quadpack``)."""
         if self.phi.kind == "power" and not weighted:
             return power_tail_transform(self.phi.index, s)
-        F = np.array([self.radial_integral(abs(v), np.inf, weighted,
-                                           per_r=True) for v in s.ravel()],
-                     dtype=complex).reshape(s.shape)
+        return self._quadpack(s, np.inf, weighted, per_r=True)
+
+    def _quadpack(self, s, R, weighted, per_r):
+        """QUADPACK's int_1^R e^{2 pi i s r} w(r) / phi(r) dr, times 1/r
+        when ``per_r``, on an array ``s``: one call per distinct |s|,
+        cached on the spec, with F(-s) = conj F(s)."""
+        s = np.asarray(s, dtype=float)
+        g = self.kappa.g if weighted else None
+        wfn = g
+        if per_r:
+            wfn = (lambda r: g(r) / r) if weighted else (lambda r: 1.0 / r)
+        F = np.empty(s.size, dtype=complex)
+        for i, v in enumerate(np.abs(s).ravel()):
+            key = (round(float(v), 14), R, weighted, per_r)
+            if key not in self._radial_cache:
+                self._radial_cache[key] = radial_fourier_integral(
+                    self.phi, v, 1.0, R, weight_fn=wfn)
+            F[i] = self._radial_cache[key]
+        F = F.reshape(s.shape)
         return np.where(s >= 0, F, np.conj(F))
 
 
@@ -597,19 +595,23 @@ def tail_radius(spec: JumpSpec, limit, cap=1e18):
 def _drift_trig(spec: JumpSpec, x, R):
     """Mode-by-mode drift integral of the trig kernel at x (..., d), in
     elementwise real arithmetic: a matmul or complex array product may fuse
-    operations and round a row apart from the same point alone."""
+    operations and round a row apart from the same point alone. The radial
+    integrals of all modes on an angular term's nodes come from one call."""
     x = np.asarray(x, dtype=float)
+    coeffs = spec.kernel.poly.coeffs
+    terms = []
+    for measure, g in spec.angular_terms():
+        s = np.array([measure.thetas @ np.asarray(mz, dtype=float)
+                      for _, mz in coeffs])
+        terms.append((measure, spec.radial_integral(s, R, g is not None)))
     out = np.zeros(x.shape[:-1] + (spec.d,))
-    for (mx, mz), c in spec.kernel.poly.coeffs.items():
+    for i, ((mx, _), c) in enumerate(coeffs.items()):
         xphase = np.exp(1j * 2 * np.pi * (x * np.asarray(mx, dtype=float)
                                           ).sum(axis=-1))
         re = c.real * xphase.real - c.imag * xphase.imag
         im = c.real * xphase.imag + c.imag * xphase.real
-        for measure, g in spec.angular_terms():
-            svals = measure.thetas @ np.asarray(mz, dtype=float)
-            radial = np.array([spec.radial_integral(s, R, g is not None)
-                               for s in svals])
-            angular = (measure.weights * radial) @ measure.thetas
+        for measure, radial in terms:
+            angular = (measure.weights * radial[i]) @ measure.thetas
             out = out + re[..., None] * np.real(angular) \
                 - im[..., None] * np.imag(angular)
     return out
