@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .averaging import effective_kernel_table, write_kernel_table_csv
+from .averaging import write_kernel_table_csv
 from .config import (ConfigSchemaError, FIXTURES, dump_config, fixture_config,
                      load_config)
 from .corrector import covariance_matrix, solve_recentering_corrector
@@ -131,8 +131,7 @@ def cmd_effective(args):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     drifts = effective_drifts(spec, mu)
-    kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
-    k0, k0_cauchy = kernel_tail_constant(spec, mu)
+    k0, k0_cauchy, kbar0 = kernel_tail_constant(spec, mu)
     ladder = {}
     for R in (2.0, 4.0, 8.0, 16.0):
         ladder[str(R)] = np.atleast_1d(drifts.b_trunc_bar(R)).tolist()

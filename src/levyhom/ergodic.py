@@ -212,12 +212,12 @@ def effective_drifts(spec: JumpSpec, mu: TorusMeasure) -> EffectiveDrifts:
 
 
 def kernel_tail_constant(spec: JumpSpec, mu: TorusMeasure):
-    """(value, cauchy) for lim_{r -> inf} int k(x, r theta) mu(dx) on the
-    nodes of rho0. Along theta that average is sum_s D(s) e^{2 pi i r s},
-    D(s) the sum of c_(mx,mz) mu^(mx) over the modes with mz.theta = s, so
-    the limit exists (``cauchy``) exactly when D(s) = 0 for every s != 0 on
-    every node. ``value`` is the node mean of the ray averages D(0) = k̄0
-    (``effective_kernel_table``) either way."""
+    """(value, cauchy, table) for lim_{r -> inf} int k(x, r theta) mu(dx) on
+    the nodes of rho0. Along theta that average is sum_s D(s) e^{2 pi i r s},
+    D(s) the sum of c_(mx,mz) mu^(mx) over the modes with mz.theta = s, so the
+    limit exists (``cauchy``) exactly when D(s) = 0 for every s != 0 on every
+    node. ``table`` holds the ray averages D(0) = k̄0 on the nodes
+    (``effective_kernel_table``), ``value`` their mean either way."""
     coeffs = spec.kernel.poly.coeffs
     mx, mz = (np.array(m, dtype=float).reshape(len(coeffs), spec.d)
               for m in zip(*coeffs))
@@ -231,7 +231,7 @@ def kernel_tail_constant(spec: JumpSpec, mu: TorusMeasure):
     np.add.at(sums, np.ravel(group), D[term])
     kbar0 = effective_kernel_table(spec.kernel, mu, spec.rho0)
     return (float(np.mean(kbar0)),
-            bool(np.all(np.abs(sums) <= _MODE_TOL * np.abs(c).sum())))
+            bool(np.all(np.abs(sums) <= _MODE_TOL * np.abs(c).sum())), kbar0)
 
 
 # ---------------------------------------------------------------------------

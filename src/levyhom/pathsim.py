@@ -43,12 +43,12 @@ forked processes. It has three branches (``JumpDriver.branch``):
   times the constant drift. It has no time grid: it gives the states at the
   exact times asked for, one block of packets at a time;
 * "thinning", for the other drivers without a Gaussian part or an
-  x-dependent drift: it draws each chunk's candidates once into a compact
-  tape (jump vector, accept uniform and time per candidate) and reads it
-  round by round, with the chunk's paths ordered by candidate count. It
-  serves runs that ask for the endpoints only;
-* "stepped": Euler-Heun steps over the same tape. A state at time t is the
-  state at the first step boundary at or past t.
+  x-dependent drift: it draws each chunk's candidates once into a dense
+  tape, a row per path, largest count first (jump vector, accept uniform,
+  and time or the shift t b of a constant drift b, per candidate), and
+  round j reads column j of the live rows. It serves endpoint-only runs;
+* "stepped": Euler-Heun steps over the same tape, each path read up to an
+  inf time. A state at t is that at the first step boundary at or past t.
 
 Reproducibility contract: every random number consumed by path i comes from a
 counter-based stream keyed by (seed, i) in a fixed order, so results are
@@ -414,19 +414,20 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None, times=None,
     (n_paths, d), or with ``times`` (ascending, in [0, T]) their states
     (n_paths, len(times), d) at those times.
 
-    The path range is cut into chunks whose candidate tapes fit
-    ``_TAPE_BYTES``; on the levy branch, which holds one packet block at a
-    time, into chunks of up to 4096 paths. ``workers > 1`` runs the chunks
-    in a pool of at most ``min(workers, os.cpu_count())`` forked processes
-    when the batch's expected work, candidates ``rate T n_paths`` plus Euler
-    steps times paths (none off the stepped branch), reaches
-    ``_POOL_WORK``; otherwise they run here, one after another.
+    The path range is cut into chunks whose candidate tapes, at the expected
+    count per path, fit ``_TAPE_BYTES``; on the levy branch, which holds one
+    packet block at a time, into chunks of up to 4096 paths. ``workers > 1``
+    runs the chunks in a pool of at most ``min(workers, os.cpu_count())``
+    forked processes when the batch's expected work, candidates ``rate T
+    n_paths`` plus Euler steps times paths (none off the stepped branch),
+    reaches ``_POOL_WORK``; otherwise they run here, one after another.
     Outputs are bit-identical for every ``workers`` value because each path
     consumes exclusively its own counter-based stream. ``start_sampler``,
     when given, maps per-path uniforms (P, 2) to start points (P, d); those
     uniforms are the first draws of each path's stream. ``stats``, when
-    given, receives the counters ``candidates`` (tape length),
-    ``accepted``, ``chunk_paths`` and ``pool_processes`` (0: the chunks ran
+    given, receives the counters ``candidates``, ``accepted``,
+    ``tape_bytes`` (the largest chunk's tape, padding included; 0 on the
+    levy branch), ``chunk_paths`` and ``pool_processes`` (0: the chunks ran
     in this process).
     """
     check_workers(workers)
@@ -445,9 +446,12 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None, times=None,
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             procs = min(workers, os.cpu_count() or 1)
-    # the cap bounds a chunk's tape (the levy branch holds one packet block
-    # whatever the chunk size); whole rounds of chunks keep the pool busy
-    tape_bytes = 8 * (d + 2) * max(1.0, driver.rate * T)
+    # the cap bounds a chunk's tape of z, u and t (or the shift t b) per
+    # candidate (the levy branch holds one packet block whatever the chunk
+    # size); whole rounds of chunks keep the pool busy
+    per = 2 * d + 1 if branch == "thinning" and driver.constant_drift \
+        is not None else d + 2
+    tape_bytes = 8 * per * max(1.0, driver.rate * T)
     cap = 4096 if branch == "levy" else \
         min(4096, max(16, int(_TAPE_BYTES / tape_bytes)))
     n_chunks = -(-max(1, -(-n_paths // cap)) // procs) * procs
@@ -470,12 +474,11 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None, times=None,
     else:
         results = [chunk(c0, c1) for c0, c1 in ranges]
 
-    states = np.empty((n_paths,) + results[0][0].shape[1:])
-    for (c0, c1), (X, _, _) in zip(ranges, results):
-        states[c0:c1] = X
+    states = np.concatenate([r[0] for r in results])
     if stats is not None:
         stats.update(candidates=sum(r[1] for r in results),
                      accepted=sum(r[2] for r in results),
+                     tape_bytes=max(r[3] for r in results),
                      chunk_paths=chunk_paths,
                      pool_processes=procs if procs > 1 else 0)
     return states
@@ -496,7 +499,7 @@ def _pool_chunk(c0, c1):
 
 def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, times, c0, c1):
     """Endpoints of paths c0..c1-1, or their states at ``times``; their
-    candidate count and accepted count."""
+    candidate count, accepted count and tape bytes (0 on the levy branch)."""
     d = driver.dim
     gens = _path_generators(seed, np.arange(c0, c1))
     P = len(gens)
@@ -507,30 +510,30 @@ def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, times, c0, c1):
         X = np.broadcast_to(x0, (P, d)).copy()
     counts = np.zeros(P, dtype=np.int64)
     if driver.has_jumps:
-        rate = driver.rate
-        counts = np.array([g.poisson(rate * T) for g in gens], dtype=np.int64)
+        counts = np.array([g.poisson(driver.rate * T) for g in gens],
+                          dtype=np.int64)
 
     # no time grid: thinning against the exact pre-jump state is exact, and
     # an x-independent driver needs no state at all
     if branch == "thinning":
-        X, accepted = _thin(driver, gens, counts, X, T)
+        X, accepted, tape = _thin(driver, gens, counts, X, T)
     elif branch == "levy":
-        X, accepted = _levy(driver, gens, counts, X, T, times)
+        (X, accepted), tape = _levy(driver, gens, counts, X, T, times), 0
     else:
-        X, accepted = _step(driver, gens, counts, X, T, dt, times)
-    return X, int(counts.sum()), accepted
+        X, accepted, tape = _step(driver, gens, counts, X, T, dt, times)
+    return X, int(counts.sum()), accepted, tape
 
 
-def _candidate_blocks(driver, gens, counts, order, T, sort_t):
-    """The candidates of a chunk, drawn block by block after the counts.
+def _candidate_blocks(driver, gens, counts, order, T):
+    """The candidates of a levy chunk, drawn block by block after the counts.
 
     Each path's stream yields its c times, then c packets of five uniforms
     (component, radius, two angles, acceptance). Paths go in ``order``, in
     blocks whose (path, candidate + 1) grid has at most max(_PACKET_BLOCK,
     max count + 1) cells. Per block this yields the block's paths, the
     offsets ``lo`` of their candidates, and the candidates' times (scaled by
-    T, sorted per path with ``sort_t``), jump vectors, from one
-    ``z_from_packets`` call, and accept uniforms. The buffers are reused.
+    T, unsorted), jump vectors, from one ``z_from_packets`` call, and accept
+    uniforms. The buffers are reused.
     """
     cap = max(_PACKET_BLOCK, int(counts.max(initial=0)) + 1)
     pk = np.empty((cap, 5))
@@ -545,8 +548,6 @@ def _candidate_blocks(driver, gens, counts, order, T, sort_t):
         lo = np.concatenate([[0], np.cumsum(counts[blk])])
         for i, a, b in zip(blk.tolist(), lo[:-1].tolist(), lo[1:].tolist()):
             gens[i].random(out=tb[a:b])
-            if sort_t:
-                tb[a:b].sort()
             gens[i].random(out=pk[a:b])
         m = int(lo[-1])
         tb[:m] *= T
@@ -554,63 +555,70 @@ def _candidate_blocks(driver, gens, counts, order, T, sort_t):
         k0 += n
 
 
-def _candidate_tape(driver, gens, counts, T, first, step, size, need_t):
-    """Every candidate of a chunk as a compact tape ``(z, u, t)``.
-
-    Candidate j of path i lands at ``first[i] + step[j]``. Paths are drawn
-    largest count first (``_candidate_blocks``) and land round by round. The
-    times are sorted and kept only with ``need_t`` (else ``t`` is None).
+def _candidate_tape(driver, gens, counts, T, b=None, keep_t=True):
+    """Every candidate of a chunk on a dense tape ``(order, z, u, t)``: row
+    r, path ``order[r]`` (largest count first), has W = max count + 1 slots
+    in z (P, W, d), u (P, W) and t (P, 1, W), or (P, d, W) for the shifts
+    t b of a constant drift ``b``. A path's stream yields its c times, drawn
+    into its row, sorted and scaled by T (without ``keep_t``: drawn into
+    u's row and dropped, t is None); then c packets of five uniforms
+    (component, radius, two angles, acceptance). The packets of a block of
+    rows are mapped by one ``z_from_packets`` call; padding is never written.
     """
-    z = np.empty((size, driver.dim))
-    u = np.empty(size)
-    t = np.empty(size) if need_t else None
+    P, d = len(counts), driver.dim
     order = np.argsort(-counts, kind="stable")
-    for blk, lo, tb, zb, ub in _candidate_blocks(driver, gens, counts, order,
-                                                 T, need_t):
-        c = counts[blk]
-        j = np.arange(c[0])[:, None]
-        live = j < c[None, :]
-        src = (lo[None, :-1] + j)[live]
-        dst = (first[blk][None, :] + step[:c[0], None])[live]
-        z[dst] = zb[src]
-        u[dst] = ub[src]
-        if need_t:
-            t[dst] = tb[src]
-    return z, u, t
+    W = int(counts[order[0]]) + 1
+    z, u = np.empty((P, W, d)), np.empty((P, W))
+    t = np.empty((P, 1 if b is None else d, W)) if keep_t else None
+    pk = np.empty((max(_PACKET_BLOCK, W), 5))
+
+    def copy_block(rows, m):
+        zb = driver.z_from_packets(pk[:m])
+        for r, a, c in rows:
+            z[r, :c] = zb[a:a + c]
+            u[r, :c] = pk[a:a + c, 4]
+
+    rows, m = [], 0
+    for r, (i, c) in enumerate(zip(order.tolist(), counts[order].tolist())):
+        if m + c > len(pk):
+            copy_block(rows, m)
+            rows, m = [], 0
+        row = u[r, :c] if t is None else t[r, 0, :c]   # packets refill u
+        gens[i].random(out=row)
+        if t is not None:
+            row.sort()
+            row *= T
+        if b is not None:
+            t[r, :, :c] = row * b[:, None]
+        gens[i].random(out=pk[m:m + c])
+        rows.append((r, m, c))
+        m += c
+    copy_block(rows, m)
+    return order, z, u, t
 
 
 def _thin(driver, gens, counts, X, T):
-    """Round-major thinning of one chunk; returns endpoints and accepted count.
-
-    Paths are ordered by candidate count, descending, so round j's live paths
-    are the prefix of length live[j] and their candidates one tape slice.
+    """Round-major thinning of one chunk; returns endpoints, accepted count
+    and tape bytes. Round j reads column j of the tape's first live[j] rows,
+    with the kernel at the state shifted by t b, into the chunk's buffers.
     """
-    P = len(counts)
-    order = np.argsort(-counts, kind="stable")
-    rank = np.empty(P, dtype=np.int64)
-    rank[order] = np.arange(P)
-    live = P - np.cumsum(np.bincount(counts, minlength=1))[:-1]
-    start = np.concatenate([[0], np.cumsum(live)])
-    bconst = driver.constant_drift
-    z, u, t = _candidate_tape(driver, gens, counts, T, rank, start[:-1],
-                              int(start[-1]), bconst is not None)
+    b = driver.constant_drift
+    order, z, u, t = _candidate_tape(driver, gens, counts, T, b,
+                                     b is not None)
+    live = len(counts) - np.cumsum(np.bincount(counts, minlength=1))[:-1]
     Xs = X[order]
+    xb, ok = np.empty_like(Xs), np.empty(len(Xs), dtype=bool)
     accepted = 0
-    for lo, n in zip(start[:-1].tolist(), live.tolist()):
-        hi = lo + n
-        x, zj = Xs[:n], z[lo:hi]
-        if bconst is None:
-            frac = driver.accept_fraction(x, zj)
-        else:
-            frac = driver.accept_fraction(
-                x + t[lo:hi, None] * bconst[None, :], zj)
-        ok = u[lo:hi] < frac
-        np.add(x, zj, out=x, where=ok[:, None])
-        accepted += int(np.count_nonzero(ok))
+    for j, n in enumerate(live.tolist()):
+        x, zj, okj = Xs[:n], z[:n, j], ok[:n]
+        xa = x if t is None else np.add(x, t[:n, :, j], out=xb[:n])
+        np.less(u[:n, j], driver.accept_fraction(xa, zj), out=okj)
+        np.add(x, zj, out=x, where=okj[:, None])
+        accepted += int(np.count_nonzero(okj))
     X[order] = Xs
-    if bconst is not None:
-        X = X + T * bconst[None, :]
-    return X, accepted
+    if b is not None:
+        X = X + T * b[None, :]
+    return X, accepted, sum(a.nbytes for a in (z, u, t) if a is not None)
 
 
 def _levy(driver, gens, counts, X, T, times):
@@ -634,7 +642,7 @@ def _levy(driver, gens, counts, X, T, times):
     accepted = 0
     anywhere = np.zeros((1, d))                         # k does not read x
     for blk, lo, tb, z, u in _candidate_blocks(driver, gens, counts,
-                                               np.arange(P), T, False):
+                                               np.arange(P), T):
         ok = u < driver.accept_fraction(
             np.broadcast_to(anywhere, z.shape), z)
         accepted += int(np.count_nonzero(ok))
@@ -669,7 +677,7 @@ def _step(driver, gens, counts, X, T, dt, times):
 
     Returns the endpoints, or the states (P, K, d) at ``times``: at the
     first step boundary at or past each time (the start serves times not
-    past 0); and the accepted count.
+    past 0); the accepted count and the tape bytes.
     """
     d = driver.dim
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
@@ -679,13 +687,13 @@ def _step(driver, gens, counts, X, T, dt, times):
         col = int(np.searchsorted(times, 1e-12, side="right"))
         states[:, :col] = X[:, None]
     if driver.has_jumps:
-        # path-major tape, one slot per path past its last candidate
-        first = np.concatenate([[0], np.cumsum(counts + 1)])
-        z, u, t = _candidate_tape(driver, gens, counts, T, first[:-1],
-                                  np.arange(counts.max(initial=0)),
-                                  int(first[-1]), True)
-        t[first[1:] - 1] = np.inf
-        ptr = first[:-1].copy()
+        # the tape through flat pointers, with an inf sentinel past each
+        # path's last candidate
+        order, z, u, t = _candidate_tape(driver, gens, counts, T)
+        P, W = u.shape
+        t[np.arange(P), 0, counts[order]] = np.inf
+        z, u, t = z.reshape(P * W, d), u.ravel(), t.ravel()
+        ptr = np.argsort(order) * W
         next_t = t[ptr]
 
     step = 0
@@ -717,10 +725,9 @@ def _step(driver, gens, counts, X, T, dt, times):
             # kernel at the state just before each jump
             if driver.has_jumps:
                 while True:
-                    m = next_t <= t_end
-                    if not m.any():
+                    hit = np.flatnonzero(next_t <= t_end)
+                    if not len(hit):
                         break
-                    hit = np.nonzero(m)[0]
                     k = ptr[hit]
                     zh = z[k]
                     ok = u[k] < driver.accept_fraction(X[hit], zh)
@@ -733,7 +740,8 @@ def _step(driver, gens, counts, X, T, dt, times):
                     states[:, col] = X
                     col += 1
         step += blk
-    return (X if times is None else states), accepted
+    tape = z.nbytes + u.nbytes + t.nbytes if driver.has_jumps else 0
+    return (X if times is None else states), accepted, tape
 
 
 # ---------------------------------------------------------------------------

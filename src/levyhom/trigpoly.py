@@ -20,6 +20,18 @@ def _as_mode(m, dim):
     return m
 
 
+def _times(m):
+    """``a -> a @ m``, an elementwise product when m (k, n) or (k,) has k = 1:
+    a one-term dot product rounds once, so the bits are the same."""
+    if m.shape[0] > 1:
+        return lambda a: a @ m
+    if m.ndim == 1:
+        return lambda a, m0=m[0]: a[:, 0] * m0
+    if m.shape[1] == 1:
+        return lambda a, m0=m[0, 0]: a * m0
+    return lambda a: a * m
+
+
 class TrigPoly:
     """Finite Fourier sum ``sum_m c_m exp(2 pi i (mx.x + mz.z))`` with real values."""
 
@@ -150,30 +162,31 @@ class TrigPoly:
     def evaluator(self):
         """``f(x, z=None)`` for point arrays x (P, dim_x) and z (P, dim_z).
 
-        It does the arithmetic of ``__call__``, so its values are the same
-        bits, without the broadcasting: the x-phase enters only when the poly
-        has x-modes and the z-phase only when it has z-modes (z may then be
-        omitted), the sine part only when it has sine amplitudes, and a poly
-        without terms is its constant.
+        It does the arithmetic of ``__call__``, the same bits, without the
+        broadcasting: the x-phase enters only when the poly has x-modes and
+        the z-phase only when it has z-modes (z may then be omitted), the sine
+        part only with sine amplitudes; a poly without terms is its constant,
+        and one x-dimension or one term is contracted by ``_times``.
         """
-        const, amp_cos = self._const, self._amp_cos
+        const = self._const
         if self._n_terms == 0:
             return lambda x, z=None: np.full(len(x), const)
-        mx = self._mx.T if self.depends_on_x() else None
-        mz = self._mz.T if self.depends_on_z() else None
-        amp_sin = self._amp_sin if np.any(self._amp_sin) else None
+        xm = _times(self._mx.T) if self.depends_on_x() else None
+        zm = _times(self._mz.T) if self.depends_on_z() else None
+        cos_amp = _times(self._amp_cos)
+        sin_amp = _times(self._amp_sin) if np.any(self._amp_sin) else None
 
         def f(x, z=None):
-            if mz is None:
-                phase = x @ mx
-            elif mx is None:
-                phase = z @ mz
+            if zm is None:
+                phase = xm(x)
+            elif xm is None:
+                phase = zm(z)
             else:
-                phase = x @ mx + z @ mz
+                phase = xm(x) + zm(z)
             phase = _TWO_PI * phase
-            val = np.cos(phase) @ amp_cos + const
-            if amp_sin is not None:
-                val = val + np.sin(phase) @ amp_sin
+            val = cos_amp(np.cos(phase)) + const
+            if sin_amp is not None:
+                val = val + sin_amp(np.sin(phase))
             return val
 
         return f

@@ -252,6 +252,33 @@ def test_cli_effective_x_independent(tmp_path):
     assert (out / "manifest_effective.json").exists()
 
 
+def test_cli_effective_builds_the_kernel_table_once(tmp_path, monkeypatch):
+    # the tail constant hands its ray-average table on to effective.json and
+    # effective_kernel.csv
+    from levyhom import averaging, ergodic
+    from levyhom.ergodic import stationary_measure
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return averaging.effective_kernel_table(*args)
+
+    monkeypatch.setattr(ergodic, "effective_kernel_table", counted)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(fixture_config("ex4_1_critical")))
+    out = tmp_path / "eff"
+    assert main(["effective", str(cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    spec = load_config(fixture_config("ex4_1_critical")).spec
+    table = averaging.effective_kernel_table(
+        spec.kernel, stationary_measure(spec), spec.rho0)
+    payload = json.loads((out / "effective.json").read_text())
+    assert payload["effective_kernel_table"] == table.tolist()
+    averaging.write_kernel_table_csv(tmp_path / "want.csv", spec.rho0, table)
+    assert (out / "effective_kernel.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
+
+
 def test_cli_simulate_reproducible(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dump_config(fixture_config("ex4_1_stable")))

@@ -173,7 +173,7 @@ def test_effective_drifts_symmetric_zero():
 
 def test_kernel_tail_constant_converges(xdep_spec_1d):
     mu = stationary_measure_grid(xdep_spec_1d, 64)
-    k0, cauchy = kernel_tail_constant(xdep_spec_1d, mu)
+    k0, cauchy, _ = kernel_tail_constant(xdep_spec_1d, mu)
     # z-independent kernel: k0 = int k dmu = harmonic mean of the profile
     assert cauchy
     assert k0 == pytest.approx(np.sqrt(1 - 0.25), abs=2e-3)
@@ -183,7 +183,7 @@ def test_kernel_tail_constant_flags_oscillation():
     poly = TrigPoly.const(1, 1, 1.0) + TrigPoly.cos_z(1, 1, (1,), 0.5)
     spec = make_spec(kernel=PeriodicKernel.trig(poly))
     mu = stationary_measure_grid(spec, 32)
-    k0, cauchy = kernel_tail_constant(spec, mu)
+    k0, cauchy, _ = kernel_tail_constant(spec, mu)
     assert not cauchy
 
 
@@ -192,7 +192,7 @@ def test_kernel_tail_constant_sees_through_whole_periods():
     # with period one, so radii that are whole periods read 1.5 every time;
     # the limit does not exist and the ray averages are 1 (e1) and 1.5 (e2)
     spec = load_config(fixture_config("ex4_0_axes")).spec
-    k0, cauchy = kernel_tail_constant(spec, stationary_measure(spec))
+    k0, cauchy, _ = kernel_tail_constant(spec, stationary_measure(spec))
     assert not cauchy
     assert k0 == pytest.approx(1.25, abs=1e-14)
 
@@ -204,7 +204,7 @@ def test_kernel_tail_constant_groups_modes_by_frequency():
             + TrigPoly.cos_z(2, 2, (1, 1), -0.5))
     rho = SphericalMeasure.atoms(2, [((1.0, 0.0), 1.0), ((-1.0, 0.0), 1.0)])
     spec = make_spec(d=2, kernel=PeriodicKernel.trig(poly), rho0=rho)
-    k0, cauchy = kernel_tail_constant(spec, TorusMeasure.uniform(2, 8))
+    k0, cauchy, _ = kernel_tail_constant(spec, TorusMeasure.uniform(2, 8))
     assert cauchy
     assert k0 == pytest.approx(1.0, abs=1e-14)
 

@@ -670,6 +670,108 @@ def test_engine_matches_reference_loops(case, branch, pool_always):
         assert np.array_equal(ends, ref), workers
 
 
+def _undrifted_case():
+    # no constant drift: the rounds read no times, so the tape draws them
+    # into a scratch row, neither sorted nor kept
+    raw = fixture_config("ex4_1_diffusive")
+    raw["drift"] = {"variant": "zero"}
+    return load_config(raw).spec, SimConfig(delta=1.0), 64.0, 120, None
+
+
+def _drifted_d2_case():
+    # an x-dependent kernel and a constant drift in d = 2: the tape holds
+    # the shift t b, two values per candidate
+    kernel = PeriodicKernel.trig(TrigPoly.const(2, 2, 1.0)
+                                 + TrigPoly.cos_x(2, 2, (1, 1), 0.5))
+    drift = DriftField([TrigPoly.const(2, 0, 0.3),
+                        TrigPoly.const(2, 0, -0.2)])
+    return (make_spec(d=2, alpha=1.5, alpha0=None, kernel=kernel,
+                      drift=drift), SimConfig(), 16.0, 90, None)
+
+
+@pytest.mark.parametrize("case,branch", [
+    (_diffusive_case, "thinning"), (_undrifted_case, "thinning"),
+    (_drifted_d2_case, "thinning"), (_centered_case, "stepped"),
+    (_mixed_case, "stepped")],
+    ids=["ex4_1_diffusive", "undrifted", "drifted_d2", "ex4_1_centered",
+         "ex4_3_mixed"])
+def test_tape_edges_match_reference_loops(case, branch, monkeypatch,
+                                          pool_always):
+    # chunks of 16 paths (the floor of the byte cap) and blocks of 4
+    # candidates: a batch spans many chunks and blocks, and most paths are
+    # longer than a block
+    from levyhom import pathsim
+    monkeypatch.setattr(pathsim, "_TAPE_BYTES", 1.0)
+    monkeypatch.setattr(pathsim, "_PACKET_BLOCK", 4)
+    spec, cfg, T, n, sampler = case()
+    driver = driver_from_spec(spec, cfg, T)
+    assert driver.branch == branch
+    assert driver.rate * T > 4
+    dt = cfg.resolved_dt(spec.small.alpha0)
+    ref = _run_paths_reference(spec, driver, T, n, 43, dt,
+                               start_sampler=sampler)
+    for workers in (1, 2, 3):
+        stats = {}
+        ends = run_paths(driver, T, n, 43, dt, workers=workers,
+                         start_sampler=sampler, stats=stats)
+        assert np.array_equal(ends, ref), workers
+        assert stats["chunk_paths"] <= 16
+
+
+def test_tape_bytes_stay_near_the_cap_where_it_binds(monkeypatch):
+    # the cap sizes a chunk by the expected count; the tape's rows are as
+    # long as the chunk's longest path, so its padding passes the cap a
+    # little. Levy runs hold no tape.
+    from levyhom import pathsim
+    monkeypatch.setattr(pathsim, "_TAPE_BYTES", 1.6e6)
+    spec, cfg, _, _, sampler = _diffusive_case()
+    T = 2048.0
+    driver = driver_from_spec(spec, cfg, T)
+    stats = {}
+    run_paths(driver, T, 100, 5, 0.01, start_sampler=sampler, stats=stats)
+    assert stats["chunk_paths"] == 25
+    assert 8 * 3 * 25 * driver.rate * T <= stats["tape_bytes"] \
+        <= 1.1 * pathsim._TAPE_BYTES
+    spec, cfg, T, n, _ = _critical_case()
+    stats = {}
+    run_paths(driver_from_spec(spec, cfg, T), T, n, 5, 0.01, stats=stats)
+    assert stats["tape_bytes"] == 0
+
+
+@pytest.mark.parametrize("poison", [np.inf, 2.0])
+@pytest.mark.parametrize("name", ["ex4_1_cauchy", "ex4_1_centered",
+                                  "ex4_1_diffusive", "ex4_1_stable",
+                                  "ex4_3_mixed"])
+def test_padding_never_reaches_the_numerics(name, poison, monkeypatch):
+    # every float np.empty of the run comes filled with the poison, which
+    # the padding slots of the tape keep: a padding slot read (inf reaches
+    # the kernel's cosine) or a padding packet mapped (a radius uniform of
+    # 2 is the power of a negative number) would raise here, or move an
+    # endpoint
+    settings = load_config(fixture_config(name))
+    cfg = SimConfig(paths=60, horizon=2.0, delta=settings.sim.delta, seed=9)
+    driver = driver_from_spec(settings.spec, cfg, 2.0)
+    assert driver.branch != "levy"
+    dt = cfg.resolved_dt(settings.spec.small.alpha0)
+    want = run_paths(driver, 2.0, 60, 9, dt)
+    empty = np.empty
+
+    def poisoned(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(poison)
+        return out
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    with warnings.catch_warnings(), np.errstate(invalid="raise",
+                                                divide="raise", over="raise"):
+        warnings.simplefilter("error")
+        got = run_paths(driver, 2.0, 60, 9, dt)
+        snaps = run_paths(driver, 2.0, 60, 9, dt, times=[1.0, 2.0])
+    assert np.array_equal(got, want)
+    assert np.all(np.isfinite(snaps))
+
+
 @pytest.mark.parametrize("block", [50, 400])
 @pytest.mark.parametrize("name", ["ex4_0_axes", "ex4_1_critical"])
 def test_levy_snapshots_match_reference(name, block, monkeypatch):
@@ -784,13 +886,19 @@ def test_trigpoly_evaluator_matches_call():
         TrigPoly.cos_z(2, 2, (2, 1), 0.4) + 1.0,                   # z only
         TrigPoly.cos_x(2, 2, (1, 0)) * TrigPoly.cos_z(2, 2, (0, 1))
         + TrigPoly.sin_x(2, 2, (1, 1), 0.2),                       # joint
+        # one x-dimension: its phase and a single term's amplitude are
+        # elementwise products
+        TrigPoly.cos_x(1, 1, (1,), 0.9) + 1.0,                     # one term
+        TrigPoly.cos_x(1, 0, (1,), 0.3) + TrigPoly.sin_x(1, 0, (3,), 0.7),
+        TrigPoly.cos_x(1, 1, (2,), 0.5) + TrigPoly.cos_z(1, 1, (1,), 0.4),
     ]
     for poly in polys:
         f = poly.evaluator()
-        want = poly(x, z) if poly.dim_z else poly(x)
-        assert np.array_equal(f(x, z), want)
+        xp, zp = x[:, :poly.dim_x], z[:, :poly.dim_z]
+        want = poly(xp, zp) if poly.dim_z else poly(xp)
+        assert np.array_equal(f(xp, zp), want)
         if not poly.depends_on_z():
-            assert np.array_equal(f(x), want)
+            assert np.array_equal(f(xp), want)
 
 
 def test_numpy_integer_seed_matches_python_int():
@@ -830,6 +938,7 @@ def test_batch_counters_identical_across_workers():
         meta = batch.meta
         assert 0 <= meta["accepted"] <= meta["candidates"]
         assert 1 <= meta["chunk_paths"] <= 120
+        assert meta["tape_bytes"] >= 8 * 3 * meta["candidates"] / 120
         json.dumps(meta)
     assert metas[0]["candidates"] > 0
     for meta in metas[1:]:
