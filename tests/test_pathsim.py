@@ -672,7 +672,7 @@ def test_engine_matches_reference_loops(case, branch, pool_always):
 
 def _undrifted_case():
     # no constant drift: the rounds read no times, so the tape draws them
-    # into a scratch row, neither sorted nor kept
+    # into the accept uniforms' row, neither sorted nor kept
     raw = fixture_config("ex4_1_diffusive")
     raw["drift"] = {"variant": "zero"}
     return load_config(raw).spec, SimConfig(delta=1.0), 64.0, 120, None
