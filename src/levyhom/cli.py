@@ -227,7 +227,8 @@ def cmd_verify(args):
     spec = settings.spec
     _apply_overrides(settings.sim, args)
     try:
-        ladder = _ladder(args.ladder) if args.ladder else [1.0 / 8, 1.0 / 32]
+        ladder = [1.0 / 8, 1.0 / 32] if args.ladder is None else \
+            _ladder(args.ladder)
     except (ValueError, ZeroDivisionError) as exc:
         print(f"config error: --ladder {args.ladder!r}: {exc}",
               file=sys.stderr)

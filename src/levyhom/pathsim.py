@@ -34,19 +34,22 @@ or "x_modes").
 
 A run returns the endpoints of its paths, or their states at an ascending
 list of times: that is the engine's one observation. The engine cuts the path
-range into chunks, and ``workers > 1`` runs the chunks of a batch in a pool of
-forked processes. It has three branches (``JumpDriver.branch``):
+range into chunks by one rule, the expected bytes of a chunk's candidate
+tape, and ``workers > 1`` runs the chunks of a batch in a pool of forked
+processes. Every branch reads a chunk's candidates from one draw,
+``_candidate_blocks``: per path its times, then its packets, mapped to jump
+vectors one block of paths at a time. The branches (``JumpDriver.branch``):
 
 * "levy", for a driver whose accept fraction, drift and Gaussian coefficient
   do not depend on x: the process is a Levy process, so a path at time t is
   its start plus its accepted jumps up to t, one Gaussian increment and t
   times the constant drift. It has no time grid: it gives the states at the
-  exact times asked for, one block of packets at a time;
+  exact times asked for, and holds one block of packets at a time;
 * "thinning", for the other drivers without a Gaussian part or an
-  x-dependent drift: it draws each chunk's candidates once into a dense
-  tape, a row per path, largest count first (jump vector, accept uniform,
-  and time or the shift t b of a constant drift b, per candidate), and
-  round j reads column j of the live rows. It serves endpoint-only runs;
+  x-dependent drift: it copies the blocks into a dense tape, a row per path,
+  largest count first (jump vector, accept uniform, and sorted time or the
+  shift t b of a constant drift b, per candidate), and round j reads column
+  j of the live rows. It serves endpoint-only runs;
 * "stepped": Euler-Heun steps over the same tape, each path read up to an
   inf time. A state at t is that at the first step boundary at or past t.
 
@@ -74,8 +77,8 @@ import numpy as np
 
 from .quadrature import power_law_radii
 from .regimes import EffectiveDrifts, Regime
-from .spec_model import (DriftField, JumpSpec, jump_nodes, surface_measure,
-                         tail_mass_bound, tail_radius)
+from .spec_model import (DriftField, JumpSpec, categorical_index, jump_nodes,
+                         surface_measure, tail_mass_bound, tail_radius)
 
 _BLOCK = 2048
 _TAPE_BYTES = 96e6         # candidate-tape bytes per chunk
@@ -184,8 +187,7 @@ class JumpDriver:
                                                                  pk[:, 3])
         m = pk.shape[0]
         z = np.empty((m, self.dim))
-        comp_idx = np.searchsorted(self._cum, pk[:, 0], side="right")
-        comp_idx = np.minimum(comp_idx, len(self.components) - 1)
+        comp_idx = categorical_index(self._cum, pk[:, 0])
         for ci, comp in enumerate(self.components):
             sel = comp_idx == ci
             if not sel.any():
@@ -414,9 +416,10 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None, times=None,
     (n_paths, d), or with ``times`` (ascending, in [0, T]) their states
     (n_paths, len(times), d) at those times.
 
-    The path range is cut into chunks whose candidate tapes, at the expected
-    count per path, fit ``_TAPE_BYTES``; on the levy branch, which holds one
-    packet block at a time, into chunks of up to 4096 paths. ``workers > 1``
+    The path range is cut into chunks whose candidate tapes, at the
+    expected count per path, fit ``_TAPE_BYTES`` (16 to 4096 paths a chunk,
+    where the batch has them): one rule for every branch, though the levy
+    branch holds no tape, only one packet block at a time. ``workers > 1``
     runs the chunks in a pool of at most ``min(workers, os.cpu_count())``
     forked processes when the batch's expected work, candidates ``rate T
     n_paths`` plus Euler steps times paths (none off the stepped branch),
@@ -446,14 +449,13 @@ def run_paths(driver: JumpDriver, T, n_paths, seed, dt, x0=None, times=None,
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             procs = min(workers, os.cpu_count() or 1)
-    # the cap bounds a chunk's tape of z, u and t (or the shift t b) per
-    # candidate (the levy branch holds one packet block whatever the chunk
-    # size); whole rounds of chunks keep the pool busy
+    # one rule for every branch: the cap bounds a chunk's tape of z, u and t
+    # (or the shift t b) per candidate; whole rounds of chunks keep the pool
+    # busy
     per = 2 * d + 1 if branch == "thinning" and driver.constant_drift \
         is not None else d + 2
     tape_bytes = 8 * per * max(1.0, driver.rate * T)
-    cap = 4096 if branch == "levy" else \
-        min(4096, max(16, int(_TAPE_BYTES / tape_bytes)))
+    cap = min(4096, max(16, int(_TAPE_BYTES / tape_bytes)))
     n_chunks = -(-max(1, -(-n_paths // cap)) // procs) * procs
     chunk_paths = max(1, -(-n_paths // n_chunks))
     ranges = [(c0, min(c0 + chunk_paths, n_paths))
@@ -525,7 +527,8 @@ def _run_chunk(driver, branch, T, seed, dt, x0, start_sampler, times, c0, c1):
 
 
 def _candidate_blocks(driver, gens, counts, order, T):
-    """The candidates of a levy chunk, drawn block by block after the counts.
+    """The candidates of a chunk, drawn block by block after the counts: the
+    engine's one candidate draw, which every branch reads.
 
     Each path's stream yields its c times, then c packets of five uniforms
     (component, radius, two angles, acceptance). Paths go in ``order``, in
@@ -533,7 +536,8 @@ def _candidate_blocks(driver, gens, counts, order, T):
     max count + 1) cells. Per block this yields the block's paths, the
     offsets ``lo`` of their candidates, and the candidates' times (scaled by
     T, unsorted), jump vectors, from one ``z_from_packets`` call, and accept
-    uniforms. The buffers are reused.
+    uniforms. The buffers are reused; only the first ``lo[-1]`` packets of a
+    block are mapped.
     """
     cap = max(_PACKET_BLOCK, int(counts.max(initial=0)) + 1)
     pk = np.empty((cap, 5))
@@ -559,41 +563,26 @@ def _candidate_tape(driver, gens, counts, T, b=None, keep_t=True):
     """Every candidate of a chunk on a dense tape ``(order, z, u, t)``: row
     r, path ``order[r]`` (largest count first), has W = max count + 1 slots
     in z (P, W, d), u (P, W) and t (P, 1, W), or (P, d, W) for the shifts
-    t b of a constant drift ``b``. A path's stream yields its c times, drawn
-    into its row, sorted and scaled by T (without ``keep_t``: drawn into
-    u's row and dropped, t is None); then c packets of five uniforms
-    (component, radius, two angles, acceptance). The packets of a block of
-    rows are mapped by one ``z_from_packets`` call; padding is never written.
+    t b of a constant drift ``b``. The rows are copied from the blocks of
+    ``_candidate_blocks`` in this order; a path's times, already scaled by
+    T, are sorted in place (sort(u T) = sort(u) T), or dropped without
+    ``keep_t`` (t is None). Padding is never written.
     """
     P, d = len(counts), driver.dim
     order = np.argsort(-counts, kind="stable")
     W = int(counts[order[0]]) + 1
     z, u = np.empty((P, W, d)), np.empty((P, W))
     t = np.empty((P, 1 if b is None else d, W)) if keep_t else None
-    pk = np.empty((max(_PACKET_BLOCK, W), 5))
-
-    def copy_block(rows, m):
-        zb = driver.z_from_packets(pk[:m])
-        for r, a, c in rows:
-            z[r, :c] = zb[a:a + c]
-            u[r, :c] = pk[a:a + c, 4]
-
-    rows, m = [], 0
-    for r, (i, c) in enumerate(zip(order.tolist(), counts[order].tolist())):
-        if m + c > len(pk):
-            copy_block(rows, m)
-            rows, m = [], 0
-        row = u[r, :c] if t is None else t[r, 0, :c]   # packets refill u
-        gens[i].random(out=row)
-        if t is not None:
-            row.sort()
-            row *= T
-        if b is not None:
-            t[r, :, :c] = row * b[:, None]
-        gens[i].random(out=pk[m:m + c])
-        rows.append((r, m, c))
-        m += c
-    copy_block(rows, m)
+    r = 0
+    for _, lo, tb, zb, ub in _candidate_blocks(driver, gens, counts, order,
+                                               T):
+        for a, e in zip(lo[:-1].tolist(), lo[1:].tolist()):
+            z[r, :e - a], u[r, :e - a] = zb[a:e], ub[a:e]
+            if t is not None:
+                row = tb[a:e]
+                row.sort()
+                t[r, :, :e - a] = row if b is None else row * b[:, None]
+            r += 1
     return order, z, u, t
 
 
@@ -829,9 +818,7 @@ def measure_start_sampler(mu):
     centers = mu.centers
 
     def sampler(u):
-        idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"),
-                         len(cum) - 1)
-        return centers[idx]
+        return np.take(centers, categorical_index(cum, u[:, 0]), axis=0)
 
     return sampler
 

@@ -34,6 +34,13 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def categorical_index(cum, u):
+    """Categorical draws from uniforms ``u`` on the ascending cumulative
+    table ``cum``: the first entry past each uniform, at most the last one
+    (a table whose last entry rounds below one)."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+
+
 # ---------------------------------------------------------------------------
 # spherical measures
 # ---------------------------------------------------------------------------
@@ -126,9 +133,7 @@ class SphericalMeasure:
             return np.stack([s * np.cos(az), s * np.sin(az), zc], axis=-1)
         # atoms, densities (via node table) and d=1 all reduce to a
         # categorical draw over the node table
-        idx = np.searchsorted(self._cum, u1, side="right")
-        idx = np.clip(idx, 0, len(self.weights) - 1)
-        return self.thetas[idx]
+        return np.take(self.thetas, categorical_index(self._cum, u1), axis=0)
 
 
 # ---------------------------------------------------------------------------

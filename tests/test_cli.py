@@ -400,12 +400,12 @@ def test_cli_verify_smoke(tmp_path):
     ("corrector", ["--eps", "0"]), ("corrector", ["--eps", "-0.5"]),
     ("corrector", ["--grid", "0"]), ("effective", ["--grid", "0"]),
     ("simulate", ["--grid", "0"]), ("simulate", ["--eps", "0"]),
-    ("simulate", ["--paths", "0"])],
+    ("simulate", ["--paths", "0"]), ("verify", ["--ladder", ""])],
     ids=["ladder_word", "ladder_one_over_zero", "ladder_negative",
          "ladder_zero", "ladder_empty_entry", "paths_zero",
          "corrector_eps_zero", "corrector_eps_negative", "corrector_grid_zero",
          "effective_grid_zero", "simulate_grid_zero", "simulate_eps_zero",
-         "simulate_paths_zero"])
+         "simulate_paths_zero", "ladder_empty"])
 def test_cli_verify_malformed_flags_exit_4(tmp_path, capsys, command, flags):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(dump_config(fixture_config("ex4_1_stable")))

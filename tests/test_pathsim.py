@@ -788,6 +788,33 @@ def test_levy_snapshots_match_reference(name, block, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["ex4_0_axes", "ex4_1_critical"])
+def test_levy_chunks_follow_the_tape_byte_rule(name, monkeypatch,
+                                               pool_always):
+    # one chunk rule for every branch: at a one-byte cap levy chunks hold
+    # the floor of 16 paths, and a batch of three or four chunks gives the
+    # reference's endpoints and snapshots
+    from levyhom import pathsim
+    monkeypatch.setattr(pathsim, "_TAPE_BYTES", 1.0)
+    spec = load_config(fixture_config(name)).spec
+    cfg = SimConfig(paths=40, horizon=5.0, delta=0.25, seed=8)
+    times = [0.5, 2.0, 2.0, 5.0]
+    driver = driver_from_spec(spec, cfg, 5.0)
+    assert driver.branch == "levy"
+    ends_ref = _levy_reference(spec, driver, 5.0, 40, 8)[:, -1]
+    snaps_ref = _levy_reference(spec, driver, 5.0, 40, 8, times=times)
+    dt = cfg.resolved_dt(spec.small.alpha0)
+    for workers in (1, 2, 3):
+        stats, snap_stats = {}, {}
+        ends = run_paths(driver, 5.0, 40, 8, dt, workers=workers,
+                         stats=stats)
+        snaps = run_paths(driver, 5.0, 40, 8, dt, times=times,
+                          workers=workers, stats=snap_stats)
+        assert stats["chunk_paths"] <= 16 and snap_stats["chunk_paths"] <= 16
+        assert np.array_equal(ends, ends_ref), workers
+        assert np.array_equal(snaps, snaps_ref), workers
+
+
+@pytest.mark.parametrize("name", ["ex4_0_axes", "ex4_1_critical"])
 def test_levy_snapshot_at_the_horizon_is_the_endpoint(name):
     spec = load_config(fixture_config(name)).spec
     cfg = SimConfig(paths=300, horizon=3.0, delta=0.25, seed=5)

@@ -6,9 +6,10 @@ from scipy.integrate import quad
 
 from levyhom.spec_model import (IntegrabilityError, PeriodicKernel,
                                 RadialPerturbation, ScalingFunction,
-                                SmallJumpPart, SphericalMeasure, full_drift,
-                                jump_nodes, scaling_index_probe,
-                                truncated_drift, validate)
+                                SmallJumpPart, SphericalMeasure,
+                                categorical_index, full_drift, jump_nodes,
+                                scaling_index_probe, truncated_drift,
+                                validate)
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
@@ -23,6 +24,22 @@ def test_uniform_mass_and_nodes():
         m = SphericalMeasure.uniform(d, total_mass=2.5)
         assert m.total_mass == pytest.approx(2.5, abs=1e-12)
         assert np.allclose(np.linalg.norm(m.thetas, axis=1), 1.0, atol=1e-12)
+
+
+def test_categorical_index_is_the_clipped_search():
+    # the one categorical lookup of the start sampler, the components and
+    # the angular node tables; the 5-entry table ends at 1 - 2^-53
+    rng = np.random.default_rng(4)
+    w = rng.random(64)
+    tables = [np.array([1.0]), np.cumsum([0.25, 0.75]),
+              np.cumsum([0.1, 0.3, 0.3, 0.2, 0.1]), np.cumsum(w / w.sum())]
+    assert tables[2][-1] < 1.0
+    for cum in tables:
+        u = np.concatenate([cum, [0.0, np.nextafter(1.0, 0.0)],
+                            rng.random(256)])
+        want = np.clip(np.searchsorted(cum, u, side="right"), 0, len(cum) - 1)
+        got = categorical_index(cum, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_uniform_second_angular_moment():
