@@ -3,17 +3,19 @@
 On Fourier modes the trig kernel and drift act through exact multipliers;
 ``mode_operator`` is the generator's Fourier-Galerkin truncation (any
 d <= 3) to the modes of one box, |l|_inf <= ``mode_box(spec)``: MODE_BOX[d],
-or four times the longest x-mode step when that is larger. The invariant
-measure, the mixing curve and the corrector (``mode_poisson_solver``) all
-come from it, and ``mode_set`` refuses more than MODE_CAP modes. The dense
-grid discretization (``assemble_operator``, d in {1, 2}; ``solve_poisson``)
-is the mode route's oracle. It replaces the singular part of the small-jump
+or four times the longest x-mode step when that is larger. ``mode_model``
+is the one route from a spec to that operator: the modes, M, one sparse LU
+and the left null vector v. The invariant measure keeps its model, and the
+mixing curve and the corrector (``mode_poisson_solver``) solve on it;
+``mode_set`` refuses more than MODE_CAP modes. The dense grid
+discretization (``assemble_operator``, d in {1, 2}; ``solve_poisson``) is
+the mode route's oracle. It replaces the singular part of the small-jump
 integral inside one grid cell by its second-order Taylor proxy (a scaled
 discrete Laplacian with the exact radial coefficient), the remaining jump
 integral by log-spaced Gauss-Legendre quadrature with multilinear
 interpolation, the compensator by central differences, and the drift by
-upwind differences. Each Poisson solve centres psi against its own
-operator's invariant density.
+upwind differences. The grid solve centres psi against its own operator's
+invariant density, the mode solve against the measure it is given.
 
 The critical covariance (phi = r^2) needs no radial quadrature: it is the
 closed form sum_n w_n k̄0(theta_n) theta_n theta_n^T over rho0's nodes.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
@@ -251,19 +253,14 @@ def mode_box(spec: JumpSpec):
                4 * int(np.abs(x_mode_steps(spec)).max(initial=0)))
 
 
-def mode_set(spec: JumpSpec, box, full=False, seeds=()):
+def mode_set(spec: JumpSpec, box, seeds=()):
     """Modes of the box |l|_inf <= box reached from 0 and from the modes in
     ``seeds`` by steps along the x-modes of the kernel and drift ({0} when
-    there are neither), or the whole box with ``full``; mode 0 first.
-    Raises as soon as the set passes MODE_CAP modes."""
+    there are neither), breadth first and mode 0 first. Raises as soon as
+    the set passes MODE_CAP modes."""
     d = spec.d
     cap = ValueError(f"the modes of the box |l|_inf <= {box} pass the mode "
                      f"cap of {MODE_CAP}")
-    if full:
-        if (2 * box + 1) ** d > MODE_CAP:
-            raise cap
-        modes = np.indices((2 * box + 1,) * d).reshape(d, -1).T - box
-        return modes[np.argsort(np.abs(modes).max(axis=1), kind="stable")]
     steps = x_mode_steps(spec).tolist()
     found = list(dict.fromkeys([(0,) * d] + [tuple(m) for m in seeds]))
     seen = set(found)
@@ -314,20 +311,35 @@ def mode_operator(spec: JumpSpec, modes):
     return sparse.csc_matrix((vals, (rows, cols)), shape=(K, K))
 
 
-def mode_solvers(M):
-    """``solve(b, adjoint)`` on the modes other than 0, and the left null
-    vector v of M with v_0 = 1: v_p = int e^{2 pi i p.x} mu(dx) for the
-    invariant measure mu, since L* mu = 0 reads v^T M = 0."""
-    A = M[1:, 1:]
+@dataclass
+class ModeModel:
+    """The mode operator of one spec on one mode set.
+
+    ``modes`` (mode 0 first) and their sparse operator ``M``;
+    ``solve(b, adjoint)`` solves with M on the modes other than 0, on one
+    sparse LU (None when 0 is the only mode); ``v`` is the left null vector
+    of M with v_0 = 1: v_p = int e^{2 pi i p.x} mu(dx) for the invariant
+    measure mu, since L* mu = 0 reads v^T M = 0."""
+    modes: np.ndarray
+    M: sparse.csc_matrix
+    solve: Optional[Callable]
+    v: np.ndarray
+
+
+def mode_model(spec: JumpSpec, box=None, seeds=()) -> ModeModel:
+    """The ``ModeModel`` of ``mode_set(spec, box, seeds)``, box
+    ``mode_box(spec)`` when not given: one ``mode_operator``, one LU."""
+    modes = mode_set(spec, box or mode_box(spec), seeds)
+    M = mode_operator(spec, modes)
     solve = None
-    if A.shape[0]:
-        slu = splu(A.tocsc())
+    if len(modes) > 1:
+        slu = splu(M[1:, 1:].tocsc())
         solve = lambda b, adjoint: slu.solve(np.asarray(b, dtype=complex),
                                              trans="T" if adjoint else "N")
-    v = np.ones(M.shape[0], dtype=complex)
+    v = np.ones(len(modes), dtype=complex)
     if solve is not None:
         v[1:] = solve(-M[0, 1:].toarray().ravel(), True)
-    return solve, v
+    return ModeModel(modes, M, solve, v)
 
 
 def mode_semigroup(M, F, times):
@@ -472,32 +484,29 @@ def solve_poisson(op: AssembledOperator, f, mean_tol=1e-8) -> CorrectorField:
                           "grid")
 
 
-def mode_poisson_solver(spec: JumpSpec, n):
-    """``solve(f)``: the zero-mean solution of (generator) psi = f for a
-    trig spec, f and psi as values on the n-grid, on one mode operator and
-    one sparse LU for every f: the box |l|_inf <= min(n/2 - 1,
-    ``mode_box(spec)``), f's mode 0 dropped, so that psi solves
-    L psi = f - mu(f) and is then centred against mu, the invariant density
-    of the same operator. The residual is sum |M psi - f| over the box,
-    relative to max |f|."""
-    grid = TorusGrid(spec.d, int(n))
-    modes = mode_set(spec, min(grid.n // 2 - 1, mode_box(spec)), full=True)
-    M = mode_operator(spec, modes)
-    solve, v = mode_solvers(M)
-    mu_w = density_weights(modes_on_grid(-modes, v, grid))[0]
+def mode_poisson_solver(model: ModeModel, mu):
+    """``solve(f)``: the zero-mean solution of (generator) psi = f, f and
+    psi as values on mu's grid, on the operator and LU of ``model`` for
+    every f. f^ is read on the model's modes inside the grid's Nyquist
+    range (|l|_inf < n/2) and its mode 0 dropped, so that psi solves
+    L psi = f - mu(f) on the modes; psi is then centred against mu itself.
+    The residual is sum |M psi^ - f^| over the modes, relative to max |f|."""
+    grid, modes = mu.grid, model.modes
+    inside = 2 * np.abs(modes).max(axis=1) < grid.n
 
     def solve_one(f):
         fv = np.asarray(f(grid.centers) if callable(f) else f,
                         dtype=float).reshape((grid.n,) * grid.d)
-        fhat = np.fft.fftn(fv)[tuple((modes % grid.n).T)] / grid.size
-        psihat = np.concatenate([[0.0], solve(fhat[1:], False) if solve
-                                 else []])
+        fhat = np.where(inside, np.fft.fftn(fv)[tuple((modes % grid.n).T)],
+                        0.0) / grid.size
+        psihat = np.concatenate([[0.0], model.solve(fhat[1:], False)
+                                 if model.solve else []])
         psi = modes_on_grid(modes, psihat, grid)
-        psi = psi - float(mu_w @ psi)
-        resid = float(np.sum(np.abs(M @ psihat - fhat))
+        psi = psi - float(mu.weights @ psi)
+        resid = float(np.sum(np.abs(model.M @ psihat - fhat))
                       / max(np.abs(fv).max(), 1e-300))
-        return CorrectorField(grid, psi, _central_gradient(grid, psi), mu_w,
-                              resid, "fourier")
+        return CorrectorField(grid, psi, _central_gradient(grid, psi),
+                              mu.weights, resid, "fourier")
 
     return solve_one
 
@@ -602,13 +611,15 @@ def solve_recentering_corrector(spec: JumpSpec, mu, mode="full", R=None
                                 ) -> VectorCorrector:
     """Corrector for the recentering drift, one Poisson problem per axis on
     mu's grid, all on one mode operator and one sparse LU
-    (``mode_poisson_solver``): the whole box ``mode_box(spec)`` of mu's
-    operator, cut to mu's Nyquist range. Raises in d = 3."""
+    (``mode_poisson_solver``): mu's own ``ModeModel``, or
+    ``mode_model(spec)`` for a measure without one, with psi centred
+    against mu. Raises in d = 3."""
     if spec.d > 2:
         raise ValueError(f"no diffusive corrector in d={spec.d}: the "
                          f"covariance's loop over mu's cells grows like n^3")
     rhs, _ = corrector_rhs(spec, mu, mode=mode, R=R)
-    solve = mode_poisson_solver(spec, mu.grid.n)
+    solve = mode_poisson_solver(
+        mu.model if mu.model is not None else mode_model(spec), mu)
     return VectorCorrector(solve(rhs[:, a]) for a in range(spec.d))
 
 

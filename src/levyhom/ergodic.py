@@ -3,10 +3,10 @@
 ``stationary_measure``, which the prediction pipeline uses, solves
 L* mu = 0 in mode space (Fourier-Galerkin) in any d <= 3, on the box
 ``mode_box(spec)``: MODE_BOX[d], or four times the longest x-mode step when
-that is larger. The corrector takes the same operator, and ``mixing_rate``
-its exact semigroup e^{tM} on the test polys' coefficients. The Monte Carlo
-occupation histogram (quotient paths, time-averaged at the nearest nodes)
-validates mu.
+that is larger. The measure keeps that ``ModeModel``: the corrector solves
+on its operator and LU, and ``mixing_rate`` takes its exact semigroup e^{tM}
+on the test polys' coefficients. The Monte Carlo occupation histogram
+(quotient paths, time-averaged at the nearest nodes) validates mu.
 
 The Monte Carlo estimators read simulated paths only as states at given
 times (``simulate_snapshots``). The occupation histogram and the windowed
@@ -27,9 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .averaging import _MODE_TOL, effective_kernel_table
-from .corrector import (density_weights, mode_box, mode_operator,
-                        mode_semigroup, mode_set, mode_solvers, modes_on_grid,
-                        x_mode_steps)
+from .corrector import (ModeModel, density_weights, mode_box, mode_model,
+                        mode_semigroup, modes_on_grid, x_mode_steps)
 from .grid import TorusGrid
 from .pathsim import SimConfig, simulate_snapshots
 from .regimes import EffectiveDrifts
@@ -39,10 +38,12 @@ from .spec_model import (IntegrabilityError, JumpSpec, full_drift,
 
 @dataclass
 class TorusMeasure:
-    """Weights at the nodes."""
+    """Weights at the nodes; ``model`` is the mode model a deterministic
+    measure was solved on (None for grid, uniform and Monte Carlo ones)."""
     grid: TorusGrid
     weights: np.ndarray
     meta: dict = field(default_factory=dict)
+    model: Optional[ModeModel] = None
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -167,13 +168,13 @@ def stationary_measure(spec: JumpSpec, n=None, box=None) -> TorusMeasure:
     Nyquist range. With no x-mode in the kernel and drift the only mode is
     0: mu is exactly uniform. The residual is max |v^T M| over max |M|
     max |v|; ``edge_mass`` is the share of sum |v| on the modes a step leads
-    out of the box, where the truncation drops coupling.
+    out of the box, where the truncation drops coupling. The measure keeps
+    its ``ModeModel`` (``model``) for the mixing curve and the corrector.
     """
     box = int(box or mode_box(spec))
     grid = TorusGrid(spec.d, n or 1 << (2 * box + 1).bit_length())
-    modes = mode_set(spec, box)
-    M = mode_operator(spec, modes)
-    v = mode_solvers(M)[1]
+    model = mode_model(spec, box)
+    modes, M, v = model.modes, model.M, model.v
     scale = abs(M).max() * np.abs(v).max()
     w, clipped = density_weights(modes_on_grid(-modes, v, grid))
     reach = np.abs(modes[:, None, :] + x_mode_steps(spec)[None]).max(axis=2)
@@ -182,7 +183,7 @@ def stationary_measure(spec: JumpSpec, n=None, box=None) -> TorusMeasure:
         "route": "fourier_galerkin", "grid_n": grid.n, "mode_box": box,
         "unknowns": len(modes) - 1, "clipped_mass": clipped,
         "residual": float(np.abs(M.T @ v).max() / scale) if scale else 0.0,
-        "edge_mass": float(np.abs(v[edge]).sum() / np.abs(v).sum())})
+        "edge_mass": float(np.abs(v[edge]).sum() / np.abs(v).sum())}, model)
 
 
 def mu_average(mu: TorusMeasure, g):
@@ -261,29 +262,31 @@ class MixingEstimate:
 MIXING_FLOOR = 1e-12
 
 
-def _semigroup_gaps(spec: JumpSpec, polys, time_grid, grid: TorusGrid):
-    """Max over the polys of sup over the nodes of |E_x f(X_t) - mu(f)| at
+def _semigroup_gaps(spec: JumpSpec, polys, time_grid, mu: TorusMeasure):
+    """Max over the polys of sup over mu's nodes of |E_x f(X_t) - mu(f)| at
     each time: E_x f(X_t) = sum_l [e^{tM} f^]_l e^{2 pi i l.x} on the mode
-    operator M of the modes of ``mode_box(spec)`` reached from 0 and from
-    the polys' x-modes, and mu(f) = v.f^ with v the left null vector of
-    the same M. The gap is e^{tM} (f^ - mu(f) e_0); as M e_0 = 0 and v
-    annihilates it, it is e^{tA} f^ on the modes other than 0, A = M
-    without mode 0, and -v.(that) on mode 0. A has no null vector, so what
-    it propagates decays with the gap and keeps its relative precision.
-    Also returns the propagator ``mode_semigroup`` took and the mode
-    count."""
-    modes = mode_set(spec, mode_box(spec),
-                     seeds=sorted({mx for f in polys for mx, _ in f.coeffs}))
+    operator M of mu's ``ModeModel`` when its modes hold the polys' x-modes,
+    else of the modes of ``mode_box(spec)`` reached from 0 and from them,
+    and mu(f) = v.f^ with v the left null vector of the same M. The gap is
+    e^{tM} (f^ - mu(f) e_0); as M e_0 = 0 and v annihilates it, it is
+    e^{tA} f^ on the modes other than 0, A = M without mode 0, and
+    -v.(that) on mode 0. A has no null vector, so what it propagates
+    decays with the gap and keeps its relative precision. Also returns the
+    propagator ``mode_semigroup`` took and the mode count."""
+    seeds = sorted({mx for f in polys for mx, _ in f.coeffs})
+    model = mu.model
+    if model is None or not set(seeds) <= set(map(tuple,
+                                                  model.modes.tolist())):
+        model = mode_model(spec, seeds=seeds)
+    modes, M, v = model.modes, model.M, model.v
     F = np.zeros((len(modes), len(polys)), dtype=complex)
     for j, f in enumerate(polys):
         for (mx, _), c in f.coeffs.items():
             F[np.all(modes == mx, axis=1), j] += c
-    M = mode_operator(spec, modes)
-    v = mode_solvers(M)[1]
     states, propagator = mode_semigroup(M[1:, 1:], F[1:], time_grid)
     gaps = np.hstack([np.vstack([-v[1:] @ rest, rest]) for rest in states])
-    values = np.abs(modes_on_grid(modes, gaps, grid))
-    return (values.reshape(grid.size, len(states), -1).max(axis=(0, 2)),
+    values = np.abs(modes_on_grid(modes, gaps, mu.grid))
+    return (values.reshape(mu.grid.size, len(states), -1).max(axis=(0, 2)),
             propagator, len(modes))
 
 
@@ -291,11 +294,12 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid,
                 mu: Optional[TorusMeasure] = None) -> MixingEstimate:
     """Least-squares fit of log sup_x |E_x f(X_t) - mu(f)| = log C - lambda1 t
     over the time grid, for x-only ``TrigPoly`` test functions f (zero ones
-    skipped). The curve is exact at mu's nodes: the semigroup of the mode
-    operator on mu's box (``_semigroup_gaps``), kept above the round-off floor
-    MIXING_FLOOR. The estimate records the propagator ``mode_semigroup``
-    took (``"dense"`` or ``"krylov"``) and the mode count; fit failure is
-    reported, not raised.
+    skipped). The curve is exact at mu's nodes: the semigroup of mu's mode
+    operator, or of one seeded with the test functions' x-modes when mu's
+    modes lack them or mu has no model (``_semigroup_gaps``), kept above the
+    round-off floor MIXING_FLOOR. The estimate records the propagator
+    ``mode_semigroup`` took (``"dense"`` or ``"krylov"``) and the mode count;
+    fit failure is reported, not raised.
     """
     mu = mu if mu is not None else stationary_measure(spec)
     time_grid = np.asarray(sorted(time_grid), dtype=float)
@@ -305,7 +309,7 @@ def mixing_rate(spec: JumpSpec, test_functions, time_grid,
     propagator = n_modes = None
     if fs:
         sup_curve, propagator, n_modes = _semigroup_gaps(spec, fs, time_grid,
-                                                         mu.grid)
+                                                         mu)
     usable = sup_curve > MIXING_FLOOR
     table = list(zip(time_grid.tolist(), sup_curve.tolist()))
     if usable.sum() < 2:

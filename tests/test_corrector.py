@@ -6,7 +6,8 @@ import pytest
 from levyhom.corrector import (AtomJumpMeasure, assemble_operator,
                                corrector_rhs, covariance_matrix,
                                critical_covariance, fourier_multiplier,
-                               mode_poisson_solver, nondegeneracy_check,
+                               mode_model, mode_poisson_solver,
+                               nondegeneracy_check,
                                solve_poisson, solve_recentering_corrector)
 from levyhom.config import fixture_config, load_config
 from levyhom.ergodic import TorusMeasure, stationary_measure
@@ -96,7 +97,9 @@ def test_solve_grid_vs_fourier(op_1d):
     spec, op = op_1d
     f = lambda pts: np.cos(2 * np.pi * pts[:, 0]) + 0.3 * np.sin(4 * np.pi * pts[:, 0])
     g_fld = solve_poisson(op, f)
-    f_fld = mode_poisson_solver(spec, 128)(f)
+    # k = 1 and no drift: mu is uniform and only f's modes are reached
+    model = mode_model(spec, seeds=[(1,), (-1,), (2,), (-2,)])
+    f_fld = mode_poisson_solver(model, TorusMeasure.uniform(1, 128))(f)
     rel = (np.max(np.abs(g_fld.values - f_fld.values))
            / np.max(np.abs(f_fld.values)))
     assert rel <= 0.05

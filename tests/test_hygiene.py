@@ -237,3 +237,44 @@ def test_regime_literals_are_found():
                          ids=lambda p: p.name)
 def test_regimes_are_spelled_out_only_in_regimes(path):
     assert regime_literals(path.read_text()) == []
+
+
+def call_sites(source, name):
+    """(line, qualified name of the enclosing function, None at module
+    level) for each call of ``name``, as a bare name or an attribute."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)):
+                found.append((child.lineno, owner))
+            inner = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_call_sites_are_found():
+    source = ("x = build(1)\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        return lib.build(self) + other()\n"
+              "def f():\n"
+              "    g = lambda: build(2)\n"
+              "    return build\n")
+    assert call_sites(source, "build") == [(1, None), (4, "C.m"), (6, "f")]
+
+
+@pytest.mark.parametrize("name", ["mode_operator", "splu"])
+def test_the_mode_operator_is_built_and_factored_only_in_mode_model(name):
+    # one route from a spec to its mode operator: a second build or LU
+    # would grow back the operators the measure's model already holds
+    sites = [(path.name, owner) for path in MODULES
+             for _, owner in call_sites(path.read_text(), name)]
+    assert sites == [("corrector.py", "mode_model")]

@@ -10,15 +10,15 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from levyhom import corrector
-from levyhom.config import fixture_config, load_config
+from levyhom import cli, corrector
+from levyhom.config import FIXTURES, dump_config, fixture_config, load_config
 from levyhom.corrector import (VectorCorrector, assemble_operator,
                                corrector_rhs, covariance_matrix,
                                critical_covariance, generator_multipliers,
-                               jump_nodes, mode_operator, mode_poisson_solver,
-                               mode_semigroup, mode_set, solve_poisson,
-                               solve_recentering_corrector)
-from levyhom.ergodic import TorusMeasure, stationary_measure
+                               jump_nodes, mode_model, mode_operator,
+                               mode_poisson_solver, mode_semigroup, mode_set,
+                               solve_poisson, solve_recentering_corrector)
+from levyhom.ergodic import TorusMeasure, mixing_rate, stationary_measure
 from levyhom.grid import TorusGrid
 from levyhom.limits import predicted_limit
 from levyhom.quadrature import radial_fourier_integral
@@ -136,8 +136,6 @@ def test_mode_set_stops_at_the_cap(monkeypatch):
     assert corrector.mode_box(spec) == 20
     with pytest.raises(ValueError, match="mode cap of 20000"):
         stationary_measure(spec)
-    with pytest.raises(ValueError, match="mode cap of 20000"):
-        mode_set(spec, 20, full=True)
 
 
 def test_coupled_d2_kernel_matches_grid_route(coupled_grid):
@@ -410,7 +408,7 @@ def test_poisson_fourier_matches_grid_in_d2(coupled_grid):
         g = (np.cos(_TWO_PI * x[:, 0]) + 0.5 * np.sin(_TWO_PI * x[:, 1])
              + 0.3 * np.cos(_TWO_PI * (x[:, 0] + x[:, 1])))
         f = g - mu.weights @ g
-        fld = mode_poisson_solver(spec, n)(f)
+        fld = mode_poisson_solver(mu.model, mu)(f)
         grid = solve_poisson(op, f, mean_tol=1e-2)
         gaps.append(np.max(np.abs(fld.values - grid.values))
                     / np.max(np.abs(fld.values)))
@@ -426,7 +424,8 @@ def test_poisson_fourier_in_d3_matches_multiplier():
     spec = make_spec(d=3, alpha=0.75, alpha0=1.0,
                      rho0=SphericalMeasure.atoms(3, atoms))
     f = lambda pts: np.cos(_TWO_PI * pts[:, 0])
-    fld = mode_poisson_solver(spec, 8)(f)
+    model = mode_model(spec, seeds=[(1, 0, 0), (-1, 0, 0)])
+    fld = mode_poisson_solver(model, TorusMeasure.uniform(3, 8))(f)
     m1 = corrector.fourier_multiplier(spec, [1.0, 0.0, 0.0])
     want = f(fld.grid.centers) / m1.real
     assert abs(m1.imag) <= 1e-12 * abs(m1)
@@ -434,24 +433,89 @@ def test_poisson_fourier_in_d3_matches_multiplier():
     assert np.allclose(fld.mu_weights, 1.0 / 512, rtol=0, atol=1e-18)
 
 
+def _count_builds(monkeypatch):
+    """The mode count of each ``mode_operator`` build from now on: every
+    route reaches it through ``corrector.mode_model``."""
+    built = []
+    build = corrector.mode_operator
+
+    def counted(spec, modes):
+        built.append(len(modes))
+        return build(spec, modes)
+
+    monkeypatch.setattr(corrector, "mode_operator", counted)
+    return built
+
+
 def test_recentering_corrector_builds_one_mode_operator(monkeypatch):
-    # both axes of a d=2 corrector are solved on one mode operator and one
-    # LU, to the bits of a solver per axis
+    # both axes of a d=2 corrector are solved on mu's own mode operator and
+    # LU, to the bits of a solver per axis; a measure without a model costs
+    # one build
     spec = _coupled_spec_2d()
     mu = stationary_measure(spec, 16)
     rhs = corrector_rhs(spec, mu)[0]
-    want = [mode_poisson_solver(spec, 16)(rhs[:, a]) for a in range(2)]
-    built = []
-    build = corrector.mode_operator
-    monkeypatch.setattr(corrector, "mode_operator",
-                        lambda *args: built.append(1) or build(*args))
+    want = [mode_poisson_solver(mu.model, mu)(rhs[:, a]) for a in range(2)]
+    built = _count_builds(monkeypatch)
     psi = solve_recentering_corrector(spec, mu)
-    assert len(built) == 1
+    assert built == []
     for got, ref in zip(psi.components, want):
         assert got.residual_rel == ref.residual_rel
         for a, b in ((got.values, ref.values), (got.gradient, ref.gradient),
                      (got.mu_weights, ref.mu_weights)):
             assert a.tobytes() == b.tobytes()
+    solve_recentering_corrector(spec, replace(mu, model=None))
+    assert built == [len(mu.model.modes)]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_corrector_is_centred_against_mu_on_coarse_grids(n):
+    # below 2 mode_box + 2 nodes the grid's Nyquist range cuts f^, but psi
+    # is still solved on mu's modes and centred against mu itself
+    spec = _fixture_spec("ex4_1_diffusive")
+    mu = stationary_measure(spec, n)
+    psi = solve_recentering_corrector(spec, mu).components[0]
+    assert abs(mu.weights @ psi.values) <= 1e-12
+    assert psi.mu_weights.tobytes() == mu.weights.tobytes()
+
+
+X_DEPENDENT_FIXTURES = ["ex4_1_stable", "ex4_1_cauchy", "ex4_1_centered",
+                        "ex4_1_diffusive", "ex4_3_mixed"]
+
+
+@pytest.mark.parametrize("command, name", [
+    *(("effective", name) for name in sorted(FIXTURES)),
+    *(("corrector", name) for name in ("ex4_1_diffusive", "ex4_1_cauchy",
+                                        "ex4_1_critical"))])
+def test_a_command_builds_one_operator_per_mode_set(command, name, tmp_path,
+                                                    monkeypatch):
+    # mu's model serves the mixing curve, which needs cos and sin 2 pi x1,
+    # and the corrector; the x-independent fixtures' mu has mode 0 alone,
+    # which computes no multiplier, and their curve a seeded 3-mode model
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(dump_config(fixture_config(name)))
+    built = _count_builds(monkeypatch)
+    assert cli.main([command, str(cfg), "--out", str(tmp_path)]) == 0
+    if name in X_DEPENDENT_FIXTURES:
+        assert built == [81]
+    else:
+        assert built == ([1, 3] if command == "effective" else [1])
+
+
+@pytest.mark.parametrize("name", X_DEPENDENT_FIXTURES)
+def test_mixing_reuses_the_measure_model(name, monkeypatch):
+    # mu's modes are the seeded walk's, in the same order: the curve is the
+    # seeded model's to the bit, with no operator built
+    spec = _fixture_spec(name)
+    e1 = np.eye(spec.d, dtype=int)[0]
+    polys = [TrigPoly.cos_x(spec.d, 0, e1), TrigPoly.sin_x(spec.d, 0, e1)]
+    times = np.linspace(0.05, 0.8, 8)
+    mu = stationary_measure(spec)
+    want = mixing_rate(spec, polys, times, mu=replace(mu, model=None))
+    built = _count_builds(monkeypatch)
+    got = mixing_rate(spec, polys, times, mu=mu)
+    assert built == []
+    assert np.array(got.table).tobytes() == np.array(want.table).tobytes()
+    assert (got.propagator, got.modes) == (want.propagator, want.modes)
 
 
 def test_diffusive_prediction_assembles_no_grid_operator(monkeypatch):
@@ -459,9 +523,12 @@ def test_diffusive_prediction_assembles_no_grid_operator(monkeypatch):
         raise AssertionError("mu and psi of a trig spec come from the modes")
 
     monkeypatch.setattr(corrector, "assemble_operator", no_assembly)
+    built = _count_builds(monkeypatch)
     spec = _fixture_spec("ex4_1_diffusive")
     law = predicted_limit(spec, stationary_measure(spec))
     assert law.A[0, 0] == pytest.approx(1.735455, abs=1e-6)
+    # psi is solved on mu's model: one mode operator in all
+    assert built == [81]
 
 
 def test_grid_covariance_converges_to_the_mode_covariance():
