@@ -319,17 +319,24 @@ class ModeModel:
     ``solve(b, adjoint)`` solves with M on the modes other than 0, on one
     sparse LU (None when 0 is the only mode); ``v`` is the left null vector
     of M with v_0 = 1: v_p = int e^{2 pi i p.x} mu(dx) for the invariant
-    measure mu, since L* mu = 0 reads v^T M = 0."""
+    measure mu, since L* mu = 0 reads v^T M = 0. ``source`` holds the
+    arguments ``(spec, box, seeds)`` of ``mode_model``: the LU does not
+    pickle, so a pickled model is built again from them, bit for bit."""
     modes: np.ndarray
     M: sparse.csc_matrix
     solve: Optional[Callable]
     v: np.ndarray
+    source: tuple
+
+    def __reduce__(self):
+        return mode_model, self.source
 
 
 def mode_model(spec: JumpSpec, box=None, seeds=()) -> ModeModel:
     """The ``ModeModel`` of ``mode_set(spec, box, seeds)``, box
     ``mode_box(spec)`` when not given: one ``mode_operator``, one LU."""
-    modes = mode_set(spec, box or mode_box(spec), seeds)
+    box = box or mode_box(spec)
+    modes = mode_set(spec, box, seeds)
     M = mode_operator(spec, modes)
     solve = None
     if len(modes) > 1:
@@ -339,7 +346,7 @@ def mode_model(spec: JumpSpec, box=None, seeds=()) -> ModeModel:
     v = np.ones(len(modes), dtype=complex)
     if solve is not None:
         v[1:] = solve(-M[0, 1:].toarray().ravel(), True)
-    return ModeModel(modes, M, solve, v)
+    return ModeModel(modes, M, solve, v, (spec, box, seeds))
 
 
 def mode_semigroup(M, F, times):

@@ -38,7 +38,11 @@ range into chunks by one rule, the expected bytes of a chunk's candidate
 tape, and ``workers > 1`` runs the chunks of a batch in a pool of forked
 processes. Every branch reads a chunk's candidates from one draw,
 ``_candidate_blocks``: per path its times, then its packets, mapped to jump
-vectors one block of paths at a time. The branches (``JumpDriver.branch``):
+vectors one block of paths at a time, a block small enough to stay in L2
+(``_PACKET_BLOCK``). A block's packets all go through the heaviest mixture
+component (mostly the annulus delta < |z| <= 1), and only the other
+components' packets are remapped (``JumpDriver.z_from_packets``).
+The branches (``JumpDriver.branch``):
 
 * "levy", for a driver whose accept fraction, drift and Gaussian coefficient
   do not depend on x: the process is a Levy process, so a path at time t is
@@ -82,7 +86,15 @@ from .spec_model import (DriftField, JumpSpec, categorical_index, jump_nodes,
 
 _BLOCK = 2048
 _TAPE_BYTES = 96e6         # candidate-tape bytes per chunk
-_PACKET_BLOCK = 1 << 16    # candidates per z_from_packets call
+# candidates per z_from_packets call: a block's packets, jumps and mapping
+# temporaries (about 100 bytes a candidate) stay in a core's 2 MB L2 at
+# 2^14. One in-process chunk, ms (minor faults), 2-core Xeon host, median:
+#   block              2^12       2^13       2^14       2^15       2^16
+#   ex4_0_axes, 400   22.7 (0)   20.7 (0)   20.0 (37)  22.1 (967) 23.7 (1215)
+#   ex4_1_critical    464 (0)    435 (0)    401 (35)   405 (927)  451 (1383)
+#   ex4_1_diffusive   585 (1003) 545 (1021) 525 (1213) 535 (1596) 555 (2560)
+# (critical 500 paths at eps 1/32, diffusive 625 paths at eps 1/64)
+_PACKET_BLOCK = 1 << 14
 _POOL_WORK = 5e5           # candidates + steps x paths for a pool to pay off
 
 
@@ -162,10 +174,11 @@ class JumpDriver:
         self.constant_drift = constant_drift  # (d,) or None
         self.meta = meta or {}
         self.x_independent = x_independent
-        mass = sum(c.mass for c in self.components)
+        masses = [c.mass for c in self.components]
+        mass = sum(masses)
         self.rate = kmax * mass
-        self._cum = np.cumsum([c.mass for c in self.components]) / mass \
-            if mass > 0 else np.array([])
+        self._cum = np.cumsum(masses) / mass if mass > 0 else np.array([])
+        self._heavy = int(np.argmax(masses)) if masses else 0
 
     @property
     def has_jumps(self):
@@ -180,21 +193,29 @@ class JumpDriver:
         return self.drift_fn is not None or self.constant_drift is not None
 
     def z_from_packets(self, pk):
-        """Map packets (m, 5) of uniforms to candidate jump vectors (m, d)."""
-        if len(self.components) == 1:
-            comp = self.components[0]
-            return comp.radial(pk[:, 1])[:, None] * comp.angular(pk[:, 2],
-                                                                 pk[:, 3])
-        m = pk.shape[0]
-        z = np.empty((m, self.dim))
-        comp_idx = categorical_index(self._cum, pk[:, 0])
-        for ci, comp in enumerate(self.components):
-            sel = comp_idx == ci
-            if not sel.any():
-                continue
-            r = comp.radial(pk[sel, 1])
-            th = comp.angular(pk[sel, 2], pk[sel, 3])
-            z[sel] = r[:, None] * th
+        """Map packets (m, 5) of uniforms to candidate jump vectors (m, d):
+        the component drawn by column 0 (``categorical_index`` on the
+        cumulative masses), its radius from column 1, its direction from
+        columns 2 and 3.
+
+        Every packet is first mapped through the heaviest component, in
+        whole columns; only the packets of the other components are then
+        looked up and remapped, by index. A one-component driver looks
+        nothing up. Each step is elementwise, so a packet's jump does not
+        depend on the block it is mapped in.
+        """
+        if not self.components:       # a driver without jumps: empty blocks
+            return np.empty((len(pk), self.dim))
+        heavy = self.components[self._heavy]
+        z = heavy.radial(pk[:, 1])[:, None] * heavy.angular(pk[:, 2],
+                                                            pk[:, 3])
+        if len(self.components) > 1:
+            comp_idx = categorical_index(self._cum, pk[:, 0])
+            for ci, comp in enumerate(self.components):
+                if ci != self._heavy:
+                    sel = np.flatnonzero(comp_idx == ci)
+                    z[sel] = comp.radial(pk[sel, 1])[:, None] * comp.angular(
+                        pk[sel, 2], pk[sel, 3])
         return z
 
     def accept_fraction(self, x, z):
@@ -375,6 +396,9 @@ def _envelope_thinned(spec, kernel_fn, kmax, c, b, ghat):
 # ---------------------------------------------------------------------------
 
 _GENERATORS = []     # this process's Generator(Philox) objects, re-keyed
+# the seed of every new cache entry, whose key the re-keying overwrites: one
+# shared SeedSequence spares each entry hashing a fresh one
+_SEED = np.random.SeedSequence(0)
 
 
 def philox_key(seed, stream):
@@ -390,7 +414,7 @@ def _path_generators(seed, indices):
     """The cached generators, grown to ``len(indices)`` and re-keyed to the
     state of fresh ``Philox(key=(seed, i))`` objects (module docstring)."""
     while len(_GENERATORS) < len(indices):
-        _GENERATORS.append(np.random.Generator(np.random.Philox(0)))
+        _GENERATORS.append(np.random.Generator(np.random.Philox(_SEED)))
     gens = _GENERATORS[:len(indices)]
     zeros = np.zeros(4, dtype=np.uint64)
     state = {"bit_generator": "Philox",

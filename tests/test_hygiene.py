@@ -278,3 +278,11 @@ def test_the_mode_operator_is_built_and_factored_only_in_mode_model(name):
     sites = [(path.name, owner) for path in MODULES
              for _, owner in call_sites(path.read_text(), name)]
     assert sites == [("corrector.py", "mode_model")]
+
+
+def test_packets_are_mapped_only_in_the_candidate_draw():
+    # one candidate draw serves every engine branch: a second mapping site
+    # would grow back a branch's private draw
+    sites = [(path.name, owner) for path in MODULES
+             for _, owner in call_sites(path.read_text(), "z_from_packets")]
+    assert sites == [("pathsim.py", "_candidate_blocks")]

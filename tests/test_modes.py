@@ -518,6 +518,36 @@ def test_mixing_reuses_the_measure_model(name, monkeypatch):
     assert (got.propagator, got.modes) == (want.propagator, want.modes)
 
 
+def test_a_measure_round_trips_through_pickle(monkeypatch):
+    # the LU does not pickle: loading builds mu's model again, once, and the
+    # corrector and the mixing curve read it to the bits of the original
+    import pickle
+    spec = _fixture_spec("ex4_1_diffusive")
+    e1 = np.eye(spec.d, dtype=int)[0]
+    polys = [TrigPoly.cos_x(spec.d, 0, e1), TrigPoly.sin_x(spec.d, 0, e1)]
+    times = np.linspace(0.05, 0.8, 8)
+    mu = stationary_measure(spec)
+    blob = pickle.dumps(mu)
+    built = _count_builds(monkeypatch)
+    loaded = pickle.loads(blob)
+    assert built == [len(mu.model.modes)]
+    assert loaded.weights.tobytes() == mu.weights.tobytes()
+    assert loaded.meta == mu.meta
+    for a, b in ((loaded.model.modes, mu.model.modes),
+                 (loaded.model.v, mu.model.v)):
+        assert a.tobytes() == b.tobytes()
+    psi = [solve_recentering_corrector(spec, m).components[0]
+           for m in (mu, loaded)]
+    for name in ("values", "gradient", "mu_weights"):
+        assert getattr(psi[0], name).tobytes() == \
+            getattr(psi[1], name).tobytes()
+    assert psi[0].residual_rel == psi[1].residual_rel
+    mix = [mixing_rate(spec, polys, times, mu=m) for m in (mu, loaded)]
+    assert np.array(mix[0].table).tobytes() == np.array(mix[1].table).tobytes()
+    assert mix[0] == mix[1]
+    assert built == [len(mu.model.modes)]
+
+
 def test_diffusive_prediction_assembles_no_grid_operator(monkeypatch):
     def no_assembly(*args, **kwargs):
         raise AssertionError("mu and psi of a trig spec come from the modes")

@@ -949,6 +949,52 @@ def test_single_component_packets_match_component_search():
                               _z_from_packets_reference(driver, pk))
 
 
+TWO_COMPONENT_FIXTURES = sorted(set(FIXTURES) - {"ex4_1_diffusive"})
+
+
+def _pick(pk, cum, ci):
+    """The packets with column 0 moved into component ci's interval of the
+    cumulative table: the search picks ci for every one of them."""
+    lo = cum[ci - 1] if ci else 0.0
+    out = pk.copy()
+    out[:, 0] = lo + (cum[ci] - lo) * pk[:, 0]
+    picked = np.minimum(np.searchsorted(cum, out[:, 0], side="right"),
+                        len(cum) - 1)
+    assert np.all(picked == ci)
+    return out
+
+
+@pytest.mark.parametrize("name", TWO_COMPONENT_FIXTURES)
+def test_two_component_packets_match_component_search(name):
+    # every packet is mapped through the heaviest component, then the rest
+    # are remapped: blocks of 2^16 and 2^14 (_PACKET_BLOCK) packets with
+    # both components, all heaviest, none heaviest, and the empty block
+    settings = load_config(fixture_config(name))
+    driver = driver_from_spec(settings.spec, settings.sim, 8.0)
+    assert len(driver.components) == 2
+    cum = driver._cum
+    heavy = int(np.argmax([c.mass for c in driver.components]))
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(6)))
+    for m in (1 << 16, 1 << 14):
+        pk = gen.random((m, 5))
+        for block in (pk, _pick(pk, cum, heavy), _pick(pk, cum, 1 - heavy),
+                      pk[:0]):
+            z = driver.z_from_packets(block)
+            assert z.shape == (len(block), driver.dim)
+            assert np.array_equal(z, _z_from_packets_reference(driver, block))
+
+
+def test_a_driver_without_jumps_maps_empty_blocks():
+    # a zero kernel leaves no candidate mass: the levy branch still maps
+    # each chunk's empty block
+    spec = make_spec(alpha=1.5, alpha0=None, kernel=PeriodicKernel.trig(
+        TrigPoly.const(1, 1, 0.0)))
+    driver = driver_from_spec(spec, SimConfig(), 1.0)
+    assert driver.components == [] and driver.branch == "levy"
+    assert driver.z_from_packets(np.empty((0, 5))).shape == (0, 1)
+    assert np.array_equal(run_paths(driver, 1.0, 5, 0, 0.01), np.zeros((5, 1)))
+
+
 # --------------------------------------------------------------------------
 # workers: counters, pool size, validation and fork safety
 # --------------------------------------------------------------------------
@@ -1058,6 +1104,27 @@ def test_rekeyed_generators_match_fresh_philox():
                         _fresh_generators(7, rows)):
         for a, b in zip(_draws(g), _draws(fresh)):
             assert np.array_equal(a, b)
+
+
+def test_fresh_and_grown_generator_caches_match_fresh_philox(monkeypatch):
+    # new cache entries share one SeedSequence; the re-keying alone sets
+    # their streams, in a fresh cache as in one grown past a used one
+    from levyhom import pathsim
+
+    def streams(g):
+        return g.random(5), g.poisson(2.5, 4), g.standard_normal((3, 2))
+
+    monkeypatch.setattr(pathsim, "_GENERATORS", [])
+    for seed, rows, cached in ((3, np.arange(8), 8),
+                               (-4, np.arange(12, 32), 20),
+                               (3, np.arange(0, 40, 2), 20)):
+        gens = pathsim._path_generators(seed, rows)
+        assert len(pathsim._GENERATORS) == cached
+        for g, i in zip(gens, rows):
+            fresh = np.random.Generator(np.random.Philox(
+                key=pathsim.philox_key(seed, i)))
+            for a, b in zip(streams(g), streams(fresh)):
+                assert a.tobytes() == b.tobytes()
 
 
 _STREAM_SCRIPT = """

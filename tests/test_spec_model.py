@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levyhom.spec_model import (IntegrabilityError, PeriodicKernel,
-                                RadialPerturbation, ScalingFunction,
-                                SmallJumpPart, SphericalMeasure,
-                                categorical_index, full_drift, jump_nodes,
-                                scaling_index_probe, truncated_drift,
-                                validate)
+from levyhom.spec_model import (_SHORT_TABLE, IntegrabilityError,
+                                PeriodicKernel, RadialPerturbation,
+                                ScalingFunction, SmallJumpPart,
+                                SphericalMeasure, categorical_index,
+                                full_drift, jump_nodes, scaling_index_probe,
+                                truncated_drift, validate)
 from levyhom.trigpoly import TrigPoly
 
 from conftest import make_spec
@@ -28,12 +28,17 @@ def test_uniform_mass_and_nodes():
 
 def test_categorical_index_is_the_clipped_search():
     # the one categorical lookup of the start sampler, the components and
-    # the angular node tables; the 5-entry table ends at 1 - 2^-53
+    # the angular node tables, counted up to _SHORT_TABLE entries and
+    # searched past it; the 5-entry table ends at 1 - 2^-53
     rng = np.random.default_rng(4)
     w = rng.random(64)
     tables = [np.array([1.0]), np.cumsum([0.25, 0.75]),
               np.cumsum([0.1, 0.3, 0.3, 0.2, 0.1]), np.cumsum(w / w.sum())]
     assert tables[2][-1] < 1.0
+    # the longest counted table and the shortest searched one
+    v = np.random.default_rng(5).random(_SHORT_TABLE + 1)
+    tables += [np.cumsum(v[:n] / v[:n].sum())
+               for n in (_SHORT_TABLE, _SHORT_TABLE + 1)]
     for cum in tables:
         u = np.concatenate([cum, [0.0, np.nextafter(1.0, 0.0)],
                             rng.random(256)])
